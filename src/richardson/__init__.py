@@ -6,9 +6,9 @@ at g_c, and continues solutions smoothly through the critical regions.
 """
 
 from ._kernels import backend_name
-from .cluster import (ClusterSpec, PnCoefficients, PowerSums, chi_ratios,
-                      cluster_matrix, default_cluster_size, detect_cluster,
-                      invert_power_sums, pn_coefficients, power_sums)
+from .cluster import (PnCoefficients, PowerSums, chi_ratios, cluster_matrix,
+                      default_cluster_size, detect_cluster, invert_power_sums,
+                      pn_coefficients, power_sums)
 from .continuation import (SweepOptions, SweepPath, SweepSample,
                            restart_solve, sample_figure_data, sweep)
 from .critical import (CriticalPoint, critical_residuals, deflated_occupation,
@@ -28,7 +28,7 @@ __all__ = [
     "merge_levels", "save_problem",
     "PairEnergies", "SolveReport", "init_weak_coupling", "jacobian",
     "newton_solve", "residuals", "total_energy",
-    "ClusterSpec", "PnCoefficients", "PowerSums", "chi_ratios",
+    "PnCoefficients", "PowerSums", "chi_ratios",
     "cluster_matrix", "default_cluster_size", "detect_cluster",
     "invert_power_sums", "pn_coefficients", "power_sums",
     "CriticalPoint", "critical_residuals", "deflated_occupation",

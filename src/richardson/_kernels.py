@@ -1,30 +1,16 @@
-"""Hot numeric kernels: residuals, Jacobians and P_n sums.
-
-Two implementations of every kernel are kept side by side: tight loops
-compiled with numba, and a vectorized pure-numpy twin.  The numba path is
-the default; set ``RICHARDSON_PURE_NUMPY=1`` in the environment (before
-import) to force the numpy path, e.g. on platforms where numba is
-unavailable or while debugging.  ``benchmarks/bench_kernels.py`` compares
-the two.
+"""Hot numeric kernels: residuals, Jacobians and P_n sums, vectorized in numpy.
 
 All kernels work on plain arrays: ``e`` complex128 pair energies,
 ``eta2 = 2*eta_j`` and ``d`` the effective degeneracies.  Pole checking is
-done by the callers; the kernels assume finite denominators.
+done by the callers.  At an exact level pole or pair coincidence the
+residuals come out non-finite (with numpy's divide warning), which is what
+the damped Newton in `solver` relies on to reject such trials.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_PURE_NUMPY_FLAG = os.environ.get("RICHARDSON_PURE_NUMPY", "").strip().lower()
-_FORCE_NUMPY = _PURE_NUMPY_FLAG in ("1", "true", "yes", "on")
-
-
-# ---------------------------------------------------------------------------
-# pure numpy implementations
-# ---------------------------------------------------------------------------
 
 def _inv_offdiag(e, power):
     """1/(e_a - e_b)**power with a zeroed diagonal (no inf arithmetic)."""
@@ -35,7 +21,7 @@ def _inv_offdiag(e, power):
     return inv ** power
 
 
-def residuals_numpy(e, g, eta2, d):
+def residuals(e, g, eta2, d):
     """Richardson residuals 1 - 4g sum_j d_j/(2eta_j - e_a) + 4g sum_b 1/(e_a - e_b)."""
     diff_lvl = eta2[None, :] - e[:, None]
     lvl = (d[None, :] / diff_lvl).sum(axis=1)
@@ -43,7 +29,7 @@ def residuals_numpy(e, g, eta2, d):
     return 1.0 - 4.0 * g * lvl + 4.0 * g * pair
 
 
-def jacobian_numpy(e, g, eta2, d):
+def jacobian(e, g, eta2, d):
     """Analytic Jacobian of the residuals with respect to the pair energies."""
     diff_lvl = eta2[None, :] - e[:, None]
     inv2 = _inv_offdiag(e, 2)
@@ -54,7 +40,7 @@ def jacobian_numpy(e, g, eta2, d):
     return jac
 
 
-def pn_sums_numpy(eta2, d, k, e_noncluster, n_max):
+def pn_sums(eta2, d, k, e_noncluster, n_max):
     """P_n = sum_{j!=k} d_j/(2eta_k-2eta_j)^(n+1) + sum_b 1/(2eta_k-e_b)^(n+1).
 
     Returns the complex values P_0..P_{n_max}; callers take the real part
@@ -75,91 +61,6 @@ def pn_sums_numpy(eta2, d, k, e_noncluster, n_max):
     return out
 
 
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-_njit = None
-if not _FORCE_NUMPY:
-    try:
-        from numba import njit as _njit
-    except ImportError:  # pragma: no cover - exercised via the env flag instead
-        _njit = None
-
-if _njit is not None:
-
-    @_njit(cache=True)
-    def _residuals_jit(e, g, eta2, d):
-        m = e.shape[0]
-        nl = eta2.shape[0]
-        out = np.empty(m, dtype=np.complex128)
-        for a in range(m):
-            lvl = 0.0 + 0.0j
-            for j in range(nl):
-                lvl += d[j] / (eta2[j] - e[a])
-            pair = 0.0 + 0.0j
-            for b in range(m):
-                if b != a:
-                    pair += 1.0 / (e[a] - e[b])
-            out[a] = 1.0 - 4.0 * g * lvl + 4.0 * g * pair
-        return out
-
-    @_njit(cache=True)
-    def _jacobian_jit(e, g, eta2, d):
-        m = e.shape[0]
-        nl = eta2.shape[0]
-        jac = np.zeros((m, m), dtype=np.complex128)
-        for a in range(m):
-            diag = 0.0 + 0.0j
-            for j in range(nl):
-                dv = eta2[j] - e[a]
-                diag += d[j] / (dv * dv)
-            acc = 0.0 + 0.0j
-            for b in range(m):
-                if b != a:
-                    dv = e[a] - e[b]
-                    inv2 = 1.0 / (dv * dv)
-                    jac[a, b] = 4.0 * g * inv2
-                    acc += inv2
-            jac[a, a] = -4.0 * g * diag - 4.0 * g * acc
-        return jac
-
-    @_njit(cache=True)
-    def _pn_sums_jit(eta2, d, k, e_noncluster, n_max):
-        nl = eta2.shape[0]
-        m = e_noncluster.shape[0]
-        out = np.zeros(n_max + 1, dtype=np.complex128)
-        for j in range(nl):
-            if j == k:
-                continue
-            base = eta2[k] - eta2[j]
-            term = d[j] / base
-            for n in range(n_max + 1):
-                out[n] += term
-                term /= base
-        for b in range(m):
-            base = eta2[k] - e_noncluster[b]
-            term = 1.0 / base
-            for n in range(n_max + 1):
-                out[n] += term
-                term /= base
-        return out
-
-    def _pn_sums_numba(eta2, d, k, e_noncluster, n_max):
-        e_nc = np.ascontiguousarray(e_noncluster, dtype=np.complex128)
-        return _pn_sums_jit(eta2, d, int(k), e_nc, int(n_max))
-
-    residuals = _residuals_jit
-    jacobian = _jacobian_jit
-    pn_sums = _pn_sums_numba
-    BACKEND = "numba"
-else:
-    residuals = residuals_numpy
-    jacobian = jacobian_numpy
-    pn_sums = pn_sums_numpy
-    BACKEND = "numpy"
-
-
 def backend_name():
-    """Active kernel backend, "numba" or "numpy"."""
-    return BACKEND
+    """Name of the kernel implementation, "numpy" (the only one)."""
+    return "numpy"

@@ -276,7 +276,9 @@ def build_parser():
         prog="richardson",
         description="Richardson pairing equations: critical couplings, "
                     "exact solutions at g_c, continuation through them")
-    ap.add_argument("--config", help="JSON file with default option values")
+    ap.add_argument("--config",
+                    help="JSON file with default option values for the "
+                         "subcommand; flags given on the command line win")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("lattice", help="generate the square-lattice model")
@@ -328,11 +330,22 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     if args.config:
+        # config values become the subcommand's defaults; explicit flags win
         defaults = json.loads(Path(args.config).read_text())
-        for key, val in defaults.items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr) and getattr(args, attr) in (None, "ground"):
-                setattr(args, attr, val)
+        sub = next(a for a in ap._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[args.command]
+        options = {a.dest for a in parser._actions
+                   if a.option_strings and a.dest != "help"}
+        defaults = {key.replace("-", "_"): val
+                    for key, val in defaults.items()}
+        unknown = sorted(set(defaults) - options)
+        if unknown:
+            print(f"error: {args.config}: not an option of "
+                  f"'{args.command}': {', '.join(unknown)}", file=sys.stderr)
+            return EXIT_USAGE
+        parser.set_defaults(**defaults)
+        args = ap.parse_args(argv)
     try:
         return args.func(args)
     except CapacityError as err:

@@ -20,24 +20,10 @@ from .solver import IMAG_TOL
 
 
 @dataclass(frozen=True)
-class ClusterSpec:
-    """Collapsing level k, cluster size M_k and (optional) member indices."""
-
-    level_index: int
-    size: int
-    members: frozenset = frozenset()
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("cluster size must be >= 1")
-
-
-@dataclass(frozen=True)
 class PowerSums:
     """S_1..S_pmax anchored at 2 eta_k; S_0 = M_k is implicit."""
 
     s: np.ndarray
-    k_ref: int
 
     def __post_init__(self):
         arr = np.array(self.s, dtype=float)
@@ -85,7 +71,7 @@ def power_sums(e_cluster, eta_k: float, p_max: int, *,
                 "cluster is not conjugate-closed")
         out[p - 1] = s.real
         term = term * offs
-    return PowerSums(out, k_ref=-1)
+    return PowerSums(out)
 
 
 def pn_coefficients(problem: PairingProblem, k: int, e_noncluster,

@@ -23,8 +23,8 @@ from .cluster import default_cluster_size, detect_cluster, power_sums
 from .critical import CriticalPoint, scan_critical
 from .errors import ContinuationError
 from .model import PairingProblem, as_occupation
-from .solver import (PairEnergies, init_weak_coupling, newton_core,
-                     restart_step_cap)
+from .solver import (PairEnergies, continuation_step, init_weak_coupling,
+                     newton_core, restart_step_cap)
 from .tangent import TangentData, linear_guess, solve_tangent
 
 
@@ -74,24 +74,15 @@ class SweepPath:
 # collapse detection
 # ---------------------------------------------------------------------------
 
-def detection_radius(problem: PairingProblem, k: int) -> float:
-    eta2 = problem.eta2_array()
-    gaps = np.abs(eta2 - eta2[k])
-    gaps[k] = np.inf
-    return 0.25 * float(gaps.min())
-
-
 def collapse_candidates(values, problem: PairingProblem):
     """Levels whose neighborhood holds more energies than the level can.
 
     A level with counts above its pair capacity signals a forming cluster
     (the collapse always involves one energy more than the Pauli limit).
     """
-    eta2 = problem.eta2_array()
     out = []
     for k, lv in enumerate(problem.levels):
-        r = detection_radius(problem, k)
-        n = int(np.count_nonzero(np.abs(values - eta2[k]) < r))
+        n = len(detect_cluster(values, problem, k))
         if n > lv.pair_capacity:
             out.append((k, n))
     return out
@@ -166,13 +157,8 @@ def restart_solve(tangent: TangentData, problem: PairingProblem,
         step = min(abs(2.0 * (g_here - point.g_c)),
                    abs(g0 - point.g_c) - abs(g_here - point.g_c))
         g_next = g_here + np.sign(delta_g) * step if step > 0 else g0
-        seed = vals if prev is None else \
-            vals + (vals - prev[1]) * (g_next - g_here) / (g_here - prev[0])
-        new, ok, _, rn = newton_core(seed, g_next, eta2, d, tol=tol,
-                                     max_iter=60)
-        if not ok:
-            new, ok, _, rn = newton_core(vals, g_next, eta2, d, tol=tol,
-                                         max_iter=60)
+        new, ok, _, rn = continuation_step(vals, g_here, g_next, eta2, d,
+                                           prev, tol=tol)
         if not ok:
             raise ContinuationError(
                 f"restart walk-out stalled at g={g_next:.8g} "
@@ -326,15 +312,8 @@ def sweep(problem: PairingProblem, branch, g_target: float,
             if abs(g_next) > abs(edge):
                 g_next = edge
 
-        seed_vals = vals
-        if prev is not None and prev[0] != g:
-            seed_vals = vals + (vals - prev[1]) * (g_next - g) / (g - prev[0])
-        new_vals, ok, iters, rn = newton_core(seed_vals, g_next, eta2, d,
-                                              tol=opts.newton_tol, max_iter=60)
-        if not ok:
-            new_vals, ok, iters, rn = newton_core(vals, g_next, eta2, d,
-                                                  tol=opts.newton_tol,
-                                                  max_iter=60)
+        new_vals, ok, iters, rn = continuation_step(
+            vals, g, g_next, eta2, d, prev, tol=opts.newton_tol)
         if not ok:
             step *= 0.5
             if step < opts.step_min:

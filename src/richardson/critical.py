@@ -23,7 +23,8 @@ from .cluster import (chi_ratios, cluster_matrix, default_cluster_size,
                       pn_coefficients, scaled_determinant)
 from .errors import ContinuationError, UnresolvedRootError
 from .model import OccupationMap, PairingProblem, as_occupation, ground_occupation
-from .solver import _weak_seed_arrays, newton_core, symmetrize_conjugate
+from .solver import (_weak_seed_arrays, continuation_step, newton_core,
+                     symmetrize_conjugate)
 
 DET_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
@@ -141,49 +142,46 @@ class _DeflatedBranch:
 
     Seeds at a tiny coupling from the deflated occupation and walks
     toward requested g values, halving the step when Newton struggles.
+    `resume` continues from a stored (g, e) instead.
     """
 
-    def __init__(self, problem, k, m_k, deflated_occ, *, g_init=None,
-                 newton_tol=1e-12):
+    def __init__(self, problem, k, m_k, deflated_occ, *, g_init=None):
         self.problem = problem
         self.k = k
         self.m_k = m_k
         self.eta2 = problem.eta2_array()
         self.d_mod = deflated_d_array(problem, k, m_k)
-        self.occ = as_occupation(deflated_occ)
-        self.newton_tol = newton_tol
+        self.occ = deflated_occ
+        self.min_step = 1e-7
         self._g_init = g_init if g_init is not None else \
             1e-3 * problem.mean_level_spacing()
         self.g = None
         self.e = None
         self.origin = None
-        self._g_prev = None
-        self._e_prev = None
+        self._prev = None
+
+    @classmethod
+    def resume(cls, problem, k, m_k, g, e):
+        """Branch continued from a stored grid state.  Safe in either
+        direction within one grid cell, which contains no singular stretch
+        of the walk that produced it."""
+        branch = cls(problem, k, m_k, None)
+        branch.g, branch.e = g, np.array(e, dtype=np.complex128)
+        branch.min_step = 1e-9
+        return branch
 
     def _start(self, direction):
         g0 = direction * abs(self._g_init)
         e0, origin = _weak_seed_arrays(self.eta2, self.d_mod,
-                                       self.occ.counts, g0)
-        e, ok, _, rn = newton_core(e0, g0, self.eta2, self.d_mod,
-                                   tol=self.newton_tol)
+                                       as_occupation(self.occ).counts, g0)
+        e, ok, _, rn = newton_core(e0, g0, self.eta2, self.d_mod)
         if not ok:
             raise ContinuationError(
                 f"deflated branch failed to converge at start g={g0:.3g} "
                 f"(residual {rn:.2e})")
         self.g, self.e, self.origin = g0, e, origin
 
-    def _seeds(self, trial_g):
-        """Secant predictor first when history exists, plain seed after."""
-        if self._g_prev is not None and self._g_prev != self.g:
-            slope = (self.e - self._e_prev) / (self.g - self._g_prev)
-            yield self.e + slope * (trial_g - self.g)
-        yield self.e
-
-    def _accept(self, trial_g, e_new):
-        self._g_prev, self._e_prev = self.g, self.e
-        self.g, self.e = trial_g, e_new
-
-    def advance_to(self, g_target, *, min_step=1e-7):
+    def advance_to(self, g_target):
         """Continue the branch to g_target; returns the energies there."""
         if self.g is None:
             self._start(1 if g_target > 0 else -1)
@@ -191,26 +189,20 @@ class _DeflatedBranch:
             self.g = g_target
             return self.e
         while self.g != g_target:
-            remaining = g_target - self.g
-            step = remaining
+            step = g_target - self.g
             while True:
-                trial_g = self.g + step
-                done = False
-                for seed in self._seeds(trial_g):
-                    e_try, ok, _, _ = newton_core(
-                        seed, trial_g, self.eta2, self.d_mod,
-                        tol=self.newton_tol, max_iter=60)
-                    if ok:
-                        self._accept(trial_g, e_try)
-                        done = True
-                        break
-                if done:
+                e_try, ok, _, _ = continuation_step(
+                    self.e, self.g, self.g + step, self.eta2, self.d_mod,
+                    self._prev)
+                if ok:
                     break
                 step *= 0.5
-                if abs(step) < min_step:
+                if abs(step) < self.min_step:
                     raise ContinuationError(
                         f"deflated branch stalled near g={self.g:.6g} "
                         f"(level {self.k}, M_k={self.m_k})")
+            self._prev = (self.g, self.e)
+            self.g, self.e = self.g + step, e_try
         return self.e
 
     def det_at(self, g):
@@ -464,42 +456,6 @@ def scan_critical(problem: PairingProblem, k: int, g_range, branch=None, *,
     return points
 
 
-class _CellWalker:
-    """Branch continuation confined to one grid cell, seeded from a stored
-    state; safe in either direction because cells contain no singular
-    stretch of the walk that produced them."""
-
-    def __init__(self, problem, k, m_k, g, e):
-        self.eta2 = problem.eta2_array()
-        self.d_mod = deflated_d_array(problem, k, m_k)
-        self.problem, self.k, self.m_k = problem, k, m_k
-        self.g, self.e = g, np.array(e, dtype=np.complex128)
-
-    def advance_to(self, g_target, *, min_step=1e-9):
-        if self.e.size == 0:
-            self.g = g_target
-            return self.e
-        while self.g != g_target:
-            step = g_target - self.g
-            while True:
-                e_try, ok, _, _ = newton_core(self.e, self.g + step,
-                                              self.eta2, self.d_mod,
-                                              tol=1e-12, max_iter=60)
-                if ok:
-                    self.g, self.e = self.g + step, e_try
-                    break
-                step *= 0.5
-                if abs(step) < min_step:
-                    raise ContinuationError(
-                        f"cell walk stalled near g={self.g:.8g}")
-        return self.e
-
-    def det_at(self, g):
-        e = self.advance_to(g)
-        pn = pn_coefficients(self.problem, self.k, e, self.m_k - 1)
-        return scaled_determinant(cluster_matrix(g, pn, self.m_k))
-
-
 def _find_brackets(problem, k, m_k, gs, dets, states, refine_dips):
     """Sign-change cells as (g_a, g_b, det_a, det_b, e_a); sharp |det| dips
     without a sign change are re-walked finely to catch close root pairs."""
@@ -516,7 +472,8 @@ def _find_brackets(problem, k, m_k, gs, dets, states, refine_dips):
                 continue
             # possible root pair inside (g_{i-1}, g_{i+1}); re-walk finely
             try:
-                cw = _CellWalker(problem, k, m_k, gs[i - 1], states[i - 1])
+                cw = _DeflatedBranch.resume(problem, k, m_k, gs[i - 1],
+                                            states[i - 1])
                 fine = np.linspace(gs[i - 1], gs[i + 1], 201)
                 fdets, fstates = [], []
                 for g in fine:
@@ -535,7 +492,7 @@ def _find_brackets(problem, k, m_k, gs, dets, states, refine_dips):
 
 def _polish_bracket(problem, k, m_k, g_a, g_b, det_a, det_b, e_a,
                     branch_occ, deflated_occ, origin):
-    cell = _CellWalker(problem, k, m_k, g_a, e_a)
+    cell = _DeflatedBranch.resume(problem, k, m_k, g_a, e_a)
     if det_b == det_a:
         g_seed = 0.5 * (g_a + g_b)
     else:
@@ -551,7 +508,7 @@ def _polish_bracket(problem, k, m_k, g_a, g_b, det_a, det_b, e_a,
             raise UnresolvedRootError(
                 f"polish stalled at residual {fn:.2e}")
     except UnresolvedRootError:
-        cell = _CellWalker(problem, k, m_k, g_a, e_a)
+        cell = _DeflatedBranch.resume(problem, k, m_k, g_a, e_a)
         g_c = _bisect_root(cell, g_a, g_b, det_a)
         e_nc = cell.advance_to(g_c)
         res = critical_residuals(g_c, e_nc, problem, k, m_k)

@@ -109,60 +109,75 @@ def symmetrize_conjugate(values):
     return vals
 
 
-def is_conjugate_closed(values, tol=1e-9):
-    sym = symmetrize_conjugate(values)
-    return bool(np.max(np.abs(np.sort_complex(sym) - np.sort_complex(values)),
-                       initial=0.0) <= tol)
-
-
 def newton_core(e0, g, eta2, d, *, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
                 max_halvings=NEWTON_MAX_HALVINGS, symmetrize=True,
                 step_cap=None):
     """Damped Newton on the array-level system; returns (values, converged,
     iterations, residual_norm).  Never raises on non-convergence.
 
+    Exact poles in the starting point raise SingularEvaluationError; a
+    damped trial that lands on one has a non-finite residual and is
+    rejected like any other.  A non-finite Newton step (an escaped iterate
+    overflowing the Jacobian) ends the iteration.
+
     step_cap bounds the infinity norm of a single Newton step; useful for
     restarts near critical points, where an early ill-conditioned Jacobian
     can throw the iterate out of every basin.
     """
     e = symmetrize_conjugate(e0) if symmetrize else np.array(e0, dtype=np.complex128)
+    _raise_on_pole(e, eta2)
     if e.shape[0] == 0:
         return e, True, 0, 0.0
-    _raise_on_pole(e, eta2)
     r = kern.residuals(e, g, eta2, d)
     rn = float(np.max(np.abs(r)))
     iters = 0
     while rn > tol and iters < max_iter:
-        jac = kern.jacobian(e, g, eta2, d)
+        with np.errstate(all="ignore"):   # escaped iterates overflow
+            jac = kern.jacobian(e, g, eta2, d)
         try:
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
+            break
+        iters += 1
+        if not np.all(np.isfinite(step)):
             break
         lam = 1.0
         if step_cap is not None:
             sn = float(np.max(np.abs(step)))
             if sn > step_cap:
                 lam = step_cap / sn
-        accepted = False
         for _ in range(max_halvings + 1):
-            trial = e + lam * step
-            if symmetrize:
-                trial = symmetrize_conjugate(trial)
-            if find_poles(trial, eta2):
-                lam *= 0.5
-                continue
             with np.errstate(all="ignore"):   # wild trials may overflow
+                trial = e + lam * step
+                if symmetrize:
+                    trial = symmetrize_conjugate(trial)
                 rt = kern.residuals(trial, g, eta2, d)
-            rtn = float(np.max(np.abs(rt)))
+                rtn = float(np.max(np.abs(rt)))
             if math.isfinite(rtn) and (rtn < rn or rtn <= tol):
                 e, r, rn = trial, rt, rtn
-                accepted = True
                 break
             lam *= 0.5
-        iters += 1
-        if not accepted:
+        else:
             break
     return e, rn <= tol, iters, rn
+
+
+def continuation_step(e, g, g_next, eta2, d, prev=None, *, tol=NEWTON_TOL):
+    """Newton solve at g_next that continues the solution e at g.
+
+    Seeds from the secant through prev = (g_prev, e_prev) and (g, e) when
+    that history exists, then from e itself; returns the newton_core
+    result of the first converged attempt, or else of the last one.
+    """
+    seeds = [e]
+    if prev is not None and prev[0] != g:
+        slope = (e - prev[1]) / (g - prev[0])
+        seeds.insert(0, e + slope * (g_next - g))
+    for seed in seeds:
+        out = newton_core(seed, g_next, eta2, d, tol=tol, max_iter=60)
+        if out[1]:
+            break
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -209,50 +224,6 @@ def restart_step_cap(problem: PairingProblem) -> float:
     return 0.025 * float(np.min(np.diff(eta2)))
 
 
-def _reduced_newton(x, d, tol=1e-13, max_iter=300):
-    """Damped Newton for 1 + d/x_a + sum_b 1/(x_a - x_b) = 0."""
-
-    def f(x):
-        inv = kern._inv_offdiag(x, 1)
-        return 1.0 + d / x + inv.sum(axis=1)
-
-    def jac(x):
-        inv2 = kern._inv_offdiag(x, 2)
-        out = inv2.copy()
-        np.fill_diagonal(out, -d / (x * x) - inv2.sum(axis=1))
-        return out
-
-    m = x.shape[0]
-    off_diag = ~np.eye(m, dtype=bool)
-    r = f(x)
-    rn = float(np.max(np.abs(r)))
-    for _ in range(max_iter):
-        if rn <= tol:
-            return x, rn
-        try:
-            step = np.linalg.solve(jac(x), -r)
-        except np.linalg.LinAlgError:
-            return x, rn
-        lam, accepted = 1.0, False
-        for _ in range(60):
-            trial = symmetrize_conjugate(x + lam * step)
-            if np.any(trial == 0.0) or np.any(
-                    (trial[:, None] - trial[None, :])[off_diag] == 0.0):
-                lam *= 0.5
-                continue
-            with np.errstate(all="ignore"):
-                rt = f(trial)
-            rtn = float(np.max(np.abs(rt)))
-            if math.isfinite(rtn) and (rtn < rn or rtn <= tol):
-                x, r, rn = trial, rt, rtn
-                accepted = True
-                break
-            lam *= 0.5
-        if not accepted:
-            return x, rn
-    return x, rn
-
-
 @functools.lru_cache(maxsize=256)
 def _single_level_roots(d: float, m: int) -> tuple[complex, ...]:
     """Scaled solutions x of the reduced single-level system.
@@ -265,7 +236,8 @@ def _single_level_roots(d: float, m: int) -> tuple[complex, ...]:
     When the x_a solve this, q(x) = prod (x - x_a) satisfies the ODE
     x q'' + 2(d + x) q' - 2m q = 0, which fixes the monic coefficients by a
     downward recurrence; the companion-matrix roots of q seed a Newton
-    polish on the system itself.  Cached per (d, m).
+    polish on the system itself (`newton_core` with one level at 0 and
+    g = 1/4).  Cached per (d, m).
     """
     if m == 1:
         return (complex(-d),)
@@ -279,7 +251,8 @@ def _single_level_roots(d: float, m: int) -> tuple[complex, ...]:
     if np.any(seed == 0.0):
         raise InitializationError(
             f"no single-level solution for d={d}, m={m} (capacity exceeded)")
-    x, rn = _reduced_newton(np.asarray(seed, dtype=np.complex128), d)
+    x, _, _, rn = newton_core(seed, 0.25, np.zeros(1), np.array([d]),
+                              tol=1e-13)
     if rn > 1e-12:
         raise InitializationError(
             f"reduced single-level solve did not converge for d={d}, m={m} "

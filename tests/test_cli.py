@@ -139,6 +139,43 @@ def test_config_file_defaults(tmp_path, capsys):
     assert (tmp_path / "from_config.json").exists()
 
 
+def _toy3_file(tmp_path):
+    prob_file = tmp_path / "toy3.json"
+    p = rs.PairingProblem(
+        (rs.Level(0.0, 4), rs.Level(1.0, 4), rs.Level(2.5, 2)), 4)
+    prob_file.write_text(rs.save_problem(p))
+    return prob_file
+
+
+def test_config_sets_option_with_a_default(tmp_path, capsys):
+    # --level defaults to "all"; the config value replaces that default
+    prob_file = _toy3_file(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"level": "1"}))
+    argv = ["--config", str(cfg), "critical", "--problem", str(prob_file),
+            "--g-min", "-0.6", "--g-max", "0"]
+    assert run_cli(argv) == 0
+    out = capsys.readouterr().out
+    assert "-0.243532" in out and "-0.535231" not in out
+    # an explicit flag still wins over the config
+    assert run_cli(argv + ["--level", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "-0.535231" in out and "-0.243532" not in out
+
+
+def test_config_unknown_keys_usage_error(tmp_path, capsys):
+    out_file = tmp_path / "lat.json"
+    # a misspelt option and a name argparse reserves for the handler
+    for key in ("outt", "func"):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: str(out_file)}))
+        code = run_cli(["--config", str(cfg), "lattice", "--n", "2",
+                        "--pairs", "2"])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not out_file.exists()
+
+
 def test_missing_problem_file_usage_error(capsys):
     assert run_cli(["critical", "--problem", "nope.json", "--level", "1",
                     "--g-min", "-0.1", "--g-max", "0"]) == 2
@@ -146,10 +183,7 @@ def test_missing_problem_file_usage_error(capsys):
 
 def test_critical_all_levels_with_thread_cap(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("RICHARDSON_THREADS", "2")
-    prob_file = tmp_path / "toy3.json"
-    p = rs.PairingProblem(
-        (rs.Level(0.0, 4), rs.Level(1.0, 4), rs.Level(2.5, 2)), 4)
-    prob_file.write_text(rs.save_problem(p))
+    prob_file = _toy3_file(tmp_path)
     code = run_cli(["critical", "--problem", str(prob_file), "--level", "all",
                     "--g-min", "-0.6", "--g-max", "0"])
     assert code == 0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ import richardson as rs
 from richardson import _kernels as kern
 from richardson.errors import (ConsistencyError, InitializationError,
                                SingularEvaluationError)
-from richardson.solver import symmetrize_conjugate
+from richardson.solver import (_single_level_roots, newton_core,
+                               symmetrize_conjugate)
 
 ONE_PAIR = rs.PairingProblem((rs.Level(1.0, 2),), 1, g=0.1)
 
@@ -140,7 +143,6 @@ def test_init_weak_coupling_bounds(lattice6, ground6):
     with pytest.raises(ValueError):
         rs.init_weak_coupling(lattice6, ground6, 0.5)
     # a level asked to seed more pairs than it can hold has no solution
-    from richardson.solver import _single_level_roots
     with pytest.raises(InitializationError):
         _single_level_roots(-0.5, 2)
 
@@ -188,20 +190,45 @@ def test_solution_continuous_in_g():
         last = cur.values
 
 
-def test_kernel_backends_agree():
-    if kern.backend_name() != "numba":
-        pytest.skip("numba backend not active")
-    rng = np.random.default_rng(11)
+def test_single_level_roots_solve_reduced_system():
+    # every (d, m) a square-lattice level (n = 2..8) can seed
+    pairs = {(lv.d, m) for n in range(2, 9)
+             for lv in rs.build_lattice_model(n, 1).levels
+             for m in range(1, lv.pair_capacity + 1)}
+    assert len(pairs) == 45
+    for d, m in sorted(pairs):
+        x = np.array(_single_level_roots(d, m))
+        diff = x[:, None] - x[None, :]
+        np.fill_diagonal(diff, np.inf)
+        res = 1.0 + d / x + (1.0 / diff).sum(axis=1)
+        assert np.max(np.abs(res)) <= 1e-12, (d, m)
+
+
+def test_residuals_nonfinite_at_exact_poles():
+    # the damped Newton rejects trials on a pole by this alone
     eta2 = np.array([-2.0, 0.0, 3.0])
     d = np.array([-0.5, -1.0, -1.5])
-    e = rng.normal(0, 1, 5) + 1j * rng.normal(0, 1, 5)
-    g = -0.23
-    assert np.allclose(kern.residuals(e, g, eta2, d),
-                       kern.residuals_numpy(e, g, eta2, d), atol=1e-12)
-    assert np.allclose(kern.jacobian(e, g, eta2, d),
-                       kern.jacobian_numpy(e, g, eta2, d), atol=1e-12)
-    assert np.allclose(kern.pn_sums(eta2, d, 1, e, 6),
-                       kern.pn_sums_numpy(eta2, d, 1, e, 6), atol=1e-12)
+    with np.errstate(all="ignore"):
+        level = kern.residuals(np.array([0.0, 1 + 0.5j, 1 - 0.5j]), -0.2,
+                               eta2, d)
+        pair = kern.residuals(np.array([0.7, 0.7, -1.0]), -0.2, eta2, d)
+    assert not np.isfinite(level[0]) and np.all(np.isfinite(level[1:]))
+    assert not np.any(np.isfinite(pair[:2])) and np.isfinite(pair[2])
+
+
+def test_newton_escaped_energy_stops_without_warnings():
+    # one energy far outside the spectrum overflows the Jacobian; the
+    # non-finite step ends the solve instead of halving NaN trials
+    p = rs.build_lattice_model(4, 4)
+    seed = np.array(
+        rs.init_weak_coupling(p, rs.ground_occupation(p), -1e-3).values)
+    seed[-1] = 1e160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, ok, iters, rn = newton_core(seed, -0.1, p.eta2_array(),
+                                          p.d_array())
+    assert not ok and iters == 1 and np.isfinite(rn)
+    assert vals[-1] == 1e160
 
 
 @settings(max_examples=50, deadline=None)
