@@ -15,9 +15,9 @@ import numpy as np
 def _inv_offdiag(e, power):
     """1/(e_a - e_b)**power with a zeroed diagonal (no inf arithmetic)."""
     diff = e[:, None] - e[None, :]
-    np.fill_diagonal(diff, 1.0)
+    diff.flat[::e.shape[0] + 1] = 1.0
     inv = 1.0 / diff
-    np.fill_diagonal(inv, 0.0)
+    inv.flat[::e.shape[0] + 1] = 0.0
     return inv ** power
 
 
@@ -36,7 +36,7 @@ def jacobian(e, g, eta2, d):
     jac = 4.0 * g * inv2
     diag = -4.0 * g * (d[None, :] / (diff_lvl * diff_lvl)).sum(axis=1) \
         - 4.0 * g * inv2.sum(axis=1)
-    np.fill_diagonal(jac, diag)
+    jac.flat[::e.shape[0] + 1] = diag
     return jac
 
 

@@ -238,7 +238,7 @@ def cmd_verify(args):
     branches = [model.ground_occupation(problem)]
     branches += [occ for occ in model.excited_occupations(
         problem, args.excitations) if occ != branches[0]]
-    dim = len(oracle.pair_basis(problem))
+    dim = oracle.checked_dimension(problem)   # guards before any sweep
     print(f"oracle dimension: {dim}; checking {len(branches)} branch(es) "
           f"on {len(grid)} couplings")
     worst = 0.0

@@ -42,15 +42,32 @@ def pair_basis(problem: PairingProblem) -> list[tuple[int, ...]]:
     return states
 
 
-def hamiltonian(problem: PairingProblem) -> np.ndarray:
-    """Dense symmetric pairing Hamiltonian in the seniority-0 pair basis."""
+def basis_dimension(problem: PairingProblem) -> int:
+    """len(pair_basis(problem)), counted by dynamic programming over the
+    capacities instead of enumerating the states."""
+    ways = [1] + [0] * problem.m_pairs     # ways[m]: states holding m pairs
+    for cap in problem.capacities():
+        ways = [sum(ways[m - c] for c in range(min(cap, m) + 1))
+                for m in range(len(ways))]
+    return ways[-1]
+
+
+def checked_dimension(problem: PairingProblem) -> int:
+    """basis_dimension(problem); raises ValueError for seniority > 0 and
+    OracleDimensionError above DIMENSION_GUARD, enumerating nothing."""
     if any(lv.nu != 0 for lv in problem.levels):
         raise ValueError("oracle handles seniority-0 problems only")
-    basis = pair_basis(problem)
-    dim = len(basis)
+    dim = basis_dimension(problem)
     if dim > DIMENSION_GUARD:
         raise OracleDimensionError(
             f"pair basis dimension {dim} exceeds guard {DIMENSION_GUARD}", dim)
+    return dim
+
+
+def hamiltonian(problem: PairingProblem) -> np.ndarray:
+    """Dense symmetric pairing Hamiltonian in the seniority-0 pair basis."""
+    dim = checked_dimension(problem)
+    basis = pair_basis(problem)
     index = {state: i for i, state in enumerate(basis)}
     eta2 = problem.eta2_array()
     caps = problem.capacities()

@@ -87,26 +87,37 @@ def symmetrize_conjugate(values):
 
     Each value is matched to the unmatched value whose conjugate lies
     closest (possibly itself); pairs are replaced by (z + conj(z'))/2 and
-    its conjugate, self-matches by their real part.
+    its conjugate, self-matches by their real part.  Python complex abs is
+    numpy's scalar hypot, except that it raises OverflowError where numpy
+    gives inf (overflow) or NaN (a NaN part while errno holds a stale
+    ERANGE); a self-distance cannot overflow.
     """
-    vals = np.array(values, dtype=np.complex128)
-    todo = list(range(vals.shape[0]))
+    vals = np.asarray(values, dtype=np.complex128).tolist()
+    conj = [v.conjugate() for v in vals]
+    todo = list(range(len(vals)))
     while todo:
         i = todo.pop(0)
+        vi = vals[i]
         best_j = i
-        best = abs(vals[i] - np.conj(vals[i]))
+        try:
+            best = abs(vi - conj[i])
+        except OverflowError:
+            best = math.nan
         for j in todo:
-            dist = abs(vals[i] - np.conj(vals[j]))
+            try:
+                dist = abs(vi - conj[j])
+            except OverflowError:   # inf or NaN: never a better match
+                dist = math.inf
             if dist < best:
                 best, best_j = dist, j
         if best_j == i:
-            vals[i] = vals[i].real
+            vals[i] = vi.real
         else:
             todo.remove(best_j)
-            z = 0.5 * (vals[i] + np.conj(vals[best_j]))
+            z = 0.5 * (vi + conj[best_j])
             vals[i] = z
-            vals[best_j] = np.conj(z)
-    return vals
+            vals[best_j] = z.conjugate()
+    return np.array(vals, dtype=np.complex128)
 
 
 def newton_core(e0, g, eta2, d, *, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
@@ -131,34 +142,34 @@ def newton_core(e0, g, eta2, d, *, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
     r = kern.residuals(e, g, eta2, d)
     rn = float(np.max(np.abs(r)))
     iters = 0
-    while rn > tol and iters < max_iter:
-        with np.errstate(all="ignore"):   # escaped iterates overflow
+    # escaped iterates overflow the Jacobian, wild trials the residuals
+    with np.errstate(all="ignore"):
+        while rn > tol and iters < max_iter:
             jac = kern.jacobian(e, g, eta2, d)
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            break
-        iters += 1
-        if not np.all(np.isfinite(step)):
-            break
-        lam = 1.0
-        if step_cap is not None:
-            sn = float(np.max(np.abs(step)))
-            if sn > step_cap:
-                lam = step_cap / sn
-        for _ in range(max_halvings + 1):
-            with np.errstate(all="ignore"):   # wild trials may overflow
+            try:
+                step = np.linalg.solve(jac, -r)
+            except np.linalg.LinAlgError:
+                break
+            iters += 1
+            if not np.all(np.isfinite(step)):
+                break
+            lam = 1.0
+            if step_cap is not None:
+                sn = float(np.max(np.abs(step)))
+                if sn > step_cap:
+                    lam = step_cap / sn
+            for _ in range(max_halvings + 1):
                 trial = e + lam * step
                 if symmetrize:
                     trial = symmetrize_conjugate(trial)
                 rt = kern.residuals(trial, g, eta2, d)
                 rtn = float(np.max(np.abs(rt)))
-            if math.isfinite(rtn) and (rtn < rn or rtn <= tol):
-                e, r, rn = trial, rt, rtn
+                if math.isfinite(rtn) and (rtn < rn or rtn <= tol):
+                    e, r, rn = trial, rt, rtn
+                    break
+                lam *= 0.5
+            else:
                 break
-            lam *= 0.5
-        else:
-            break
     return e, rn <= tol, iters, rn
 
 

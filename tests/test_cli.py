@@ -130,6 +130,22 @@ def test_verify_guard_exit(tmp_path, capsys):
                     "--points", "3"]) == 5
 
 
+@pytest.mark.parametrize("problem, code, message", [
+    (rs.build_lattice_model(6, 18), 5, "pair basis dimension 54964 exceeds"),
+    (rs.PairingProblem((rs.Level(0.0, 4, nu=2), rs.Level(1.0, 4)), 2), 2,
+     "seniority-0 problems only")])
+def test_verify_checks_oracle_before_any_sweep(tmp_path, capsys, monkeypatch,
+                                               problem, code, message):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("verify swept before checking the oracle")
+
+    monkeypatch.setattr(rs.continuation, "sweep", no_sweep)
+    prob_file = tmp_path / "p.json"
+    prob_file.write_text(rs.save_problem(problem))
+    assert run_cli(["verify", "--problem", str(prob_file)]) == code
+    assert message in capsys.readouterr().err
+
+
 def test_config_file_defaults(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"out": str(tmp_path / "from_config.json")}))

@@ -63,3 +63,19 @@ def test_seniority_restriction():
     p = rs.PairingProblem((rs.Level(0.0, 4, nu=2), rs.Level(1.0, 4)), 2)
     with pytest.raises(ValueError):
         oracle.exact_spectrum(p)
+
+
+@pytest.mark.parametrize("n, pairs", [
+    (2, 1), (2, 2), (2, 4), (3, 1), (3, 5), (3, 9), (4, 1), (4, 4),
+    (4, 8), (4, 16), (5, 1), (5, 7), (5, 25), (6, 1), (6, 6), (6, 18),
+    (6, 36)])
+def test_basis_dimension_counts_lattice_basis(n, pairs):
+    p = rs.build_lattice_model(n, pairs)
+    assert oracle.basis_dimension(p) == len(oracle.pair_basis(p))
+
+
+@pytest.mark.parametrize("pairs", [1, 3, 6, 10, 11])
+def test_basis_dimension_mixed_capacities(pairs):
+    p = rs.PairingProblem((rs.Level(0.0, 2), rs.Level(0.4, 6),
+                           rs.Level(1.1, 4), rs.Level(1.5, 10)), pairs)
+    assert oracle.basis_dimension(p) == len(oracle.pair_basis(p))

@@ -1,8 +1,9 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import richardson as rs
@@ -243,3 +244,93 @@ def test_symmetrize_conjugate_properties(vals):
     again = symmetrize_conjugate(out)
     assert np.max(np.abs(np.sort_complex(again) -
                          np.sort_complex(out)))  < 1e-12
+
+
+def _symmetrize_reference(values):
+    """The numpy-scalar greedy that symmetrize_conjugate replaced, verbatim."""
+    vals = np.array(values, dtype=np.complex128)
+    todo = list(range(vals.shape[0]))
+    while todo:
+        i = todo.pop(0)
+        best_j = i
+        best = abs(vals[i] - np.conj(vals[i]))
+        for j in todo:
+            dist = abs(vals[i] - np.conj(vals[j]))
+            if dist < best:
+                best, best_j = dist, j
+        if best_j == i:
+            vals[i] = vals[i].real
+        else:
+            todo.remove(best_j)
+            z = 0.5 * (vals[i] + np.conj(vals[best_j]))
+            vals[i] = z
+            vals[best_j] = np.conj(z)
+    return vals
+
+
+_GRID = st.integers(-20, 20).map(lambda k: k / 10)   # exact distance ties
+_PARTS = st.one_of(
+    _GRID,
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e200,
+                     -1e200]),
+    _GRID.map(lambda x: x * 1e200),
+    st.floats(width=64))
+_VALUES = st.one_of(
+    st.builds(complex, _PARTS, _PARTS),
+    st.integers(-3, 3).map(lambda k: complex(k / 10)),   # repeated reals
+    st.sampled_from([complex(1.5e308, 1.5e308),          # finite, but the
+                     complex(-1.5e308, -1.5e308)]))      # distances overflow
+
+
+@st.composite
+def _symmetrize_inputs(draw):
+    vals = draw(st.lists(_VALUES, max_size=10))
+    for z in draw(st.lists(_VALUES, max_size=4)):
+        eps = draw(st.sampled_from([0.0, 1e-13, 1e-9, 1e-3]))
+        vals += [z, z.conjugate() + complex(eps, -eps)]   # near-conjugate
+    return draw(st.permutations(vals))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_symmetrize_inputs())
+# an overflowing distance leaves errno at ERANGE for the NaN self-distance
+@example([0j, complex(0, math.nan), complex(1.5e308, 1.5e308)])
+def test_symmetrize_conjugate_bit_identical_to_numpy_loop(vals):
+    with np.errstate(all="ignore"):   # the reference warns on inf and NaN
+        want = _symmetrize_reference(vals)
+    got = symmetrize_conjugate(vals)
+    assert got.dtype == np.complex128 and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_newton_core_restores_error_state():
+    one = (np.array([2.0]), np.array([-0.5]))      # eta2, d
+    p = rs.build_lattice_model(4, 4)
+    escaped = np.array(
+        rs.init_weak_coupling(p, rs.ground_occupation(p), -1e-3).values)
+    escaped[-1] = 1e160
+    exits = [
+        # converged: e = 2 eta - 4 g d = 1.8
+        (lambda: newton_core([1.7], -0.1, *one), (True, 5)),
+        # g = 0 gives a zero Jacobian: LinAlgError before the first step
+        (lambda: newton_core([1.7], 0.0, *one), (False, 0)),
+        # the escaped energy overflows the Jacobian: non-finite step
+        (lambda: newton_core(escaped, -0.1, p.eta2_array(), p.d_array()),
+         (False, 1)),
+        # the full step from 2 - 0.39 overshoots to 2 - 0.0195 and no
+        # halving is allowed
+        (lambda: newton_core([1.61], -0.1, *one, max_halvings=0),
+         (False, 1)),
+    ]
+    state = dict(divide="raise", over="warn", under="print", invalid="log")
+    with np.errstate(**state):
+        before = np.geterr()
+        for call, (ok, iters) in exits:
+            _, got_ok, got_iters, _ = call()
+            assert (got_ok, got_iters) == (ok, iters)
+            assert np.geterr() == before
+        with pytest.raises(SingularEvaluationError):
+            newton_core([2.0], -0.1, *one)     # entry pole, before the loop
+        assert np.geterr() == before
+    assert before == {"divide": "raise", "over": "warn", "under": "print",
+                      "invalid": "log"}
