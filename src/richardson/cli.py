@@ -354,6 +354,9 @@ def main(argv=None):
     except UnresolvedRootError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_UNRESOLVED
+    except ContinuationError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_TRUNCATED
     except OracleDimensionError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_GUARD

@@ -27,23 +27,23 @@ from .solver import (PairEnergies, continuation_step, init_weak_coupling,
                      newton_core, restart_step_cap)
 from .tangent import TangentData, linear_guess, solve_tangent
 
+# sweep step control: bounds, and the Newton iteration counts above which
+# the step halves and below which it doubles
+STEP_MIN = 1e-6
+STEP_MAX = 2e-2
+HALVE_ABOVE_ITERS = 12
+DOUBLE_BELOW_ITERS = 4
+# an energy change beyond this multiple of the local trend aborts the sweep
+ENERGY_JUMP_FACTOR = 10.0
+
 
 @dataclass
 class SweepOptions:
-    """Stepping, crossing and guard controls for sweep()."""
+    """First step, crossing window and auto-scan switch for sweep()."""
 
     step_init: float = 1e-3
-    step_min: float = 1e-6
-    step_max: float = 2e-2
     crossing_radius: float = 5e-3
-    newton_tol: float = 1e-12
-    halve_above_iters: int = 12
-    double_below_iters: int = 4
-    energy_jump_factor: float = 10.0
     auto_scan: bool = True
-    scan_levels: tuple[int, ...] | None = None
-    grid_points: int | None = None
-    g_init: float | None = None
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,7 @@ def expected_restart_energy(tangent: TangentData, delta_g: float) -> float:
 
 
 def restart_solve(tangent: TangentData, problem: PairingProblem,
-                  delta_g: float, *, tol=1e-12,
-                  energy_tol=None) -> PairEnergies:
+                  delta_g: float, *, tol=1e-12) -> PairEnergies:
     """Converged solution at g_c + delta_g seeded from `linear_guess`.
 
     Tries the guess directly, with and without the restart step cap,
@@ -122,8 +121,7 @@ def restart_solve(tangent: TangentData, problem: PairingProblem,
     eta2 = problem.eta2_array()
     d = problem.d_array()
     slope = abs(-tangent.ds1_dg + float(np.sum(tangent.de_dg.real)))
-    if energy_tol is None:
-        energy_tol = max(1e-3, 0.25 * slope * abs(delta_g))
+    energy_tol = max(1e-3, 0.25 * slope * abs(delta_g))
     e_exp = expected_restart_energy(tangent, delta_g)
 
     cap = restart_step_cap(problem)
@@ -176,15 +174,11 @@ def _auto_scan_points(problem, branch, g_target, opts) -> list[CriticalPoint]:
     direction = 1 if g_target > 0 else -1
     outer = g_target + direction * 2 * opts.crossing_radius
     rng = (0.0, outer) if direction > 0 else (outer, 0.0)
-    levels = opts.scan_levels
-    if levels is None:
-        levels = tuple(k for k, c in enumerate(branch.counts) if c > 0)
+    levels = tuple(k for k, c in enumerate(branch.counts) if c > 0)
     points = []
     for k in levels:
         try:
-            points.extend(scan_critical(problem, k, rng, branch,
-                                         grid_points=opts.grid_points,
-                                         g_init=opts.g_init))
+            points.extend(scan_critical(problem, k, rng, branch))
         except (ContinuationError, ValueError):
             continue
     points.sort(key=lambda p: abs(p.g_c))
@@ -218,12 +212,10 @@ def sweep(problem: PairingProblem, branch, g_target: float,
                 ", ".join(f"(k={p.k}, g_c={p.g_c:.6g})" for p in registered))
     tangents: dict[int, TangentData] = {}
 
-    g_init = opts.g_init if opts.g_init is not None else \
-        1e-3 * problem.mean_level_spacing()
+    g_init = 1e-3 * problem.mean_level_spacing()
     g0 = direction * min(abs(g_init), abs(g_target) / 2.0)
     seed = init_weak_coupling(problem, occ, g0, g_max=abs(g0))
-    vals, ok, iters, rn = newton_core(seed.values, g0, eta2, d,
-                                      tol=opts.newton_tol)
+    vals, ok, iters, rn = newton_core(seed.values, g0, eta2, d)
     if not ok:
         raise ContinuationError(
             f"sweep could not converge its weak-coupling start at g={g0}")
@@ -280,8 +272,7 @@ def sweep(problem: PairingProblem, branch, g_target: float,
                 if abs(point.g_c + jump_delta) > abs(g_target):
                     jump_delta = g_target - point.g_c
                 try:
-                    landed = restart_solve(tan, problem, jump_delta,
-                                           tol=opts.newton_tol)
+                    landed = restart_solve(tan, problem, jump_delta)
                 except ContinuationError as err:
                     diagnostics.append(
                         f"restart failed at g_c={point.g_c:.8g}: {err}")
@@ -313,10 +304,10 @@ def sweep(problem: PairingProblem, branch, g_target: float,
                 g_next = edge
 
         new_vals, ok, iters, rn = continuation_step(
-            vals, g, g_next, eta2, d, prev, tol=opts.newton_tol)
+            vals, g, g_next, eta2, d, prev)
         if not ok:
             step *= 0.5
-            if step < opts.step_min:
+            if step < STEP_MIN:
                 # forming, unregistered collapse is the usual culprit
                 cands = collapse_candidates(vals, problem)
                 if cands:
@@ -335,8 +326,7 @@ def sweep(problem: PairingProblem, branch, g_target: float,
 
         energy = float(np.sum(new_vals.real))
         if slope_est is not None and abs(g_next - g) > 0:
-            bound = opts.energy_jump_factor * slope_est * abs(g_next - g) \
-                + 1e-9
+            bound = ENERGY_JUMP_FACTOR * slope_est * abs(g_next - g) + 1e-9
             if abs(energy - samples[-1].energy) > bound:
                 diagnostics.append(
                     f"energy jump at g={g_next:.8g}: "
@@ -353,10 +343,10 @@ def sweep(problem: PairingProblem, branch, g_target: float,
         g, vals, origin = g_next, new_vals, origin
         samples.append(SweepSample(g, PairEnergies(vals, origin, g),
                                    energy, rn))
-        if iters > opts.halve_above_iters:
-            step = max(step * 0.5, opts.step_min)
-        elif iters < opts.double_below_iters:
-            step = min(step * 2.0, opts.step_max)
+        if iters > HALVE_ABOVE_ITERS:
+            step = max(step * 0.5, STEP_MIN)
+        elif iters < DOUBLE_BELOW_ITERS:
+            step = min(step * 2.0, STEP_MAX)
 
     return SweepPath(samples, crossings, status, diagnostics)
 
@@ -376,8 +366,7 @@ class FigureData:
 
 
 def sample_figure_data(path: SweepPath, problem: PairingProblem,
-                       cluster_level: int | None = None,
-                       radius: float | None = None) -> FigureData:
+                       cluster_level: int | None = None) -> FigureData:
     """Tables of (g, E, Re e_a ...) and, for a chosen level, (g, S_1..S_{M_k+1}).
 
     Pair-energy columns are ordered by origin label (then by real part)
@@ -410,8 +399,7 @@ def sample_figure_data(path: SweepPath, problem: PairingProblem,
             # the S_p curves track the M_k energies nearest 2 eta_k; the
             # last column counts how many sit inside the membership radius
             order = np.argsort(np.abs(s.energies.values - eta2k))[:m_k]
-            inside = len(detect_cluster(s.energies.values, problem, k,
-                                        radius))
+            inside = len(detect_cluster(s.energies.values, problem, k))
             try:
                 ps = power_sums(s.energies.values[order],
                                 problem.levels[k].eta, m_k + 1)

@@ -6,9 +6,11 @@ A critical point (g_c, level k) is where M_k pair energies sit exactly at
 cluster system must be singular, i.e. det of the cluster matrix vanishes.
 Both conditions together determine g_c and the non-cluster energies.
 
-The search walks a deflated solution branch in g from weak coupling,
-brackets sign changes of the row-norm-scaled determinant and polishes each
-bracket by Newton on the coupled system in (g, e_noncluster).
+The search walks a deflated solution branch in g from weak coupling, so
+the deflated equations hold at every step, and brackets sign changes of
+the row-norm-scaled determinant.  Each bracket is then resolved by false
+position in g along the same branch: every iterate is a converged branch
+state, and only the one-dimensional determinant root is left to find.
 """
 
 from __future__ import annotations
@@ -23,10 +25,8 @@ from .cluster import (chi_ratios, cluster_matrix, default_cluster_size,
                       pn_coefficients, scaled_determinant)
 from .errors import ContinuationError, UnresolvedRootError
 from .model import OccupationMap, PairingProblem, as_occupation, ground_occupation
-from .solver import (_weak_seed_arrays, continuation_step, newton_core,
-                     symmetrize_conjugate)
+from .solver import _weak_seed_arrays, continuation_step, newton_core
 
-DET_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
 DEFAULT_GRID_PER_UNIT = 400
 
@@ -145,7 +145,7 @@ class _DeflatedBranch:
     `resume` continues from a stored (g, e) instead.
     """
 
-    def __init__(self, problem, k, m_k, deflated_occ, *, g_init=None):
+    def __init__(self, problem, k, m_k, deflated_occ):
         self.problem = problem
         self.k = k
         self.m_k = m_k
@@ -153,8 +153,7 @@ class _DeflatedBranch:
         self.d_mod = deflated_d_array(problem, k, m_k)
         self.occ = deflated_occ
         self.min_step = 1e-7
-        self._g_init = g_init if g_init is not None else \
-            1e-3 * problem.mean_level_spacing()
+        self._g_init = 1e-3 * problem.mean_level_spacing()
         self.g = None
         self.e = None
         self.origin = None
@@ -211,152 +210,6 @@ class _DeflatedBranch:
         return scaled_determinant(cluster_matrix(g, pn, self.m_k))
 
 
-# ---------------------------------------------------------------------------
-# Newton polish of the coupled system in (g, e_noncluster)
-# ---------------------------------------------------------------------------
-
-def _adjugate_sums(mat, dmat_list):
-    """sum_pq C_pq * dA_pq for each dA in dmat_list, C the cofactor matrix."""
-    n = mat.shape[0]
-    cof = np.empty((n, n))
-    for p in range(n):
-        for q in range(n):
-            minor = np.delete(np.delete(mat, p, axis=0), q, axis=1)
-            cof[p, q] = (-1.0) ** (p + q) * (np.linalg.det(minor)
-                                             if minor.size else 1.0)
-    return [float((cof * dm).sum()) for dm in dmat_list]
-
-
-def _det_row_derivatives(g, e_nc, problem, k, m_k):
-    """Value and gradient of the raw determinant of the cluster matrix.
-
-    Returns (det, d_det/dg, complex array d_det/de_b).  The matrix depends
-    on g explicitly (all entries except the unit diagonal scale with g) and
-    on e_b through P_n.
-    """
-    pn = pn_coefficients(problem, k, e_nc, m_k - 1)
-    mat = cluster_matrix(g, pn, m_k)
-    det = float(np.linalg.det(mat))
-    dmat_dg = (mat - np.eye(m_k)) / g if g != 0 else cluster_matrix(1.0, pn, m_k) - np.eye(m_k)
-    sums = _adjugate_sums(mat, [dmat_dg])
-    ddet_dg = sums[0]
-    eta2k = problem.eta2_array()[k]
-    ddet_de = np.zeros(e_nc.shape[0], dtype=np.complex128)
-    if e_nc.size:
-        # dP_n/de_b = (n+1)/(2 eta_k - e_b)^(n+2)
-        weights = []
-        for b in range(e_nc.shape[0]):
-            w = np.array([(n + 1) / (eta2k - e_nc[b]) ** (n + 2)
-                          for n in range(m_k)])
-            weights.append(w)
-        # dA/dP_n has the sparsity of the P_n placement: diag for n=0,
-        # upper diagonals for n>=1, all scaled by 4g
-        placement = []
-        for n in range(m_k):
-            pl = np.zeros((m_k, m_k))
-            for row in range(m_k - n):
-                pl[row, row + n] = 4.0 * g
-            placement.append(pl)
-        psums = _adjugate_sums(mat, placement)
-        for b in range(e_nc.shape[0]):
-            ddet_de[b] = sum(psums[n] * weights[b][n] for n in range(m_k))
-    return det, ddet_dg, ddet_de
-
-
-def _row_norm_product(g, e_nc, problem, k, m_k):
-    pn = pn_coefficients(problem, k, e_nc, m_k - 1)
-    mat = cluster_matrix(g, pn, m_k)
-    return float(np.prod(np.sqrt((mat * mat).sum(axis=1))))
-
-
-def _polish_root(problem, k, m_k, g0, e0, g_lo, g_hi, *, tol=1e-12,
-                 max_iter=60):
-    """Newton on [scaled det; deflated residuals] in (g, Re e, Im e).
-
-    The determinant row is rescaled by the row-norm product at the current
-    iterate, which leaves the Newton step unchanged while making the
-    convergence test meaningful.  g is clamped to the bracket.
-    """
-    eta2 = problem.eta2_array()
-    d_mod = deflated_d_array(problem, k, m_k)
-    g = float(g0)
-    e = np.array(e0, dtype=np.complex128)
-    nb = e.shape[0]
-
-    def assemble(g, e):
-        det, ddet_dg, ddet_de = _det_row_derivatives(g, e, problem, k, m_k)
-        scale = _row_norm_product(g, e, problem, k, m_k)
-        scale = scale if scale > 0 else 1.0
-        size = 1 + 2 * nb
-        F = np.empty(size)
-        J = np.zeros((size, size))
-        F[0] = det / scale
-        J[0, 0] = ddet_dg / scale
-        if nb:
-            r = kern.residuals(e, g, eta2, d_mod)
-            jc = kern.jacobian(e, g, eta2, d_mod)
-            dr_dg = (r - 1.0) / g
-            F[1::2] = r.real
-            F[2::2] = r.imag
-            J[0, 1::2] = ddet_de.real / scale
-            J[0, 2::2] = -ddet_de.imag / scale
-            J[1::2, 0] = dr_dg.real
-            J[2::2, 0] = dr_dg.imag
-            J[1::2, 1::2] = jc.real
-            J[1::2, 2::2] = -jc.imag
-            J[2::2, 1::2] = jc.imag
-            J[2::2, 2::2] = jc.real
-        return F, J
-
-    F, J = assemble(g, e)
-    fn = float(np.max(np.abs(F)))
-    for _ in range(max_iter):
-        if fn <= tol:
-            break
-        try:
-            step = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            raise UnresolvedRootError(
-                f"singular polish system near g={g:.8g} (level {k})")
-        lam, accepted = 1.0, False
-        for _ in range(40):
-            g_t = min(max(g + lam * step[0], min(g_lo, g_hi)),
-                      max(g_lo, g_hi))
-            e_t = e + lam * (step[1::2] + 1j * step[2::2]) if nb else e
-            e_t = symmetrize_conjugate(e_t) if nb else e_t
-            try:
-                F_t, J_t = assemble(g_t, e_t)
-            except (FloatingPointError, ZeroDivisionError):
-                lam *= 0.5
-                continue
-            fn_t = float(np.max(np.abs(F_t)))
-            if np.isfinite(fn_t) and (fn_t < fn or fn_t <= tol):
-                g, e, F, J, fn = g_t, e_t, F_t, J_t, fn_t
-                accepted = True
-                break
-            lam *= 0.5
-        if not accepted:
-            break
-    return g, e, fn
-
-
-def _bisect_root(branch, g_lo, g_hi, det_lo, *, iters=80):
-    """Pure bisection on the scaled determinant along the branch."""
-    lo, hi = g_lo, g_hi
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        dm = branch.det_at(mid)
-        if dm == 0.0:
-            return mid
-        if (dm > 0) == (det_lo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _build_point(problem, k, m_k, g_c, e_nc, branch_occ, deflated_occ,
                  origins) -> CriticalPoint:
     pn = pn_coefficients(problem, k, e_nc, max(2 * m_k - 1, m_k - 1))
@@ -383,26 +236,25 @@ def _validate_point(point, problem):
 
 def scan_critical(problem: PairingProblem, k: int, g_range, branch=None, *,
                   m_k=None, grid_points=None, deflated_occ=None,
-                  g_init=None, refine_dips=True,
                   strict=False) -> list[CriticalPoint]:
     """All critical couplings for level k with g in (g_lo, g_hi).
 
     Walks the deflated branch over a uniform grid, brackets every sign
-    change of the scaled determinant and polishes each root on the coupled
-    system.  Cells where |det| dips sharply without a sign change are
-    re-walked at 100x density to catch close root pairs.  Branch
-    continuation failure truncates the scan with a TruncatedScanWarning.
+    change of the scaled determinant and finds each root by false position
+    in g along the branch (`_resolve_bracket`).  Cells where |det| dips
+    sharply without a sign change are re-walked at 100x density to catch
+    close root pairs.  Branch continuation failure truncates the scan with
+    a TruncatedScanWarning; a bracket that does not hold a validated root
+    is skipped with one (strict=True raises UnresolvedRootError instead).
     """
     g_lo, g_hi = sorted(g_range)
     if g_lo < 0 < g_hi:
         lower = scan_critical(problem, k, (g_lo, 0.0), branch, m_k=m_k,
                               grid_points=grid_points,
-                              deflated_occ=deflated_occ, g_init=g_init,
-                              refine_dips=refine_dips, strict=strict)
+                              deflated_occ=deflated_occ, strict=strict)
         upper = scan_critical(problem, k, (0.0, g_hi), branch, m_k=m_k,
                               grid_points=grid_points,
-                              deflated_occ=deflated_occ, g_init=g_init,
-                              refine_dips=refine_dips, strict=strict)
+                              deflated_occ=deflated_occ, strict=strict)
         return sorted(lower + upper, key=lambda p: p.g_c)
 
     direction = 1 if g_hi > 0 else -1
@@ -421,7 +273,7 @@ def scan_critical(problem: PairingProblem, k: int, g_range, branch=None, *,
     if grid_points is None:
         grid_points = max(400, int(round(span * DEFAULT_GRID_PER_UNIT)))
 
-    walker = _DeflatedBranch(problem, k, m_k, deflated_occ, g_init=g_init)
+    walker = _DeflatedBranch(problem, k, m_k, deflated_occ)
     start = direction * max(abs(near), abs(walker._g_init))
     grid = np.linspace(start, far, grid_points + 1)
 
@@ -438,11 +290,11 @@ def scan_critical(problem: PairingProblem, k: int, g_range, branch=None, *,
         return []
 
     brackets = _find_brackets(problem, k, m_k, np.array(stops),
-                              np.array(dets), states, refine_dips)
+                              np.array(dets), states)
     points = []
     for g_a, g_b, det_a, det_b, e_a in brackets:
         try:
-            points.append(_polish_bracket(problem, k, m_k, g_a, g_b,
+            points.append(_resolve_bracket(problem, k, m_k, g_a, g_b,
                                           det_a, det_b, e_a, branch_occ,
                                           deflated_occ, walker.origin))
         except UnresolvedRootError as err:
@@ -456,7 +308,7 @@ def scan_critical(problem: PairingProblem, k: int, g_range, branch=None, *,
     return points
 
 
-def _find_brackets(problem, k, m_k, gs, dets, states, refine_dips):
+def _find_brackets(problem, k, m_k, gs, dets, states):
     """Sign-change cells as (g_a, g_b, det_a, det_b, e_a); sharp |det| dips
     without a sign change are re-walked finely to catch close root pairs."""
     out = []
@@ -464,58 +316,67 @@ def _find_brackets(problem, k, m_k, gs, dets, states, refine_dips):
     for i in range(len(gs) - 1):
         if signs[i + 1] == 0 or (signs[i] != 0 and signs[i] != signs[i + 1]):
             out.append((gs[i], gs[i + 1], dets[i], dets[i + 1], states[i]))
-    if refine_dips:
-        mags = np.abs(dets)
-        for i in range(1, len(gs) - 1):
-            sharp = mags[i] < 0.1 * min(mags[i - 1], mags[i + 1])
-            if not sharp or signs[i - 1] != signs[i] or signs[i] != signs[i + 1]:
-                continue
-            # possible root pair inside (g_{i-1}, g_{i+1}); re-walk finely
-            try:
-                cw = _DeflatedBranch.resume(problem, k, m_k, gs[i - 1],
-                                            states[i - 1])
-                fine = np.linspace(gs[i - 1], gs[i + 1], 201)
-                fdets, fstates = [], []
-                for g in fine:
-                    fdets.append(cw.det_at(g))
-                    fstates.append(cw.e.copy())
-            except ContinuationError:
-                continue
-            fsigns = np.sign(fdets)
-            for j in range(len(fine) - 1):
-                if fsigns[j] != fsigns[j + 1]:
-                    out.append((fine[j], fine[j + 1], fdets[j],
-                                fdets[j + 1], fstates[j]))
+    mags = np.abs(dets)
+    for i in range(1, len(gs) - 1):
+        sharp = mags[i] < 0.1 * min(mags[i - 1], mags[i + 1])
+        if not sharp or signs[i - 1] != signs[i] or signs[i] != signs[i + 1]:
+            continue
+        # possible root pair inside (g_{i-1}, g_{i+1}); re-walk finely
+        try:
+            cw = _DeflatedBranch.resume(problem, k, m_k, gs[i - 1],
+                                        states[i - 1])
+            fine = np.linspace(gs[i - 1], gs[i + 1], 201)
+            fdets, fstates = [], []
+            for g in fine:
+                fdets.append(cw.det_at(g))
+                fstates.append(cw.e.copy())
+        except ContinuationError:
+            continue
+        fsigns = np.sign(fdets)
+        for j in range(len(fine) - 1):
+            if fsigns[j] != fsigns[j + 1]:
+                out.append((fine[j], fine[j + 1], fdets[j],
+                            fdets[j + 1], fstates[j]))
     out.sort(key=lambda t: min(t[0], t[1]))
     return out
 
 
-def _polish_bracket(problem, k, m_k, g_a, g_b, det_a, det_b, e_a,
+def _resolve_bracket(problem, k, m_k, g_a, g_b, det_a, det_b, e_a,
                     branch_occ, deflated_occ, origin):
+    """Root of the scaled determinant in (g_a, g_b) along the deflated branch.
+
+    Illinois false position (a bisection step whenever the secant point
+    leaves the bracket) on det_at(g) of the branch resumed at g_a, so the
+    deflated equations hold at every iterate.  Stops once |det| <= 1e-13
+    or the bracket no longer shrinks; `_validate_point` then decides.
+    """
     cell = _DeflatedBranch.resume(problem, k, m_k, g_a, e_a)
-    if det_b == det_a:
-        g_seed = 0.5 * (g_a + g_b)
-    else:
-        g_seed = g_a + (g_b - g_a) * det_a / (det_a - det_b)
+    lo, f_lo, hi, f_hi = g_a, det_a, g_b, det_b
+    g_c, f_c = (g_a, det_a) if abs(det_a) <= abs(det_b) else (g_b, det_b)
+    kept = 0        # the end kept by the last update: -1 lo, +1 hi
     try:
-        e_seed = cell.advance_to(g_seed)
-    except ContinuationError:
-        g_seed, e_seed = g_a, e_a
-    try:
-        g_c, e_nc, fn = _polish_root(problem, k, m_k, g_seed, e_seed,
-                                     g_a, g_b)
-        if fn > DET_TOL:
-            raise UnresolvedRootError(
-                f"polish stalled at residual {fn:.2e}")
-    except UnresolvedRootError:
-        cell = _DeflatedBranch.resume(problem, k, m_k, g_a, e_a)
-        g_c = _bisect_root(cell, g_a, g_b, det_a)
+        while abs(f_c) > 1e-13:
+            g = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+            if not min(lo, hi) < g < max(lo, hi):
+                g = 0.5 * (lo + hi)
+                if g == lo or g == hi:
+                    break
+            g_c, f_c = g, cell.det_at(g)
+            if (f_c > 0) == (f_lo > 0):
+                lo, f_lo = g_c, f_c
+                if kept > 0:
+                    f_hi *= 0.5
+                kept = 1
+            else:
+                hi, f_hi = g_c, f_c
+                if kept < 0:
+                    f_lo *= 0.5
+                kept = -1
         e_nc = cell.advance_to(g_c)
-        res = critical_residuals(g_c, e_nc, problem, k, m_k)
-        if float(np.max(np.abs(res))) > RESIDUAL_TOL:
-            raise UnresolvedRootError(
-                f"root in ({g_a:.8g}, {g_b:.8g}) for level {k} could not "
-                f"be resolved: residual {float(np.max(np.abs(res))):.2e}")
+    except ContinuationError as err:
+        raise UnresolvedRootError(
+            f"root in ({g_a:.8g}, {g_b:.8g}) for level {k} could not be "
+            f"resolved: {err}") from err
     point = _build_point(problem, k, m_k, g_c, e_nc, branch_occ,
                          deflated_occ, origin)
     return _validate_point(point, problem)

@@ -42,7 +42,13 @@ class DegenerateTangentError(RichardsonError):
 
 
 class UnresolvedRootError(RichardsonError):
-    """A bracketed determinant root could not be polished to tolerance."""
+    """A bracketed determinant sign change holds no validated root.
+
+    Raised when false position along the deflated branch ends with the
+    critical residuals above tolerance (a sign change with no zero, as
+    when the branch hops at one of its own collapses), or when the branch
+    cannot be continued inside the bracket.
+    """
 
 
 class ContinuationError(RichardsonError):

@@ -121,8 +121,7 @@ def symmetrize_conjugate(values):
 
 
 def newton_core(e0, g, eta2, d, *, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
-                max_halvings=NEWTON_MAX_HALVINGS, symmetrize=True,
-                step_cap=None):
+                max_halvings=NEWTON_MAX_HALVINGS, step_cap=None):
     """Damped Newton on the array-level system; returns (values, converged,
     iterations, residual_norm).  Never raises on non-convergence.
 
@@ -135,7 +134,7 @@ def newton_core(e0, g, eta2, d, *, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
     restarts near critical points, where an early ill-conditioned Jacobian
     can throw the iterate out of every basin.
     """
-    e = symmetrize_conjugate(e0) if symmetrize else np.array(e0, dtype=np.complex128)
+    e = symmetrize_conjugate(e0)
     _raise_on_pole(e, eta2)
     if e.shape[0] == 0:
         return e, True, 0, 0.0
@@ -159,9 +158,7 @@ def newton_core(e0, g, eta2, d, *, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
                 if sn > step_cap:
                     lam = step_cap / sn
             for _ in range(max_halvings + 1):
-                trial = e + lam * step
-                if symmetrize:
-                    trial = symmetrize_conjugate(trial)
+                trial = symmetrize_conjugate(e + lam * step)
                 rt = kern.residuals(trial, g, eta2, d)
                 rtn = float(np.max(np.abs(rt)))
                 if math.isfinite(rtn) and (rtn < rn or rtn <= tol):

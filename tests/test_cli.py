@@ -97,6 +97,18 @@ def test_sweep_zero_target_usage_error(tmp_path, capsys):
                     "--g-target", "0"]) == 2
 
 
+def test_sweep_continuation_failure_exit_code(tmp_path, capsys):
+    # at |g| = 5e-5 the weak-coupling start of the 4x4 lattice does not
+    # converge: exit 4 with one error line, no traceback
+    prob_file = tmp_path / "lat4.json"
+    prob_file.write_text(rs.save_problem(rs.build_lattice_model(4, 4)))
+    assert run_cli(["sweep", "--problem", str(prob_file),
+                    "--g-target", "1e-4", "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep could not converge")
+    assert "Traceback" not in err
+
+
 def test_sweep_uses_cached_records(tmp_path, capsys):
     prob_file = tmp_path / "toy.json"
     p = rs.PairingProblem((rs.Level(0.0, 6), rs.Level(1.0, 2)), 4)

@@ -1,13 +1,19 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import richardson as rs
-from richardson import continuation, oracle
+from richardson import continuation, critical, oracle
 from richardson.cluster import cluster_matrix, pn_coefficients
-from richardson.critical import deflated_jacobian
+from richardson.critical import TruncatedScanWarning, deflated_jacobian
+from richardson.errors import ContinuationError, UnresolvedRootError
 from richardson.solver import newton_core
 
-from conftest import nearest_members, physical_state_at
+from conftest import TABLE3_SCANS, nearest_members, physical_state_at
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def test_deflated_residuals_empty_when_all_collapse(toy_mm):
@@ -121,6 +127,78 @@ def test_scan_finds_root_between_brackets(lattice6, ground6):
 
 def test_ground_k0_positive_side_empty(table3):
     assert table3["points"][("pos", 0)] is None
+
+
+def test_table3_points_match_reference_records(table3):
+    # the cli-lat6 reference holds every ground-branch record over
+    # (-0.2, 0.7); each Table-3 point is the record of its level nearest
+    # g = 0 inside its own scan range
+    records = json.loads(REFERENCE.read_text())["cli-lat6"]["records"]
+    for (side, k), ((g_lo, g_hi), _) in TABLE3_SCANS.items():
+        inside = [r for r in records if r["level_index"] == k + 1
+                  and g_lo < r["g_c"] < g_hi]
+        pt = table3["points"][(side, k)]
+        if pt is None:
+            assert not inside, (side, k)
+            continue
+        ref = min(inside, key=lambda r: abs(r["g_c"]))
+        assert pt.m_k == ref["m_k"]
+        for value, expected in ((pt.g_c, ref["g_c"]),
+                                (pt.energy, ref["energy"])):
+            assert abs(value - expected) <= 1e-10 * abs(expected), (side, k)
+
+
+def _count_brackets(monkeypatch):
+    found = []
+    find = critical._find_brackets
+
+    def counted(*args):
+        out = find(*args)
+        found.append(len(out))
+        return out
+
+    monkeypatch.setattr(critical, "_find_brackets", counted)
+    return found
+
+
+def _assert_every_bracket_skipped(problem, k, rng, monkeypatch):
+    found = _count_brackets(monkeypatch)
+    with pytest.warns(TruncatedScanWarning) as seen:
+        assert rs.scan_critical(problem, k, rng) == []
+    skipped = [w for w in seen
+               if str(w.message).startswith("skipping spurious bracket")]
+    assert sum(found) >= 1
+    assert len(skipped) == sum(found)
+    with pytest.raises(UnresolvedRootError):
+        rs.solve_critical(problem, k, rng)
+
+
+def test_sign_change_without_zero_is_skipped(toy_3lvl, monkeypatch):
+    # a determinant that only keeps its sign has a sign change in every
+    # bracket and a zero in none: no bracket may yield a point
+    true_det = critical.scaled_determinant
+    monkeypatch.setattr(critical, "scaled_determinant",
+                        lambda mat: float(np.sign(true_det(mat))))
+    _assert_every_bracket_skipped(toy_3lvl, 0, (-0.6, 0.0), monkeypatch)
+
+
+def test_walk_failure_inside_bracket_is_skipped(toy_3lvl, monkeypatch):
+    # the branch resumed inside a bracket stalls at its first step; the
+    # ContinuationError must become a skipped bracket, never escape
+    resume = critical._DeflatedBranch.resume
+
+    def stalling(problem, k, m_k, g, e):
+        cell = resume(problem, k, m_k, g, e)
+
+        def advance_to(g_target):
+            raise ContinuationError(f"deflated branch stalled near g={g:.6g}")
+
+        cell.advance_to = advance_to
+        return cell
+
+    monkeypatch.setattr(critical._DeflatedBranch, "resume",
+                        staticmethod(stalling))
+    _assert_every_bracket_skipped(toy_3lvl, 0, (-0.6, 0.0), monkeypatch)
 
 
 def test_cross_validation_extrapolation(lattice6, table3, tangents6):
