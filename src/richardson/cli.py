@@ -1,12 +1,13 @@
 """Command-line frontend: lattice, critical, sweep, verify.
 
 Commands compose through files: `lattice` writes a problem file, `critical`
-writes critical-point records next to it, and `sweep` auto-loads those
-records (or scans on the fly) before walking the coupling.  Human-readable
-tables go to stdout with 6 significant digits; CSV and JSON files carry 12
-digits so they can seed further runs.  Level indices in tables and flags
-are 1-based to match the j labels physicists expect; the Python API is
-0-based.
+writes critical-point records next to it, and `sweep` loads those records.
+`sweep` still re-scans every occupied level over (0, g_target +- 2 r_c),
+r_c the crossing radius, and drops a rescanned point within 1e-9 of a loaded
+one of its level.  Human-readable tables go to stdout with 6 significant
+digits; CSV and JSON files carry 12 digits so they can seed further runs.
+Level indices in tables and flags are 1-based to match the j labels
+physicists expect; the Python API is 0-based.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import continuation, critical, model, oracle
-from .errors import (CapacityError, ContinuationError, OracleDimensionError,
-                     ProblemFormatError, RichardsonError, UnresolvedRootError)
+from .errors import (CapacityError, OracleDimensionError, ProblemFormatError,
+                     RichardsonError, UnresolvedRootError)
 
 EXIT_USAGE = 2
 EXIT_CAPACITY = 2
@@ -251,7 +252,7 @@ def cmd_verify(args):
             else:
                 try:
                     path = continuation.sweep(problem, occ, g)
-                except (ContinuationError, RichardsonError) as err:
+                except RichardsonError as err:
                     print(f"branch {occ.counts} at g={_fmt(g)}: skipped ({err})")
                     continue
                 if path.status != "completed":
@@ -354,15 +355,15 @@ def main(argv=None):
     except UnresolvedRootError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_UNRESOLVED
-    except ContinuationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_TRUNCATED
     except OracleDimensionError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_GUARD
     except (ProblemFormatError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except RichardsonError as err:      # a branch that could not be continued
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_TRUNCATED
 
 
 if __name__ == "__main__":

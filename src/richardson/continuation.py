@@ -1,19 +1,21 @@
 """End-to-end continuation: sweep g from zero through the critical regions.
 
-The sweep steps the full Richardson solution adaptively in g, reseeding
-each Newton solve from a secant predictor.  Critical couplings are located
+The sweep steps the full Richardson solution in g with a `solver.Walker`
+(secant predictor, step halved while Newton fails) and sizes each step by
+the Newton iterations of the last one.  Critical couplings are located
 ahead of time per level (precompute-then-jump); when the walk is about to
 enter the window |g - g_c| < r_c of a registered point and the physical
 state corroborates a forming cluster at that level, the solution is
 restarted on the far side from the expansion at g_c (`linear_guess`)
-and the walk continues.  Restart robustness comes from walking outward
-from a fraction of the jump (the guess becomes exact as delta g -> 0),
-with an energy-trend check that rejects convergence onto a neighboring
-eigenstate.
+and the walk continues.  Restart robustness comes from walking outward,
+with the same walker, from a fraction of the jump (the guess becomes
+exact as delta g -> 0), with an energy-trend check that rejects
+convergence onto a neighboring eigenstate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +25,7 @@ from .cluster import default_cluster_size, detect_cluster, power_sums
 from .critical import CriticalPoint, scan_critical
 from .errors import ContinuationError
 from .model import PairingProblem, as_occupation
-from .solver import (PairEnergies, continuation_step, init_weak_coupling,
-                     newton_core, restart_step_cap)
+from .solver import PairEnergies, Walker, newton_core, restart_step_cap
 from .tangent import TangentData, linear_guess, solve_tangent
 
 # sweep step control: bounds, and the Newton iteration counts above which
@@ -103,14 +104,15 @@ def expected_restart_energy(tangent: TangentData, delta_g: float) -> float:
 
 
 def restart_solve(tangent: TangentData, problem: PairingProblem,
-                  delta_g: float, *, tol=1e-12) -> PairEnergies:
+                  delta_g: float) -> PairEnergies:
     """Converged solution at g_c + delta_g seeded from `linear_guess`.
 
     Tries the guess directly, with and without the restart step cap,
     checking the converged energy against the tangent prediction (nearby
     eigenstates are dense around a collapse, so convergence alone does not
     identify the branch).  If both attempts fail, walks outward from
-    delta_g / 8, where the guess is asymptotically exact.
+    delta_g / 8, where the guess is asymptotically exact, tripling the
+    distance from g_c at every step and never halving one.
     """
     if delta_g == 0.0:
         raise ContinuationError(
@@ -127,8 +129,8 @@ def restart_solve(tangent: TangentData, problem: PairingProblem,
     cap = restart_step_cap(problem)
     guess = linear_guess(tangent, delta_g, max_delta=abs(delta_g))
     for use_cap in (cap, None):
-        vals, ok, _, _ = newton_core(guess.values, g0, eta2, d, tol=tol,
-                                     max_iter=40, step_cap=use_cap)
+        vals, ok, _, _ = newton_core(guess.values, g0, eta2, d, max_iter=40,
+                                     step_cap=use_cap)
         if ok and abs(float(np.sum(vals.real)) - e_exp) <= energy_tol:
             return PairEnergies(vals, guess.origin, g0)
 
@@ -140,7 +142,7 @@ def restart_solve(tangent: TangentData, problem: PairingProblem,
         frac = delta_g / div
         g_here = point.g_c + frac
         sub = linear_guess(tangent, frac, max_delta=abs(delta_g))
-        cand, ok, _, rn = newton_core(sub.values, g_here, eta2, d, tol=tol,
+        cand, ok, _, rn = newton_core(sub.values, g_here, eta2, d,
                                       max_iter=60, step_cap=cap)
         e_sub = expected_restart_energy(tangent, frac)
         if ok and abs(float(np.sum(cand.real)) - e_sub) <= \
@@ -150,20 +152,11 @@ def restart_solve(tangent: TangentData, problem: PairingProblem,
     if vals is None:
         raise ContinuationError(
             f"restart at g={g0:.8g} failed (inner step residual {rn:.2e})")
-    prev = None
-    while g_here != g0:
-        step = min(abs(2.0 * (g_here - point.g_c)),
-                   abs(g0 - point.g_c) - abs(g_here - point.g_c))
-        g_next = g_here + np.sign(delta_g) * step if step > 0 else g0
-        new, ok, _, rn = continuation_step(vals, g_here, g_next, eta2, d,
-                                           prev, tol=tol)
-        if not ok:
-            raise ContinuationError(
-                f"restart walk-out stalled at g={g_next:.8g} "
-                f"(residual {rn:.2e})")
-        prev = (g_here, vals)
-        g_here, vals = g_next, new
-    return PairEnergies(vals, guess.origin, g0)
+    walker = Walker(eta2, d, g_here, vals, min_step=math.inf,
+                    name="restart walk-out")
+    while walker.g != g0:
+        walker.step_toward(g0, 2.0 * (walker.g - point.g_c))
+    return PairEnergies(walker.e, guess.origin, g0)
 
 
 # ---------------------------------------------------------------------------
@@ -214,20 +207,14 @@ def sweep(problem: PairingProblem, branch, g_target: float,
 
     g_init = 1e-3 * problem.mean_level_spacing()
     g0 = direction * min(abs(g_init), abs(g_target) / 2.0)
-    seed = init_weak_coupling(problem, occ, g0, g_max=abs(g0))
-    vals, ok, iters, rn = newton_core(seed.values, g0, eta2, d)
-    if not ok:
-        raise ContinuationError(
-            f"sweep could not converge its weak-coupling start at g={g0}")
-    origin = seed.origin
+    walker, origin, rn = Walker.weak_start(eta2, d, occ.counts, g0,
+                                           min_step=STEP_MIN, name="sweep")
 
-    samples = [SweepSample(g0, PairEnergies(vals, origin, g0),
-                           float(np.sum(vals.real)), rn)]
+    samples = [SweepSample(g0, PairEnergies(walker.e, origin, g0),
+                           float(np.sum(walker.e.real)), rn)]
     crossings: list[CriticalPoint] = []
     used_points: set[int] = set()
     step = opts.step_init
-    prev: tuple[float, np.ndarray] | None = None
-    g = g0
     slope_est = None
     status = "completed"
     r_c = opts.crossing_radius
@@ -262,12 +249,13 @@ def sweep(problem: PairingProblem, branch, g_target: float,
                 return False
         return True
 
-    while abs(g) < abs(g_target):
+    while abs(walker.g) < abs(g_target):
+        g = walker.g
         point = next_point(g)
         if point is not None and abs(g) >= abs(point.g_c) - r_c - 1e-12:
             # at or inside the approach window
             tan = tangent_for(point)
-            if corroborate(point, tan, g, vals):
+            if corroborate(point, tan, g, walker.e):
                 jump_delta = direction * r_c
                 if abs(point.g_c + jump_delta) > abs(g_target):
                     jump_delta = g_target - point.g_c
@@ -280,13 +268,14 @@ def sweep(problem: PairingProblem, branch, g_target: float,
                     break
                 used_points.add(id(point))
                 crossings.append(point)
-                prev = None
-                g, vals, origin = (point.g_c + jump_delta,
-                                   np.array(landed.values), landed.origin)
-                rjump = float(np.max(np.abs(kern.residuals(vals, g, eta2, d))))
+                walker = Walker(eta2, d, point.g_c + jump_delta,
+                                landed.values, min_step=STEP_MIN, name="sweep")
+                origin = landed.origin
+                rjump = float(np.max(np.abs(
+                    kern.residuals(walker.e, walker.g, eta2, d))))
                 samples.append(SweepSample(
-                    g, PairEnergies(vals, origin, g),
-                    float(np.sum(vals.real)), rjump))
+                    walker.g, PairEnergies(walker.e, origin, walker.g),
+                    float(np.sum(walker.e.real)), rjump))
                 slope_est = None
             else:
                 used_points.add(id(point))
@@ -295,53 +284,45 @@ def sweep(problem: PairingProblem, branch, g_target: float,
                     f"g_c={point.g_c:.8g} (level {point.k})")
             continue
 
-        g_next = g + direction * step
-        if abs(g_next) > abs(g_target):
-            g_next = g_target
+        g_to = g_target
         if point is not None:
-            edge = point.g_c - direction * r_c
-            if abs(g_next) > abs(edge):
-                g_next = edge
+            g_to = min(g_to, point.g_c - direction * r_c, key=abs)
+        try:
+            step, iters, rn = walker.step_toward(g_to, direction * step)
+        except ContinuationError as err:
+            # forming, unregistered collapse is the usual culprit
+            cands = collapse_candidates(walker.e, problem)
+            if cands:
+                hint = ", ".join(f"level {k}" for k, _ in cands)
+                diagnostics.append(
+                    f"stalled at g={g:.8g} near a collapse with no "
+                    f"registered critical point ({hint}); run "
+                    f"scan_critical there and pass critical_points")
+            else:
+                diagnostics.append(
+                    f"Newton failed after max step reductions: {err}")
+            status = "truncated"
+            break
+        step = abs(step)
 
-        new_vals, ok, iters, rn = continuation_step(
-            vals, g, g_next, eta2, d, prev)
-        if not ok:
-            step *= 0.5
-            if step < STEP_MIN:
-                # forming, unregistered collapse is the usual culprit
-                cands = collapse_candidates(vals, problem)
-                if cands:
-                    hint = ", ".join(f"level {k}" for k, _ in cands)
-                    diagnostics.append(
-                        f"stalled at g={g:.8g} near a collapse with no "
-                        f"registered critical point ({hint}); run "
-                        f"scan_critical there and pass critical_points")
-                else:
-                    diagnostics.append(
-                        f"Newton failed at g={g:.8g} after max step "
-                        f"reductions (residual {rn:.2e})")
-                status = "truncated"
-                break
-            continue
-
-        energy = float(np.sum(new_vals.real))
-        if slope_est is not None and abs(g_next - g) > 0:
-            bound = ENERGY_JUMP_FACTOR * slope_est * abs(g_next - g) + 1e-9
+        energy = float(np.sum(walker.e.real))
+        dg = abs(walker.g - g)
+        if slope_est is not None and dg > 0:
+            bound = ENERGY_JUMP_FACTOR * slope_est * dg + 1e-9
             if abs(energy - samples[-1].energy) > bound:
                 diagnostics.append(
-                    f"energy jump at g={g_next:.8g}: "
+                    f"energy jump at g={walker.g:.8g}: "
                     f"|dE|={abs(energy - samples[-1].energy):.3g} exceeds "
                     f"10x local trend; aborting to avoid branch switch")
                 status = "truncated"
                 break
-        if abs(g_next - g) > 0:
-            new_slope = abs(energy - samples[-1].energy) / abs(g_next - g)
+        if dg > 0:
+            new_slope = abs(energy - samples[-1].energy) / dg
             slope_est = new_slope if slope_est is None else \
                 max(0.5 * (slope_est + new_slope), 1e-12)
 
-        prev = (g, vals)
-        g, vals, origin = g_next, new_vals, origin
-        samples.append(SweepSample(g, PairEnergies(vals, origin, g),
+        samples.append(SweepSample(walker.g,
+                                   PairEnergies(walker.e, origin, walker.g),
                                    energy, rn))
         if iters > HALVE_ABOVE_ITERS:
             step = max(step * 0.5, STEP_MIN)

@@ -6,10 +6,11 @@ A critical point (g_c, level k) is where M_k pair energies sit exactly at
 cluster system must be singular, i.e. det of the cluster matrix vanishes.
 Both conditions together determine g_c and the non-cluster energies.
 
-The search walks a deflated solution branch in g from weak coupling, so
-the deflated equations hold at every step, and brackets sign changes of
-the row-norm-scaled determinant.  Each bracket is then resolved by false
-position in g along the same branch: every iterate is a converged branch
+The search walks a deflated solution branch in g from weak coupling with
+a `solver.Walker`, so the deflated equations hold at every step, and
+brackets sign changes of the row-norm-scaled determinant.  Each bracket is
+then resolved by false position in g along the same branch, walked on
+from the bracket's stored state: every iterate is a converged branch
 state, and only the one-dimensional determinant root is left to find.
 """
 
@@ -23,9 +24,9 @@ import numpy as np
 from . import _kernels as kern
 from .cluster import (chi_ratios, cluster_matrix, default_cluster_size,
                       pn_coefficients, scaled_determinant)
-from .errors import ContinuationError, UnresolvedRootError
+from .errors import ContinuationError, RichardsonError, UnresolvedRootError
 from .model import OccupationMap, PairingProblem, as_occupation, ground_occupation
-from .solver import _weak_seed_arrays, continuation_step, newton_core
+from .solver import Walker
 
 RESIDUAL_TOL = 1e-10
 DEFAULT_GRID_PER_UNIT = 400
@@ -137,77 +138,22 @@ def deflated_occupation(problem: PairingProblem, branch, k: int, m_k: int,
     return OccupationMap(tuple(counts))
 
 
-class _DeflatedBranch:
-    """Adaptive continuation of the deflated system in g.
+def _branch_name(k, m_k):
+    return f"deflated branch (level {k}, M_k={m_k})"
 
-    Seeds at a tiny coupling from the deflated occupation and walks
-    toward requested g values, halving the step when Newton struggles.
-    `resume` continues from a stored (g, e) instead.
-    """
 
-    def __init__(self, problem, k, m_k, deflated_occ):
-        self.problem = problem
-        self.k = k
-        self.m_k = m_k
-        self.eta2 = problem.eta2_array()
-        self.d_mod = deflated_d_array(problem, k, m_k)
-        self.occ = deflated_occ
-        self.min_step = 1e-7
-        self._g_init = 1e-3 * problem.mean_level_spacing()
-        self.g = None
-        self.e = None
-        self.origin = None
-        self._prev = None
+def _resume(problem, k, m_k, g, e):
+    """Deflated walk continued from a stored grid state.  Safe in either
+    direction within one grid cell, which contains no singular stretch of
+    the walk that produced it."""
+    return Walker(problem.eta2_array(), deflated_d_array(problem, k, m_k), g,
+                  e, min_step=1e-9, name=_branch_name(k, m_k))
 
-    @classmethod
-    def resume(cls, problem, k, m_k, g, e):
-        """Branch continued from a stored grid state.  Safe in either
-        direction within one grid cell, which contains no singular stretch
-        of the walk that produced it."""
-        branch = cls(problem, k, m_k, None)
-        branch.g, branch.e = g, np.array(e, dtype=np.complex128)
-        branch.min_step = 1e-9
-        return branch
 
-    def _start(self, direction):
-        g0 = direction * abs(self._g_init)
-        e0, origin = _weak_seed_arrays(self.eta2, self.d_mod,
-                                       as_occupation(self.occ).counts, g0)
-        e, ok, _, rn = newton_core(e0, g0, self.eta2, self.d_mod)
-        if not ok:
-            raise ContinuationError(
-                f"deflated branch failed to converge at start g={g0:.3g} "
-                f"(residual {rn:.2e})")
-        self.g, self.e, self.origin = g0, e, origin
-
-    def advance_to(self, g_target):
-        """Continue the branch to g_target; returns the energies there."""
-        if self.g is None:
-            self._start(1 if g_target > 0 else -1)
-        if self.e.size == 0:
-            self.g = g_target
-            return self.e
-        while self.g != g_target:
-            step = g_target - self.g
-            while True:
-                e_try, ok, _, _ = continuation_step(
-                    self.e, self.g, self.g + step, self.eta2, self.d_mod,
-                    self._prev)
-                if ok:
-                    break
-                step *= 0.5
-                if abs(step) < self.min_step:
-                    raise ContinuationError(
-                        f"deflated branch stalled near g={self.g:.6g} "
-                        f"(level {self.k}, M_k={self.m_k})")
-            self._prev = (self.g, self.e)
-            self.g, self.e = self.g + step, e_try
-        return self.e
-
-    def det_at(self, g):
-        e = self.advance_to(g)
-        pn = pn_coefficients(self.problem, self.k, e, self.m_k - 1)
-        return scaled_determinant(cluster_matrix(g, pn, self.m_k))
+def _det_at(walker, problem, k, m_k, g):
+    """Scaled cluster determinant once the deflated walk stands at g."""
+    pn = pn_coefficients(problem, k, walker.advance_to(g), m_k - 1)
+    return scaled_determinant(cluster_matrix(g, pn, m_k))
 
 
 def _build_point(problem, k, m_k, g_c, e_nc, branch_occ, deflated_occ,
@@ -273,16 +219,20 @@ def scan_critical(problem: PairingProblem, k: int, g_range, branch=None, *,
     if grid_points is None:
         grid_points = max(400, int(round(span * DEFAULT_GRID_PER_UNIT)))
 
-    walker = _DeflatedBranch(problem, k, m_k, deflated_occ)
-    start = direction * max(abs(near), abs(walker._g_init))
+    g_init = 1e-3 * problem.mean_level_spacing()
+    start = direction * max(abs(near), abs(g_init))
     grid = np.linspace(start, far, grid_points + 1)
 
     dets, stops, states = [], [], []
     try:
+        walker, origin, _ = Walker.weak_start(
+            problem.eta2_array(), deflated_d_array(problem, k, m_k),
+            as_occupation(deflated_occ).counts, direction * abs(g_init),
+            min_step=1e-7, name=_branch_name(k, m_k))
         for g in grid:
-            dets.append(walker.det_at(g))
+            dets.append(_det_at(walker, problem, k, m_k, g))
             stops.append(g)
-            states.append(walker.e.copy())
+            states.append(walker.e)
     except ContinuationError as err:
         warnings.warn(f"scan truncated: {err}", TruncatedScanWarning,
                       stacklevel=2)
@@ -296,13 +246,15 @@ def scan_critical(problem: PairingProblem, k: int, g_range, branch=None, *,
         try:
             points.append(_resolve_bracket(problem, k, m_k, g_a, g_b,
                                           det_a, det_b, e_a, branch_occ,
-                                          deflated_occ, walker.origin))
-        except UnresolvedRootError as err:
-            if strict:
-                raise
+                                          deflated_occ, origin))
+        except RichardsonError as err:
             # a deflated branch hopping at one of its own collapses can
             # flip the determinant sign with no zero in between
-            warnings.warn(f"skipping spurious bracket: {err}",
+            msg = (f"root in ({g_a:.8g}, {g_b:.8g}) for level {k} could "
+                   f"not be resolved: {err}")
+            if strict:
+                raise UnresolvedRootError(msg) from err
+            warnings.warn(f"skipping spurious bracket: {msg}",
                           TruncatedScanWarning, stacklevel=2)
     points.sort(key=lambda p: p.g_c)
     return points
@@ -322,14 +274,13 @@ def _find_brackets(problem, k, m_k, gs, dets, states):
         if not sharp or signs[i - 1] != signs[i] or signs[i] != signs[i + 1]:
             continue
         # possible root pair inside (g_{i-1}, g_{i+1}); re-walk finely
+        cw = _resume(problem, k, m_k, gs[i - 1], states[i - 1])
+        fine = np.linspace(gs[i - 1], gs[i + 1], 201)
+        fdets, fstates = [], []
         try:
-            cw = _DeflatedBranch.resume(problem, k, m_k, gs[i - 1],
-                                        states[i - 1])
-            fine = np.linspace(gs[i - 1], gs[i + 1], 201)
-            fdets, fstates = [], []
             for g in fine:
-                fdets.append(cw.det_at(g))
-                fstates.append(cw.e.copy())
+                fdets.append(_det_at(cw, problem, k, m_k, g))
+                fstates.append(cw.e)
         except ContinuationError:
             continue
         fsigns = np.sign(fdets)
@@ -346,39 +297,33 @@ def _resolve_bracket(problem, k, m_k, g_a, g_b, det_a, det_b, e_a,
     """Root of the scaled determinant in (g_a, g_b) along the deflated branch.
 
     Illinois false position (a bisection step whenever the secant point
-    leaves the bracket) on det_at(g) of the branch resumed at g_a, so the
-    deflated equations hold at every iterate.  Stops once |det| <= 1e-13
+    leaves the bracket) on the determinant along the walk resumed at g_a,
+    so the deflated equations hold at every iterate.  Stops once |det| <= 1e-13
     or the bracket no longer shrinks; `_validate_point` then decides.
     """
-    cell = _DeflatedBranch.resume(problem, k, m_k, g_a, e_a)
+    cell = _resume(problem, k, m_k, g_a, e_a)
     lo, f_lo, hi, f_hi = g_a, det_a, g_b, det_b
     g_c, f_c = (g_a, det_a) if abs(det_a) <= abs(det_b) else (g_b, det_b)
     kept = 0        # the end kept by the last update: -1 lo, +1 hi
-    try:
-        while abs(f_c) > 1e-13:
-            g = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-            if not min(lo, hi) < g < max(lo, hi):
-                g = 0.5 * (lo + hi)
-                if g == lo or g == hi:
-                    break
-            g_c, f_c = g, cell.det_at(g)
-            if (f_c > 0) == (f_lo > 0):
-                lo, f_lo = g_c, f_c
-                if kept > 0:
-                    f_hi *= 0.5
-                kept = 1
-            else:
-                hi, f_hi = g_c, f_c
-                if kept < 0:
-                    f_lo *= 0.5
-                kept = -1
-        e_nc = cell.advance_to(g_c)
-    except ContinuationError as err:
-        raise UnresolvedRootError(
-            f"root in ({g_a:.8g}, {g_b:.8g}) for level {k} could not be "
-            f"resolved: {err}") from err
-    point = _build_point(problem, k, m_k, g_c, e_nc, branch_occ,
-                         deflated_occ, origin)
+    while abs(f_c) > 1e-13:
+        g = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not min(lo, hi) < g < max(lo, hi):
+            g = 0.5 * (lo + hi)
+            if g == lo or g == hi:
+                break
+        g_c, f_c = g, _det_at(cell, problem, k, m_k, g)
+        if (f_c > 0) == (f_lo > 0):
+            lo, f_lo = g_c, f_c
+            if kept > 0:
+                f_hi *= 0.5
+            kept = 1
+        else:
+            hi, f_hi = g_c, f_c
+            if kept < 0:
+                f_lo *= 0.5
+            kept = -1
+    point = _build_point(problem, k, m_k, g_c, cell.advance_to(g_c),
+                         branch_occ, deflated_occ, origin)
     return _validate_point(point, problem)
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as kern
-from .errors import (ConsistencyError, InitializationError,
-                     SingularEvaluationError)
+from .errors import (ConsistencyError, ContinuationError,
+                     InitializationError, SingularEvaluationError)
 from .model import PairingProblem, as_occupation
 
 NEWTON_TOL = 1e-12
@@ -170,22 +170,86 @@ def newton_core(e0, g, eta2, d, *, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
     return e, rn <= tol, iters, rn
 
 
-def continuation_step(e, g, g_next, eta2, d, prev=None, *, tol=NEWTON_TOL):
-    """Newton solve at g_next that continues the solution e at g.
+class Walker:
+    """Continuation of one solution of the system (eta2, d) in g.
 
-    Seeds from the secant through prev = (g_prev, e_prev) and (g, e) when
-    that history exists, then from e itself; returns the newton_core
-    result of the first converged attempt, or else of the last one.
+    Holds the state (g, e), the state before the last accepted step (prev,
+    which feeds the secant predictor) and min_step, the smallest step worth
+    trying; `name` labels its errors.  Every continuation in g, the
+    deflated scans in `critical` and the sweep and restart walk-out in
+    `continuation`, runs through `step_toward`, the only place a
+    continuation step is halved.
     """
-    seeds = [e]
-    if prev is not None and prev[0] != g:
-        slope = (e - prev[1]) / (g - prev[0])
-        seeds.insert(0, e + slope * (g_next - g))
-    for seed in seeds:
-        out = newton_core(seed, g_next, eta2, d, tol=tol, max_iter=60)
-        if out[1]:
-            break
-    return out
+
+    def __init__(self, eta2, d, g, e, *, min_step, name):
+        self.eta2 = eta2
+        self.d = d
+        self.min_step = min_step
+        self.name = name
+        self.g = g
+        self.e = np.asarray(e, dtype=np.complex128)
+        self.prev = None
+
+    @classmethod
+    def weak_start(cls, eta2, d, counts, g0, *, min_step, name):
+        """Walker converged at the weak coupling g0 from the single-level
+        seeds of the occupation counts; returns (walker, origin labels,
+        residual norm)."""
+        e0, origin = _weak_seed_arrays(eta2, d, counts, g0)
+        e, ok, _, rn = newton_core(e0, g0, eta2, d)
+        if not ok:
+            raise ContinuationError(
+                f"{name} could not converge its weak-coupling start at "
+                f"g={g0:.3g} (residual {rn:.2e})")
+        return cls(eta2, d, g0, e, min_step=min_step, name=name), origin, rn
+
+    def _solve(self, g_next):
+        """Newton at g_next seeded from the secant through prev and (g, e)
+        when that history exists, then from e itself; the newton_core
+        result of the first converged attempt, or else of the last one."""
+        if self.e.size == 0:
+            return self.e, True, 0, 0.0
+        seeds = [self.e]
+        if self.prev is not None and self.prev[0] != self.g:
+            slope = (self.e - self.prev[1]) / (self.g - self.prev[0])
+            seeds.insert(0, self.e + slope * (g_next - self.g))
+        for seed in seeds:
+            out = newton_core(seed, g_next, self.eta2, self.d, max_iter=60)
+            if out[1]:
+                break
+        return out
+
+    def step_toward(self, g_to, step=None):
+        """Make one accepted step toward g_to and return (step, iterations,
+        residual norm) of it.
+
+        Tries g + step (default: the whole remaining distance), clamped at
+        g_to, and halves the step while Newton fails.  Once the step falls
+        below min_step it raises ContinuationError and leaves the state as
+        it was.
+        """
+        step = g_to - self.g if step is None else step
+        while True:
+            g_next = self.g + step
+            if (g_next - g_to) * step >= 0:
+                g_next = g_to
+            e, ok, iters, rn = self._solve(g_next)
+            if ok:
+                break
+            step *= 0.5
+            if abs(step) < self.min_step:
+                raise ContinuationError(
+                    f"{self.name} stalled near g={self.g:.8g} "
+                    f"(residual {rn:.2e})")
+        self.prev = (self.g, self.e)
+        self.g, self.e = g_next, e
+        return step, iters, rn
+
+    def advance_to(self, g_to):
+        """Step until the walker stands at g_to; returns the energies there."""
+        while self.g != g_to:
+            self.step_toward(g_to)
+        return self.e
 
 
 # ---------------------------------------------------------------------------

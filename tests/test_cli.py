@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import richardson as rs
-from richardson import cli
+from richardson import cli, continuation
+from richardson.errors import DegenerateTangentError
 
 TABLE1_ROWS = [
     "1    -4         2      0",
@@ -107,6 +108,22 @@ def test_sweep_continuation_failure_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: sweep could not converge")
     assert "Traceback" not in err
+
+
+def test_sweep_typed_error_exit_code(tmp_path, capsys, monkeypatch):
+    # a package error with no exit code of its own is a branch that could
+    # not be continued: exit 4 with one error line, no traceback
+    def degenerate(point, problem):
+        raise DegenerateTangentError("derivative system is singular")
+
+    monkeypatch.setattr(continuation, "solve_tangent", degenerate)
+    prob_file = tmp_path / "toy.json"
+    p = rs.PairingProblem((rs.Level(0.0, 6), rs.Level(1.0, 2)), 4)
+    prob_file.write_text(rs.save_problem(p))
+    assert run_cli(["sweep", "--problem", str(prob_file),
+                    "--g-target", "-0.5", "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: derivative system is singular"]
 
 
 def test_sweep_uses_cached_records(tmp_path, capsys):

@@ -185,20 +185,33 @@ def test_sign_change_without_zero_is_skipped(toy_3lvl, monkeypatch):
 def test_walk_failure_inside_bracket_is_skipped(toy_3lvl, monkeypatch):
     # the branch resumed inside a bracket stalls at its first step; the
     # ContinuationError must become a skipped bracket, never escape
-    resume = critical._DeflatedBranch.resume
+    resume = critical._resume
 
     def stalling(problem, k, m_k, g, e):
         cell = resume(problem, k, m_k, g, e)
 
-        def advance_to(g_target):
+        def step_toward(g_to, step=None):
             raise ContinuationError(f"deflated branch stalled near g={g:.6g}")
 
-        cell.advance_to = advance_to
+        cell.step_toward = step_toward
         return cell
 
-    monkeypatch.setattr(critical._DeflatedBranch, "resume",
-                        staticmethod(stalling))
+    monkeypatch.setattr(critical, "_resume", stalling)
     _assert_every_bracket_skipped(toy_3lvl, 0, (-0.6, 0.0), monkeypatch)
+
+
+def test_unbuildable_bracket_is_skipped(lattice6):
+    # at the bracket of level 4 near g = 0.1288 the cluster null space is
+    # not one-dimensional, so the point cannot be built (chi_ratios raises
+    # DegenerateNullSpaceError); that bracket alone is skipped
+    with pytest.warns(TruncatedScanWarning) as seen:
+        points = rs.scan_critical(lattice6, 4, (0.0, 0.31))
+    assert [round(p.g_c, 6) for p in points] == [0.205328]
+    skipped = [str(w.message) for w in seen
+               if str(w.message).startswith("skipping spurious bracket")]
+    assert len(skipped) == 1 and "null space" in skipped[0]
+    with pytest.raises(UnresolvedRootError, match="null space"):
+        rs.scan_critical(lattice6, 4, (0.0, 0.31), strict=True)
 
 
 def test_cross_validation_extrapolation(lattice6, table3, tangents6):

@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 
 import richardson as rs
 from richardson import _kernels as kern
-from richardson.errors import (ConsistencyError, InitializationError,
-                               SingularEvaluationError)
-from richardson.solver import (_single_level_roots, newton_core,
+from richardson import solver
+from richardson.errors import (ConsistencyError, ContinuationError,
+                               InitializationError, SingularEvaluationError)
+from richardson.solver import (Walker, _single_level_roots, newton_core,
                                symmetrize_conjugate)
+
+from conftest import physical_state_at
 
 ONE_PAIR = rs.PairingProblem((rs.Level(1.0, 2),), 1, g=0.1)
 
@@ -334,3 +337,77 @@ def test_newton_core_restores_error_state():
         assert np.geterr() == before
     assert before == {"divide": "raise", "over": "warn", "under": "print",
                       "invalid": "log"}
+
+
+def test_walker_lands_on_target_both_ways(lattice6, ground6):
+    walker, origin, rn = Walker.weak_start(
+        lattice6.eta2_array(), lattice6.d_array(), ground6.counts, -1e-3,
+        min_step=1e-7, name="ground branch")
+    assert len(origin) == 18 and rn <= 1e-12
+    for g_to in (-0.03, -0.01):         # away from g = 0, then back
+        e = walker.advance_to(g_to)
+        assert walker.g == g_to
+        direct = physical_state_at(lattice6, ground6, g_to).values
+        assert np.allclose(np.sort_complex(e), np.sort_complex(direct),
+                           rtol=0, atol=1e-10)
+
+
+def _one_pair_walker(min_step):
+    # one pair on one level: e(g) = 2 eta - 4 g d = 2 + 2g
+    return Walker(np.array([2.0]), np.array([-0.5]), 0.125, [2.25],
+                  min_step=min_step, name="one pair")
+
+
+def test_walker_halves_on_failure_and_clamps(monkeypatch):
+    tried = []
+
+    def fails_beyond_0_3(e0, g, eta2, d, **kw):
+        tried.append(g)
+        out = newton_core(e0, g, eta2, d, **kw)
+        return (out[0], False) + out[2:] if g > 0.3 else out
+
+    monkeypatch.setattr(solver, "newton_core", fails_beyond_0_3)
+    walker = _one_pair_walker(min_step=1e-3)
+    e_start = walker.e
+    step, iters, rn = walker.step_toward(1.0, 0.5)
+    assert tried == [0.625, 0.375, 0.25]
+    assert step == 0.125 and rn <= 1e-12
+    assert walker.g == 0.25 and abs(walker.e[0] - 2.5) < 1e-12
+    assert walker.prev[0] == 0.125 and walker.prev[1] is e_start
+    # a try past g_to is clamped there; prev now feeds the secant seed,
+    # which is exact on this straight line
+    tried.clear()
+    walker.step_toward(0.3, 0.5)
+    assert tried == [0.3] and walker.g == 0.3
+    assert abs(walker.e[0] - 2.6) < 1e-12
+
+
+def test_walker_gives_up_below_min_step_unchanged(monkeypatch):
+    tried = []
+
+    def never_converges(e0, g, eta2, d, **kw):
+        tried.append(g)
+        return np.asarray(e0), False, 60, 1.0
+
+    walker = _one_pair_walker(min_step=0.1)
+    walker.step_toward(0.25)
+    monkeypatch.setattr(solver, "newton_core", never_converges)
+    g, e, prev = walker.g, walker.e, walker.prev
+    with pytest.raises(ContinuationError, match="one pair stalled near"):
+        walker.step_toward(1.0, 0.5)
+    # secant seed, then the state itself, at steps 0.5, 0.25 and 0.125;
+    # step 0.0625 is below min_step
+    assert tried == [0.75, 0.75, 0.5, 0.5, 0.375, 0.375]
+    assert walker.g == g and walker.e is e and walker.prev is prev
+
+
+def test_walker_on_the_empty_system(monkeypatch):
+    walker, origin, rn = Walker.weak_start(
+        np.array([0.0, 2.0]), np.array([-1.0, -1.0]), (0, 0), 1e-3,
+        min_step=1e-7, name="empty")
+    assert origin == () and rn == 0.0
+    # nothing to solve: the walk moves g without calling Newton
+    monkeypatch.setattr(solver, "newton_core", None)
+    for g_to in (0.4, -0.2):
+        assert walker.advance_to(g_to).shape == (0,)
+        assert walker.g == g_to
