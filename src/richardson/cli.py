@@ -2,9 +2,11 @@
 
 Commands compose through files: `lattice` writes a problem file, `critical`
 writes critical-point records next to it, and `sweep` loads those records.
-`sweep` still re-scans every occupied level over (0, g_target +- 2 r_c),
-r_c the crossing radius, and drops a rescanned point within 1e-9 of a loaded
-one of its level.  Human-readable tables go to stdout with 6 significant
+`sweep` still re-scans over (0, g_target +- 2 r_c), r_c the crossing
+radius, and drops a rescanned point within 1e-9 of a loaded one of its
+level.  `critical --level all` and that re-scan cover the levels that can
+collapse (`critical.critical_levels`), not every occupied level.
+Human-readable tables go to stdout with 6 significant
 digits; CSV and JSON files carry 12 digits so they can seed further runs.
 Level indices in tables and flags are 1-based to match the j labels
 physicists expect; the Python API is 0-based.
@@ -64,8 +66,21 @@ def max_threads():
 def load_problem_file(path) -> model.PairingProblem:
     try:
         return model.load_problem(Path(path).read_text())
-    except FileNotFoundError:
-        raise ProblemFormatError(f"problem file not found: {path}")
+    except OSError as err:
+        raise ProblemFormatError(f"problem file {path}: {err.strerror}")
+
+
+def _load_json(path, expected):
+    """The JSON value in `path`, which must be an `expected` (dict or list);
+    anything else is a ProblemFormatError naming the file."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as err:
+        raise ProblemFormatError(f"{path}: {err}") from err
+    if not isinstance(doc, expected):
+        raise ProblemFormatError(f"{path}: expected a JSON "
+                                 f"{'object' if expected is dict else 'list'}")
+    return doc
 
 
 def parse_branch(spec, problem) -> model.OccupationMap:
@@ -152,7 +167,7 @@ def cmd_critical(args):
     branch = parse_branch(args.branch, problem)
     g_range = (args.g_min, args.g_max)
     if args.level == "all":
-        levels = [k for k, c in enumerate(branch.counts) if c > 0]
+        levels = critical.critical_levels(problem, branch, args.mk)
     else:
         levels = [int(args.level) - 1]
     points = []
@@ -192,8 +207,10 @@ def cmd_sweep(args):
     points = None
     rec_file = records_path(args.problem, branch)
     if rec_file.exists():
-        recs = json.loads(rec_file.read_text())
-        points = [record_to_point(r) for r in recs]
+        try:
+            points = [record_to_point(r) for r in _load_json(rec_file, list)]
+        except (KeyError, TypeError, ValueError) as err:
+            raise ProblemFormatError(f"{rec_file}: bad record: {err!r}")
         print(f"loaded {len(points)} critical point(s) from {rec_file}")
     opts = continuation.SweepOptions()
     if args.step:
@@ -291,7 +308,8 @@ def build_parser():
     p = sub.add_parser("critical", help="locate critical couplings")
     p.add_argument("--problem", required=True)
     p.add_argument("--level", default="all",
-                   help="1-based level j, or 'all' for occupied levels")
+                   help="1-based level j, or 'all' for the occupied levels "
+                        "that can collapse")
     p.add_argument("--g-min", type=float, required=True)
     p.add_argument("--g-max", type=float, required=True)
     p.add_argument("--branch", default="ground",
@@ -330,24 +348,23 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.config:
-        # config values become the subcommand's defaults; explicit flags win
-        defaults = json.loads(Path(args.config).read_text())
-        sub = next(a for a in ap._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        parser = sub.choices[args.command]
-        options = {a.dest for a in parser._actions
-                   if a.option_strings and a.dest != "help"}
-        defaults = {key.replace("-", "_"): val
-                    for key, val in defaults.items()}
-        unknown = sorted(set(defaults) - options)
-        if unknown:
-            print(f"error: {args.config}: not an option of "
-                  f"'{args.command}': {', '.join(unknown)}", file=sys.stderr)
-            return EXIT_USAGE
-        parser.set_defaults(**defaults)
-        args = ap.parse_args(argv)
     try:
+        if args.config:
+            # config values become the subcommand's defaults; flags win
+            sub = next(a for a in ap._actions
+                       if isinstance(a, argparse._SubParsersAction))
+            parser = sub.choices[args.command]
+            options = {a.dest for a in parser._actions
+                       if a.option_strings and a.dest != "help"}
+            defaults = {key.replace("-", "_"): val for key, val
+                        in _load_json(args.config, dict).items()}
+            unknown = sorted(set(defaults) - options)
+            if unknown:
+                raise ProblemFormatError(
+                    f"{args.config}: not an option of '{args.command}': "
+                    f"{', '.join(unknown)}")
+            parser.set_defaults(**defaults)
+            args = ap.parse_args(argv)
         return args.func(args)
     except CapacityError as err:
         print(f"error: {err}", file=sys.stderr)

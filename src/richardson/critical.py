@@ -138,6 +138,18 @@ def deflated_occupation(problem: PairingProblem, branch, k: int, m_k: int,
     return OccupationMap(tuple(counts))
 
 
+def critical_levels(problem: PairingProblem, branch, m_k=None) -> list[int]:
+    """Levels where the branch can have a critical point: the occupied
+    levels whose cluster size (M_k = 1 - 2 d_k, or m_k when given) is a
+    positive integer no larger than M.  No larger cluster can form, and a
+    non-integer M_k (odd Omega) names none."""
+    counts = as_occupation(branch).counts
+    sizes = [1.0 - 2.0 * lv.d if m_k is None else m_k for lv in problem.levels]
+    return [k for k, (count, size) in enumerate(zip(counts, sizes))
+            if count > 0 and float(size).is_integer()
+            and 1 <= size <= problem.m_pairs]
+
+
 def _branch_name(k, m_k):
     return f"deflated branch (level {k}, M_k={m_k})"
 

@@ -185,18 +185,11 @@ def build_lattice_model(n: int, filling: int, g: float = 0.0,
     """
     if n < 2:
         raise ValueError("lattice size n must be >= 2")
-    energies = sorted(lattice_energies(n))
-    levels = []
-    i = 0
-    while i < len(energies):
-        j = i
-        while j < len(energies) and energies[j] - energies[i] < ENERGY_GROUP_TOL:
-            j += 1
-        levels.append(Level(eta=energies[i], omega=2 * (j - i), nu=0))
-        i = j
+    levels = merge_levels([Level(eta=e, omega=2) for e in lattice_energies(n)],
+                          warn=False)
     if not label:
         label = f"lattice{n}x{n}_M{filling}"
-    return PairingProblem(tuple(levels), m_pairs=filling, g=g, label=label)
+    return PairingProblem(levels, m_pairs=filling, g=g, label=label)
 
 
 # ---------------------------------------------------------------------------

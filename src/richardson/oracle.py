@@ -16,30 +16,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OracleDimensionError
-from .model import PairingProblem
+from .model import PairingProblem, excited_occupations
 
 DIMENSION_GUARD = 20000
 
 
 def pair_basis(problem: PairingProblem) -> list[tuple[int, ...]]:
     """All seniority-0 occupation vectors with sum M, lexicographic order."""
-    caps = problem.capacities()
-    m = problem.m_pairs
-    states = []
-
-    def walk(j, left, prefix):
-        if j == len(caps):
-            if left == 0:
-                states.append(tuple(prefix))
-            return
-        rest = sum(caps[j + 1:])
-        for c in range(min(caps[j], left), -1, -1):
-            if left - c <= rest:
-                walk(j + 1, left - c, prefix + [c])
-
-    walk(0, m, [])
-    states.sort()
-    return states
+    return [occ.counts
+            for occ in excited_occupations(problem, problem.m_pairs)]
 
 
 def basis_dimension(problem: PairingProblem) -> int:

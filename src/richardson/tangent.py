@@ -109,15 +109,20 @@ def _dpn_de(inv, n_max):
     return (n + 1) * inv[None, :] ** (n + 2)
 
 
-def _first_column_terms(point, inv, rows):
-    """B's first column over rows p = 1..rows, split by unknown.
+def _expansion_terms(point, problem):
+    """Every g-independent array of the expansion, built once at 3M_k rows.
 
+    Returns inv = 1/(2 eta_k - e_b), P_0..P_{3M_k-1}, B's constant columns
+    and B's first column split by unknown,
     B_{p,1} = -chi_p/g_c + q_p dS_1/dg + w_p . de/dg with
     q_p = -2 g_c sum_{i=1}^{p-2} chi_{p-i-1} chi_i and
-    w_{p,b} = 4 g_c sum_{n=0}^{M_k-p} chi_{n+p} dP_n/de_b.
-    Returns chi padded to index 0..rows (zero past M_k), q and w.
+    w_{p,b} = 4 g_c sum_{n=0}^{M_k-p} chi_{n+p} dP_n/de_b,
+    as chi (padded to index 0..3M_k, zero past M_k), q and w.  Row p of
+    each depends on p alone, so the 2M_k-row system reads leading blocks.
     """
-    g_c, m_k = point.g_c, point.m_k
+    g_c, m_k, rows = point.g_c, point.m_k, 3 * point.m_k
+    inv = 1.0 / (problem.eta2_array()[point.k] - point.e_noncluster)
+    pn = pn_coefficients(problem, point.k, point.e_noncluster, rows - 1).p
     chi = np.zeros(rows + 1)
     chi[1:m_k + 1] = point.chi
     q = np.array([-2.0 * g_c * _conv(chi, chi, p) for p in range(1, rows + 1)])
@@ -125,27 +130,25 @@ def _first_column_terms(point, inv, rows):
     w = np.zeros((rows, inv.shape[0]), dtype=np.complex128)
     for p in range(1, m_k + 1):
         w[p - 1] = 4.0 * g_c * (chi[p:m_k + 1] @ dpn[:m_k - p + 1])
-    return chi, q, w
+    return inv, pn, _b_constant_columns(g_c, pn, m_k, rows), chi, q, w
 
 
-def _derivative_system(point, problem, rows):
+def _derivative_system(point, problem, terms, rows):
     """(matrix, rhs, cofactors) of the derivative system with B cut at
     `rows` rows; the cofactors are those of B's first column."""
     g_c, k, m_k = point.g_c, point.k, point.m_k
     e_nc = point.e_noncluster
     nb = e_nc.shape[0]
-    inv = 1.0 / (problem.eta2_array()[k] - e_nc)
-    pn = pn_coefficients(problem, k, e_nc, rows - 1)
-    cof = _first_column_cofactors(_b_constant_columns(g_c, pn.p, m_k, rows))
-    chi, q, w = _first_column_terms(point, inv, rows)
+    inv, _, b_const, chi, q, w = terms
+    cof = _first_column_cofactors(b_const[:rows, :rows])
 
     size = nb + 1
     mat = np.zeros((size, size), dtype=np.complex128)
     rhs = np.zeros(size, dtype=np.complex128)
     # row 0: sum_p C_p B_{p,1} = 0
-    mat[0, 0] = cof @ q
-    mat[0, 1:] = cof @ w
-    rhs[0] = cof @ chi[1:] / g_c
+    mat[0, 0] = cof @ q[:rows]
+    mat[0, 1:] = cof @ w[:rows]
+    rhs[0] = cof @ chi[1:rows + 1] / g_c
 
     # rows 1..nb: derivative of the deflated equations plus the cluster
     # backreaction -4g sum_n S_n/(2 eta_k - e_b)^(n+1) through dS_1/dg
@@ -165,7 +168,9 @@ def assemble_derivative_system(point: CriticalPoint,
     conjugate pairs so the solution has real dS_1/dg and conjugate-closed
     de_b/dg.
     """
-    mat, rhs, _ = _derivative_system(point, problem, 2 * point.m_k)
+    mat, rhs, _ = _derivative_system(point, problem,
+                                     _expansion_terms(point, problem),
+                                     2 * point.m_k)
     return mat, rhs
 
 
@@ -191,23 +196,20 @@ def _real(z, name):
     return z.real
 
 
-def _quadratic_coefficients(point, problem, ds1, de):
+def _quadratic_coefficients(point, terms, ds1, de):
     """a_p, p = 1..2M_k, from B's null vector v (v_1 = 1, v_p = S_1' a_p)."""
-    m_k = point.m_k
-    rows = 2 * m_k
-    inv = 1.0 / (problem.eta2_array()[point.k] - point.e_noncluster)
-    pn = pn_coefficients(problem, point.k, point.e_noncluster, rows - 1)
-    chi, q, w = _first_column_terms(point, inv, rows)
-    first = np.real(-chi[1:] / point.g_c + q * ds1 + w @ de)
-    rest = _b_constant_columns(point.g_c, pn.p, m_k)[:, 1:]
-    v = np.linalg.lstsq(rest, -first, rcond=None)[0]
+    rows = 2 * point.m_k
+    _, _, b_const, chi, q, w = terms
+    first = np.real(-chi[1:rows + 1] / point.g_c + q[:rows] * ds1
+                    + w[:rows] @ de)
+    v = np.linalg.lstsq(b_const[:rows, 1:rows], -first, rcond=None)[0]
     a = np.zeros(rows)
     if ds1 != 0.0:
         a[1:] = v / ds1
     return a
 
 
-def _second_derivative(point, problem, ds1, de, a, rtol):
+def _second_derivative(point, problem, terms, ds1, de, a, rtol):
     """d^2 S_1/dg^2 from the derivative system cut at 3M_k rows.
 
     With u_p = S_p/S_1 (u_p' = S_1' a_p), cluster row p reads
@@ -217,17 +219,14 @@ def _second_derivative(point, problem, ds1, de, a, rtol):
     """
     g, k, m_k = point.g_c, point.k, point.m_k
     rows = 3 * m_k
-    mat, _, cof = _derivative_system(point, problem, rows)
+    mat, _, cof = _derivative_system(point, problem, terms, rows)
     e = point.e_noncluster
     eta2 = problem.eta2_array()
-    inv = 1.0 / (eta2[k] - e)
-    pn = pn_coefficients(problem, k, e, rows - 1).p
+    inv, pn, _, chi, _, _ = terms
     dpn = _dpn_de(inv, rows - 1)
     n = np.arange(rows)[:, None]
     d1p = (dpn @ de).real                                   # dP_n/dg
     d2p = ((n + 1) * (n + 2) * inv[None, :] ** (n + 3) @ de ** 2).real
-    chi = np.zeros(rows + 1)
-    chi[1:m_k + 1] = point.chi
     du = np.zeros(rows + 1)
     du[1:2 * m_k + 1] = ds1 * a
 
@@ -263,12 +262,13 @@ def solve_tangent(point: CriticalPoint, problem: PairingProblem,
                   *, rtol=TANGENT_RESIDUAL_TOL) -> TangentData:
     """Solve the derivative system and the one above it; asserts residuals
     and realness."""
-    mat, rhs = assemble_derivative_system(point, problem)
+    terms = _expansion_terms(point, problem)
+    mat, rhs, _ = _derivative_system(point, problem, terms, 2 * point.m_k)
     x = _solve_checked(mat, rhs, point, rtol)
     ds1 = _real(x[0], "dS_1/dg")
     de = x[1:]
-    a = _quadratic_coefficients(point, problem, ds1, de)
-    d2s1 = _second_derivative(point, problem, ds1, de, a, rtol)
+    a = _quadratic_coefficients(point, terms, ds1, de)
+    d2s1 = _second_derivative(point, problem, terms, ds1, de, a, rtol)
     return TangentData(ds1_dg=ds1, de_dg=de, point=point, d2s1_dg2=d2s1,
                        a=a)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import richardson as rs
-from richardson import cli, continuation
+from richardson import cli, continuation, critical
 from richardson.errors import DegenerateTangentError
 
 TABLE1_ROWS = [
@@ -249,3 +249,55 @@ def test_sweep_stride_thins_csv(tmp_path, capsys):
                     "-0.4", "--out", str(tmp_path), "--stride", "3"]) == 0
     n_thin = len(list(tmp_path.glob("*_neg.csv"))[0].read_text().splitlines())
     assert n_thin < n_full
+
+
+def test_critical_all_scans_only_levels_that_can_collapse(tmp_path, capsys,
+                                                          monkeypatch):
+    # 4x4 lattice, M = 4: M_k = 2, 5, 7 on the occupied levels, so only
+    # j = 1 can hold a cluster
+    scanned = []
+    scan = critical.scan_critical
+
+    def recording(problem, k, *args, **kwargs):
+        scanned.append(k)
+        return scan(problem, k, *args, **kwargs)
+
+    monkeypatch.setattr(critical, "scan_critical", recording)
+    prob_file = tmp_path / "lat4.json"
+    prob_file.write_text(rs.save_problem(rs.build_lattice_model(4, 4)))
+    assert run_cli(["critical", "--problem", str(prob_file), "--level", "all",
+                    "--g-min", "-0.2", "--g-max", "0.2"]) == 0
+    assert sorted(set(scanned)) == [0]
+
+
+def _write_config(tmp_path, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    return ["--config", str(cfg), "lattice", "--n", "2", "--pairs", "2"]
+
+
+def _write_records(tmp_path, text):
+    prob_file = tmp_path / "toy.json"
+    p = rs.PairingProblem((rs.Level(0.0, 6), rs.Level(1.0, 2)), 4)
+    prob_file.write_text(rs.save_problem(p))
+    cli.records_path(prob_file, rs.ground_occupation(p)).write_text(text)
+    return ["sweep", "--problem", str(prob_file), "--g-target", "-0.5",
+            "--out", str(tmp_path)]
+
+
+@pytest.mark.parametrize("make_argv, name", [
+    (lambda tmp: ["--config", str(tmp / "missing.json"), "lattice", "--n",
+                  "2", "--pairs", "2"], "missing.json"),
+    (lambda tmp: _write_config(tmp, "{not json"), "cfg.json"),
+    (lambda tmp: _write_config(tmp, "[1, 2]"), "cfg.json"),
+    (lambda tmp: _write_records(tmp, '{"g_c": -0.25}'), "toy_critical_"),
+    (lambda tmp: _write_records(tmp, '[{"g_c": -0.25}]'), "toy_critical_"),
+    (lambda tmp: ["sweep", "--problem", str(tmp), "--g-target", "-0.1"],
+     "problem file"),
+], ids=["config-missing", "config-not-json", "config-not-object",
+        "records-not-list", "record-lacks-key", "problem-is-a-directory"])
+def test_bad_input_file_is_one_error_line(tmp_path, capsys, make_argv, name):
+    assert run_cli(make_argv(tmp_path)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and name in err[0]

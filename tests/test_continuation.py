@@ -158,3 +158,46 @@ def test_s6_slope_negligible_at_crossing(lattice6, table3, tangents6):
         s[sgn] = rs.power_sums(sol.values[idx], eta_k, pt.m_k + 1).s
     slope = (s[+1] - s[-1]) / (2 * delta)
     assert abs(slope[pt.m_k]) <= 1e-2 * abs(slope[0])
+
+
+def _restart_newton_calls(monkeypatch, tan, problem, delta):
+    """step_cap of every newton_core call restart_solve makes itself."""
+    caps = []
+    core = continuation.newton_core
+
+    def recording(*args, **kwargs):
+        caps.append(kwargs.get("step_cap"))
+        return core(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "newton_core", recording)
+    continuation.restart_solve(tan, problem, delta)
+    return caps
+
+
+def test_restart_walk_out_solves_are_all_capped(monkeypatch, lattice6,
+                                                tangents6):
+    # the direct solve at -5e-3 misses the branch; no uncapped retry runs
+    # before the walk-out from delta/8 lands it
+    caps = _restart_newton_calls(monkeypatch, tangents6[("neg", 3)],
+                                 lattice6, -5e-3)
+    assert len(caps) == 2
+    assert None not in caps
+
+
+def test_restart_direct_solve_is_one_newton_call(monkeypatch, lattice6,
+                                                 tangents6):
+    caps = _restart_newton_calls(monkeypatch, tangents6[("neg", 3)],
+                                 lattice6, 1e-3)
+    assert len(caps) == 1 and caps[0] is not None
+
+
+def test_figure_data_propagates_programming_errors(monkeypatch, sweeps6,
+                                                   lattice6):
+    # only a set that is not conjugate-closed drops its S_p row
+    def broken(*args, **kwargs):
+        raise TypeError("bug in power_sums")
+
+    monkeypatch.setattr(continuation, "power_sums", broken)
+    with pytest.raises(TypeError):
+        continuation.sample_figure_data(sweeps6["pos"], lattice6,
+                                        cluster_level=1)

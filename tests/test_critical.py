@@ -7,7 +7,8 @@ import pytest
 import richardson as rs
 from richardson import continuation, critical, oracle
 from richardson.cluster import cluster_matrix, pn_coefficients
-from richardson.critical import TruncatedScanWarning, deflated_jacobian
+from richardson.critical import (TruncatedScanWarning, critical_levels,
+                                 deflated_jacobian)
 from richardson.errors import ContinuationError, UnresolvedRootError
 from richardson.solver import newton_core
 
@@ -301,3 +302,14 @@ def test_neg2_root_from_physical_branch(lattice6, ground6, table3):
     published, ok, _, rn = newton_core(vals, -0.0635021, eta2, d)
     assert ok and rn <= 1e-12
     assert abs(cluster_s1(published)) >= 1e-3
+
+
+def test_critical_levels_need_an_integer_cluster_within_the_branch():
+    # M_k = 1 + Omega/2 at seniority 0: 2, 2.5 (odd Omega) and 5 > M = 3
+    p = rs.PairingProblem((rs.Level(0.0, 2), rs.Level(1.0, 3),
+                           rs.Level(2.0, 8)), 3)
+    assert critical_levels(p, (1, 1, 1)) == [0]
+    assert critical_levels(p, (0, 1, 2)) == []
+    # an explicit cluster size replaces 1 - 2 d_k on every occupied level
+    assert critical_levels(p, (1, 0, 2), m_k=2) == [0, 2]
+    assert critical_levels(p, (1, 1, 1), m_k=4) == []
