@@ -26,11 +26,10 @@ import numpy as np
 
 from . import continuation, critical, model, oracle
 from .errors import (CapacityError, OracleDimensionError, ProblemFormatError,
-                     RichardsonError, UnresolvedRootError)
+                     RichardsonError)
 
 EXIT_USAGE = 2
 EXIT_CAPACITY = 2
-EXIT_UNRESOLVED = 3
 EXIT_TRUNCATED = 4
 EXIT_GUARD = 5
 
@@ -39,10 +38,21 @@ def _fmt(x, digits=6):
     return f"{x:.{digits}g}"
 
 
+def output_dir(path):
+    """Create the directory `path` (with its parents); a path that cannot be
+    one, such as an existing plain file, is a usage error naming it."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ProblemFormatError(f"output location {path}: {err.strerror}")
+    return path
+
+
 def atomic_write(path, text):
     """Write via a temp file in the same directory, then rename."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    output_dir(path.parent)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -96,13 +106,12 @@ def branch_tag(occ: model.OccupationMap) -> str:
     return digest[:8]
 
 
-def print_level_table(problem, out=None):
-    out = out if out is not None else sys.stdout
-    print("j    eta        omega  nu", file=out)
+def print_level_table(problem):
+    print("j    eta        omega  nu")
     for j, lv in enumerate(problem.levels, start=1):
-        print(f"{j:<4} {_fmt(lv.eta):<10} {lv.omega:<6} {lv.nu}", file=out)
+        print(f"{j:<4} {_fmt(lv.eta):<10} {lv.omega:<6} {lv.nu}")
     print(f"levels: {problem.n_levels}   pairs: {problem.m_pairs}   "
-          f"capacity: {problem.total_pair_capacity}", file=out)
+          f"capacity: {problem.total_pair_capacity}")
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +179,8 @@ def cmd_critical(args):
         levels = critical.critical_levels(problem, branch, args.mk)
     else:
         levels = [int(args.level) - 1]
+    out = args.out or records_path(args.problem, branch)
+    output_dir(Path(out).parent)
     points = []
     with ThreadPoolExecutor(max_workers=max_threads()) as pool:
         futures = {pool.submit(_scan_one, problem, k, g_range, branch, args): k
@@ -184,7 +195,6 @@ def cmd_critical(args):
               f"{_fmt(p.energy, 6)}")
     if not points:
         print("(no critical points in range)")
-    out = args.out or records_path(args.problem, branch)
     atomic_write(out, json.dumps([point_to_record(p) for p in points],
                                  indent=2) + "\n")
     print(f"wrote {out}")
@@ -212,6 +222,7 @@ def cmd_sweep(args):
         except (KeyError, TypeError, ValueError) as err:
             raise ProblemFormatError(f"{rec_file}: bad record: {err!r}")
         print(f"loaded {len(points)} critical point(s) from {rec_file}")
+    prefix = output_dir(args.out or ".")
     opts = continuation.SweepOptions()
     if args.step:
         opts.step_init = args.step
@@ -222,8 +233,6 @@ def cmd_sweep(args):
 
     label = problem.label or Path(args.problem).stem
     sign = "pos" if args.g_target > 0 else "neg"
-    prefix = Path(args.out) if args.out else Path(".")
-    prefix.mkdir(parents=True, exist_ok=True)
     name = f"{label}_{branch_tag(branch)}_{sign}"
 
     fig = continuation.sample_figure_data(
@@ -369,9 +378,6 @@ def main(argv=None):
     except CapacityError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CAPACITY
-    except UnresolvedRootError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_UNRESOLVED
     except OracleDimensionError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_GUARD

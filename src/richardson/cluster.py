@@ -18,6 +18,10 @@ from .errors import (ConsistencyError, DegenerateNullSpaceError,
 from .model import Level, PairingProblem
 from .solver import IMAG_TOL
 
+# the cluster matrix's smallest singular value must sit below this fraction
+# of the next one for its null space to count as one-dimensional
+NULL_SPACE_SEPARATION = 0.1
+
 
 @dataclass(frozen=True)
 class PowerSums:
@@ -55,8 +59,7 @@ def default_cluster_size(level: Level) -> int:
     return int(m_int)
 
 
-def power_sums(e_cluster, eta_k: float, p_max: int, *,
-               atol=IMAG_TOL) -> PowerSums:
+def power_sums(e_cluster, eta_k: float, p_max: int) -> PowerSums:
     """S_p = sum_{a in cluster} (2 eta_k - e_a)^p for p = 1..p_max."""
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
@@ -65,9 +68,9 @@ def power_sums(e_cluster, eta_k: float, p_max: int, *,
     term = offs.copy()
     for p in range(1, p_max + 1):
         s = term.sum()
-        if abs(s.imag) > atol:
+        if abs(s.imag) > IMAG_TOL:
             raise ConsistencyError(
-                f"S_{p} imaginary residue {s.imag:.3e} exceeds {atol}; "
+                f"S_{p} imaginary residue {s.imag:.3e} exceeds {IMAG_TOL}; "
                 "cluster is not conjugate-closed")
         out[p - 1] = s.real
         term = term * offs
@@ -75,7 +78,7 @@ def power_sums(e_cluster, eta_k: float, p_max: int, *,
 
 
 def pn_coefficients(problem: PairingProblem, k: int, e_noncluster,
-                    n_max: int, *, atol=IMAG_TOL) -> PnCoefficients:
+                    n_max: int) -> PnCoefficients:
     """P_n per the cluster expansion, n = 0..n_max, real parts.
 
     P_n = sum_{j != k} d_j/(2eta_k - 2eta_j)^(n+1)
@@ -88,9 +91,9 @@ def pn_coefficients(problem: PairingProblem, k: int, e_noncluster,
             f"non-cluster energy equals 2*eta_{k} exactly")
     vals = kern.pn_sums(eta2, problem.d_array(), k, e_nc, n_max)
     bad = np.max(np.abs(vals.imag), initial=0.0)
-    if bad > atol:
+    if bad > IMAG_TOL:
         raise ConsistencyError(
-            f"P_n imaginary residue {bad:.3e} exceeds {atol}")
+            f"P_n imaginary residue {bad:.3e} exceeds {IMAG_TOL}")
     return PnCoefficients(vals.real, k_ref=k)
 
 
@@ -146,27 +149,28 @@ def invert_power_sums(s, size: int, eta_k: float) -> InversionResult:
     return InversionResult(np.asarray(energies, dtype=np.complex128), float(cond))
 
 
-def cluster_matrix(g: float, pn, m_k: int) -> np.ndarray:
-    """The M_k x M_k matrix of the homogeneous cluster system.
+def cluster_matrix(g: float, pn, m_k: int, rows=None) -> np.ndarray:
+    """The M_k x M_k matrix of the homogeneous cluster system, or the same
+    pattern at `rows` rows (the tangent's matrix B, see `tangent`).
 
     Row p (1-based): -2g(M_k+1-p) on the subdiagonal, (1+4g P_0) on the
     diagonal, 4g P_{c-p} above it.
     """
+    n = m_k if rows is None else rows
     p = pn.p if isinstance(pn, PnCoefficients) else np.asarray(pn, dtype=float)
-    if len(p) < m_k:
-        raise ValueError(f"need P_0..P_{m_k - 1}, got {len(p)} entries")
-    mat = np.zeros((m_k, m_k))
-    for row in range(1, m_k + 1):
+    if len(p) < n:
+        raise ValueError(f"need P_0..P_{n - 1}, got {len(p)} entries")
+    mat = np.zeros((n, n))
+    for row in range(1, n + 1):
         mat[row - 1, row - 1] = 1.0 + 4.0 * g * p[0]
         if row >= 2:
             mat[row - 1, row - 2] = -2.0 * g * (m_k + 1 - row)
-        for col in range(row + 1, m_k + 1):
+        for col in range(row + 1, n + 1):
             mat[row - 1, col - 1] = 4.0 * g * p[col - row]
     return mat
 
 
-def chi_ratios(g_c: float, pn, m_k: int, *,
-               separation=0.1) -> np.ndarray:
+def chi_ratios(g_c: float, pn, m_k: int) -> np.ndarray:
     """Limit ratios chi_p = lim S_p/S_1 from the cluster-matrix null vector.
 
     The null vector is the right singular vector of the smallest singular
@@ -177,10 +181,10 @@ def chi_ratios(g_c: float, pn, m_k: int, *,
         return np.array([1.0])
     mat = cluster_matrix(g_c, pn, m_k)
     _, sing, vt = np.linalg.svd(mat)
-    if sing[-2] > 0 and sing[-1] / sing[-2] > separation:
+    if sing[-2] > 0 and sing[-1] / sing[-2] > NULL_SPACE_SEPARATION:
         raise DegenerateNullSpaceError(
             f"null space not one-dimensional: sigma_min/sigma_next = "
-            f"{sing[-1] / sing[-2]:.3g} > {separation}")
+            f"{sing[-1] / sing[-2]:.3g} > {NULL_SPACE_SEPARATION}")
     null = vt[-1]
     if abs(null[0]) < 1e-12:
         raise DegenerateNullSpaceError(

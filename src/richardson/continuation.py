@@ -3,14 +3,15 @@
 The sweep steps the full Richardson solution in g with a `solver.Walker`
 (secant predictor, step halved while Newton fails) and sizes each step by
 the Newton iterations of the last one.  Critical couplings are located
-ahead of time per level (precompute-then-jump); when the walk is about to
-enter the window |g - g_c| < r_c of a registered point and the physical
-state corroborates a forming cluster at that level, the solution is
-restarted on the far side from the expansion at g_c (`linear_guess`)
-and the walk continues.  Restart robustness comes from walking outward,
-with the same walker, from a fraction of the jump (the guess becomes
-exact as delta g -> 0), with an energy-trend check that rejects
-convergence onto a neighboring eigenstate.
+ahead of time per level (precompute-then-jump) and the walk then goes leg
+by leg: up to the window edge |g - g_c| = r_c of each registered point in
+order of |g_c|, and on to the target after the last.  At an edge where the
+physical state corroborates a forming cluster at that level, the solution
+is restarted on the far side from the expansion at g_c (`linear_guess`)
+and the next leg starts there; otherwise the point is passed.  Restart
+robustness comes from walking outward, with the same walker, from a
+fraction of the jump (the guess becomes exact as delta g -> 0), with an
+energy-trend check that rejects convergence onto a neighboring eigenstate.
 """
 
 from __future__ import annotations
@@ -93,14 +94,15 @@ def collapse_candidates(values, problem: PairingProblem):
 # restart machinery
 # ---------------------------------------------------------------------------
 
-def expected_restart_energy(tangent: TangentData, delta_g: float) -> float:
-    """Linear prediction of the total energy at g_c + delta_g.
+def _energy_slope(tangent: TangentData) -> float:
+    """dE/dg at g_c: the cluster contributes M_k 2eta_k - S_1, so its
+    energy slope is -dS_1/dg; the rest moves with de_b/dg."""
+    return -tangent.ds1_dg + float(np.sum(tangent.de_dg.real))
 
-    The cluster contributes M_k 2eta_k - S_1, so its energy slope is
-    -dS_1/dg; the rest moves with de_b/dg.
-    """
-    slope = -tangent.ds1_dg + float(np.sum(tangent.de_dg.real))
-    return tangent.point.energy + slope * delta_g
+
+def expected_restart_energy(tangent: TangentData, delta_g: float) -> float:
+    """Linear prediction of the total energy at g_c + delta_g."""
+    return tangent.point.energy + _energy_slope(tangent) * delta_g
 
 
 def restart_solve(tangent: TangentData, problem: PairingProblem,
@@ -133,7 +135,7 @@ def restart_solve(tangent: TangentData, problem: PairingProblem,
     g0 = point.g_c + delta_g
     eta2 = problem.eta2_array()
     d = problem.d_array()
-    slope = abs(-tangent.ds1_dg + float(np.sum(tangent.de_dg.real)))
+    slope = abs(_energy_slope(tangent))
     cap = restart_step_cap(problem)
 
     # (fraction of delta_g solved first, Newton iteration budget): the
@@ -172,11 +174,34 @@ def _auto_scan_points(problem, branch, g_target, opts) -> list[CriticalPoint]:
                   key=lambda p: abs(p.g_c))
 
 
+def _corroborates(point, tan, g_now, vals_now) -> bool:
+    """Does the walking state belong to this critical point's branch?
+
+    Checked at the window edge: the total energy and every predicted
+    non-cluster energy must match the tangent extrapolation.  Points
+    from other eigenstates sharing the deflated branch fail this.
+    """
+    dg = g_now - point.g_c
+    e_pred = expected_restart_energy(tan, dg)
+    if abs(float(np.sum(vals_now.real)) - e_pred) > 1.0:
+        return False
+    return not any(np.min(np.abs(vals_now - z)) > 0.3
+                   for z in point.e_noncluster + tan.de_dg * dg)
+
+
 def sweep(problem: PairingProblem, branch, g_target: float,
           options: SweepOptions | None = None,
           critical_points: list[CriticalPoint] | None = None) -> SweepPath:
     """Continue the branch from weak coupling to g_target, crossing every
-    corroborated critical point via the tangent restart."""
+    corroborated critical point via the tangent restart.
+
+    The walk goes leg by leg through the registered points in order of
+    |g_c|, skipping a point beyond |g_target| + r_c or whose window
+    |g - g_c| < r_c is already behind it.  Each leg ends at the window
+    edge g_c - sign r_c (or at g_target if nearer), where the point is
+    crossed by the tangent restart to g_c + sign r_c, or passed when the
+    state does not corroborate it.  The last leg runs to g_target.
+    """
     if g_target == 0.0:
         raise ValueError("g_target must be nonzero")
     opts = options or SweepOptions()
@@ -198,123 +223,94 @@ def sweep(problem: PairingProblem, branch, g_target: float,
                 "registered " +
                 ", ".join(f"(k={p.k}, g_c={p.g_c:.6g})" for p in registered))
     r_c = opts.crossing_radius
-    # points still ahead, nearest g = 0 first; each is taken off the front
-    # once the walk crosses it, skips it or passes its window
-    queue = sorted((p for p in registered
-                    if abs(p.g_c) <= abs(g_target) + r_c),
-                   key=lambda p: abs(p.g_c))
 
     g_init = 1e-3 * problem.mean_level_spacing()
     g0 = direction * min(abs(g_init), abs(g_target) / 2.0)
     walker, origin, rn = Walker.weak_start(eta2, d, occ.counts, g0,
                                            min_step=STEP_MIN, name="sweep")
 
-    samples = [SweepSample(g0, PairEnergies(walker.e, origin, g0),
-                           float(np.sum(walker.e.real)), rn)]
+    def sample(residual_norm):
+        return SweepSample(walker.g, PairEnergies(walker.e, origin, walker.g),
+                           float(np.sum(walker.e.real)), residual_norm)
+
+    samples = [sample(rn)]
     crossings: list[CriticalPoint] = []
     step = opts.step_init
     slope_est = None
-    status = "completed"
 
-    def corroborate(point, tan, g_now, vals_now):
-        """Does the walking state belong to this critical point's branch?
-
-        Checked at the window edge: the total energy and every predicted
-        non-cluster energy must match the tangent extrapolation.  Points
-        from other eigenstates sharing the deflated branch fail this.
-        """
-        dg = g_now - point.g_c
-        e_pred = expected_restart_energy(tan, dg)
-        if abs(float(np.sum(vals_now.real)) - e_pred) > 1.0:
-            return False
-        nc_pred = point.e_noncluster + tan.de_dg * dg
-        for z in nc_pred:
-            if np.min(np.abs(vals_now - z)) > 0.3:
-                return False
-        return True
-
-    while abs(walker.g) < abs(g_target):
-        g = walker.g
-        while queue and abs(queue[0].g_c) + r_c <= abs(g):
-            queue.pop(0)
-        point = queue[0] if queue else None
-        if point is not None and abs(g) >= abs(point.g_c) - r_c - 1e-12:
-            # at or inside the approach window
-            queue.pop(0)
-            tan = solve_tangent(point, problem)
-            if corroborate(point, tan, g, walker.e):
-                jump_delta = direction * r_c
-                if abs(point.g_c + jump_delta) > abs(g_target):
-                    jump_delta = g_target - point.g_c
-                try:
-                    landed = restart_solve(tan, problem, jump_delta)
-                except ContinuationError as err:
-                    diagnostics.append(
-                        f"restart failed at g_c={point.g_c:.8g}: {err}")
-                    status = "truncated"
-                    break
-                crossings.append(point)
-                walker = Walker(eta2, d, point.g_c + jump_delta,
-                                landed.values, min_step=STEP_MIN, name="sweep")
-                origin = landed.origin
-                rjump = float(np.max(np.abs(
-                    kern.residuals(walker.e, walker.g, eta2, d))))
-                samples.append(SweepSample(
-                    walker.g, PairEnergies(walker.e, origin, walker.g),
-                    float(np.sum(walker.e.real)), rjump))
-                slope_est = None
-            else:
-                diagnostics.append(
-                    f"passed critical point of another branch at "
-                    f"g_c={point.g_c:.8g} (level {point.k})")
-            continue
-
-        g_to = g_target
-        if point is not None:
-            g_to = min(g_to, point.g_c - direction * r_c, key=abs)
-        try:
-            step, iters, rn = walker.step_toward(g_to, direction * step)
-        except ContinuationError as err:
-            # forming, unregistered collapse is the usual culprit
-            cands = collapse_candidates(walker.e, problem)
-            if cands:
+    def walk(g_to, reach):
+        """Step toward g_to until |g| >= reach, one sample per accepted
+        step; returns why the walk had to stop short, or None."""
+        nonlocal step, slope_est
+        while abs(walker.g) < reach:
+            g = walker.g
+            try:
+                step, iters, rn = walker.step_toward(g_to, direction * step)
+            except ContinuationError as err:
+                # forming, unregistered collapse is the usual culprit
+                cands = collapse_candidates(walker.e, problem)
+                if not cands:
+                    return f"Newton failed after max step reductions: {err}"
                 hint = ", ".join(f"level {k}" for k, _ in cands)
-                diagnostics.append(
-                    f"stalled at g={g:.8g} near a collapse with no "
-                    f"registered critical point ({hint}); run "
-                    f"scan_critical there and pass critical_points")
-            else:
-                diagnostics.append(
-                    f"Newton failed after max step reductions: {err}")
-            status = "truncated"
+                return (f"stalled at g={g:.8g} near a collapse with no "
+                        f"registered critical point ({hint}); run "
+                        f"scan_critical there and pass critical_points")
+            step = abs(step)
+
+            de = abs(float(np.sum(walker.e.real)) - samples[-1].energy)
+            dg = abs(walker.g - g)
+            if slope_est is not None and dg > 0 and \
+                    de > ENERGY_JUMP_FACTOR * slope_est * dg + 1e-9:
+                return (f"energy jump at g={walker.g:.8g}: |dE|={de:.3g} "
+                        f"exceeds 10x local trend; aborting to avoid "
+                        f"branch switch")
+            if dg > 0:
+                slope_est = de / dg if slope_est is None else \
+                    max(0.5 * (slope_est + de / dg), 1e-12)
+            samples.append(sample(rn))
+            if iters > HALVE_ABOVE_ITERS:
+                step = max(step * 0.5, STEP_MIN)
+            elif iters < DOUBLE_BELOW_ITERS:
+                step = min(step * 2.0, STEP_MAX)
+        return None
+
+    for point in sorted(registered, key=lambda p: abs(p.g_c)):
+        if abs(point.g_c) > abs(g_target) + r_c \
+                or abs(point.g_c) + r_c <= abs(walker.g):
+            continue
+        # within 1e-12 of the window edge counts as at it
+        stop = walk(min(g_target, point.g_c - direction * r_c, key=abs),
+                    min(abs(g_target), abs(point.g_c) - r_c - 1e-12))
+        if stop or abs(walker.g) >= abs(g_target):
             break
-        step = abs(step)
+        tan = solve_tangent(point, problem)
+        if not _corroborates(point, tan, walker.g, walker.e):
+            diagnostics.append(
+                f"passed critical point of another branch at "
+                f"g_c={point.g_c:.8g} (level {point.k})")
+            continue
+        jump_delta = direction * r_c
+        if abs(point.g_c + jump_delta) > abs(g_target):
+            jump_delta = g_target - point.g_c
+        try:
+            landed = restart_solve(tan, problem, jump_delta)
+        except ContinuationError as err:
+            stop = f"restart failed at g_c={point.g_c:.8g}: {err}"
+            break
+        crossings.append(point)
+        walker = Walker(eta2, d, point.g_c + jump_delta, landed.values,
+                        min_step=STEP_MIN, name="sweep")
+        origin = landed.origin
+        samples.append(sample(float(np.max(np.abs(
+            kern.residuals(walker.e, walker.g, eta2, d))))))
+        slope_est = None
+    else:
+        stop = walk(g_target, abs(g_target))
 
-        energy = float(np.sum(walker.e.real))
-        dg = abs(walker.g - g)
-        if slope_est is not None and dg > 0:
-            bound = ENERGY_JUMP_FACTOR * slope_est * dg + 1e-9
-            if abs(energy - samples[-1].energy) > bound:
-                diagnostics.append(
-                    f"energy jump at g={walker.g:.8g}: "
-                    f"|dE|={abs(energy - samples[-1].energy):.3g} exceeds "
-                    f"10x local trend; aborting to avoid branch switch")
-                status = "truncated"
-                break
-        if dg > 0:
-            new_slope = abs(energy - samples[-1].energy) / dg
-            slope_est = new_slope if slope_est is None else \
-                max(0.5 * (slope_est + new_slope), 1e-12)
-
-        samples.append(SweepSample(walker.g,
-                                   PairEnergies(walker.e, origin, walker.g),
-                                   energy, rn))
-        if iters > HALVE_ABOVE_ITERS:
-            step = max(step * 0.5, STEP_MIN)
-        elif iters < DOUBLE_BELOW_ITERS:
-            step = min(step * 2.0, STEP_MAX)
-
-    return SweepPath(samples, crossings, status, diagnostics)
+    if stop:
+        diagnostics.append(stop)
+    return SweepPath(samples, crossings,
+                     "truncated" if stop else "completed", diagnostics)
 
 
 # ---------------------------------------------------------------------------

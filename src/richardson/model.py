@@ -48,7 +48,7 @@ class Level:
         return (self.omega - self.nu) // 2
 
 
-def merge_levels(levels, tol=ENERGY_GROUP_TOL, warn=True):
+def merge_levels(levels, warn=True):
     """Sort levels by energy and merge duplicates (omega summed, nu summed).
 
     Returns a tuple of Level with strictly increasing eta.
@@ -57,7 +57,7 @@ def merge_levels(levels, tol=ENERGY_GROUP_TOL, warn=True):
     merged: list[Level] = []
     duplicates = 0
     for lv in ordered:
-        if merged and abs(lv.eta - merged[-1].eta) < tol:
+        if merged and abs(lv.eta - merged[-1].eta) < ENERGY_GROUP_TOL:
             prev = merged[-1]
             merged[-1] = Level(prev.eta, prev.omega + lv.omega, prev.nu + lv.nu)
             duplicates += 1

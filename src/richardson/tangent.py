@@ -9,9 +9,11 @@ with S_1 = S_1' dg + S_1'' dg^2/2 + ...  Divided by S_1, the cluster moment
 equations are smooth through g_c.  Their first derivative is the matrix B
 of the second-order cluster expansion: 2M_k rows whose first column holds
 the unknowns (dS_1/dg, de_b/dg) and whose other columns multiply S_1' a_p.
-The derivative system takes the determinant condition det(B) = 0, expanded
-along that first column (which eliminates the a_p), plus the derivative of
-the non-cluster equations.  The a_p then come back as B's null vector.
+Those other columns are the cluster matrix (`cluster.cluster_matrix`)
+extended to 2M_k rows, or to 3M_k rows one order up.  The derivative
+system takes the determinant condition det(B) = 0, expanded along that
+first column (which eliminates the a_p), plus the derivative of the
+non-cluster equations.  The a_p then come back as B's null vector.
 
 One order up the same elimination works on 3M_k rows (S_p/S_1 = O(dg^2) up
 to p = 3M_k): (S_1'', e_b'') enter exactly where (S_1', e_b') did, and the
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as kern
-from .cluster import invert_power_sums, pn_coefficients
+from .cluster import cluster_matrix, invert_power_sums, pn_coefficients
 from .critical import CriticalPoint, deflated_d_array, deflated_jacobian
 from .errors import ConsistencyError, DegenerateTangentError
 from .model import PairingProblem
@@ -69,26 +71,6 @@ class TangentData:
         object.__setattr__(self, "a", a)
 
 
-def _b_constant_columns(g_c, pvals, m_k, rows=None):
-    """Columns 2..n of the n-row matrix B (n = 2M_k unless given); column 1
-    holds the unknowns.
-
-    Row p: diagonal (1 + 4g P_0), subdiagonal -2g(M_k+1-p), upper entries
-    4g P_{j-p}.  Entries landing in column 1 are excluded (for p = 2 the
-    subdiagonal coefficient multiplies a_1 = 0 and never contributes).
-    """
-    n = 2 * m_k if rows is None else rows
-    b = np.zeros((n, n))
-    for p in range(1, n + 1):
-        if p >= 2:
-            b[p - 1, p - 1] = 1.0 + 4.0 * g_c * pvals[0]
-        if p >= 3:
-            b[p - 1, p - 2] = -2.0 * g_c * (m_k + 1 - p)
-        for j in range(p + 1, n + 1):
-            b[p - 1, j - 1] = 4.0 * g_c * pvals[j - p]
-    return b
-
-
 def _first_column_cofactors(b_const):
     n = b_const.shape[0]
     cof = np.empty(n)
@@ -113,7 +95,9 @@ def _expansion_terms(point, problem):
     """Every g-independent array of the expansion, built once at 3M_k rows.
 
     Returns inv = 1/(2 eta_k - e_b), P_0..P_{3M_k-1}, B's constant columns
-    and B's first column split by unknown,
+    (the cluster matrix at 3M_k rows with its first column, which holds the
+    unknowns, zeroed; for p = 2 the subdiagonal entry it drops multiplies
+    a_1 = 0) and B's first column split by unknown,
     B_{p,1} = -chi_p/g_c + q_p dS_1/dg + w_p . de/dg with
     q_p = -2 g_c sum_{i=1}^{p-2} chi_{p-i-1} chi_i and
     w_{p,b} = 4 g_c sum_{n=0}^{M_k-p} chi_{n+p} dP_n/de_b,
@@ -130,7 +114,9 @@ def _expansion_terms(point, problem):
     w = np.zeros((rows, inv.shape[0]), dtype=np.complex128)
     for p in range(1, m_k + 1):
         w[p - 1] = 4.0 * g_c * (chi[p:m_k + 1] @ dpn[:m_k - p + 1])
-    return inv, pn, _b_constant_columns(g_c, pn, m_k, rows), chi, q, w
+    b_const = cluster_matrix(g_c, pn, m_k, rows)
+    b_const[:, 0] = 0.0
+    return inv, pn, b_const, chi, q, w
 
 
 def _derivative_system(point, problem, terms, rows):
@@ -174,7 +160,7 @@ def assemble_derivative_system(point: CriticalPoint,
     return mat, rhs
 
 
-def _solve_checked(mat, rhs, point, rtol):
+def _solve_checked(mat, rhs, point):
     try:
         x = np.linalg.solve(mat, rhs)
     except np.linalg.LinAlgError as err:
@@ -182,10 +168,10 @@ def _solve_checked(mat, rhs, point, rtol):
             f"derivative system singular at g_c={point.g_c:.8g}") from err
     scale = float(np.max(np.abs(mat).sum(axis=1)) + np.max(np.abs(rhs)))
     resid = float(np.max(np.abs(mat @ x - rhs)))
-    if resid > rtol * scale:
+    if resid > TANGENT_RESIDUAL_TOL * scale:
         raise DegenerateTangentError(
             f"derivative system residual {resid:.2e} exceeds "
-            f"{rtol:.0e} x row norms")
+            f"{TANGENT_RESIDUAL_TOL:.0e} x row norms")
     return x
 
 
@@ -209,7 +195,7 @@ def _quadratic_coefficients(point, terms, ds1, de):
     return a
 
 
-def _second_derivative(point, problem, terms, ds1, de, a, rtol):
+def _second_derivative(point, problem, terms, ds1, de, a):
     """d^2 S_1/dg^2 from the derivative system cut at 3M_k rows.
 
     With u_p = S_p/S_1 (u_p' = S_1' a_p), cluster row p reads
@@ -254,21 +240,21 @@ def _second_derivative(point, problem, terms, ds1, de, a, rtol):
                 - 8.0 * g * ds1 * (pw @ du)
                 - 8.0 * g * ds1 * de * (inv[:, None] * pw @ ((nn + 1) * chi)))
         rhs[1:] = -r_nc
-    x = _solve_checked(mat, rhs, point, rtol)
+    x = _solve_checked(mat, rhs, point)
     return _real(x[0], "d2S_1/dg2")
 
 
-def solve_tangent(point: CriticalPoint, problem: PairingProblem,
-                  *, rtol=TANGENT_RESIDUAL_TOL) -> TangentData:
+def solve_tangent(point: CriticalPoint,
+                  problem: PairingProblem) -> TangentData:
     """Solve the derivative system and the one above it; asserts residuals
     and realness."""
     terms = _expansion_terms(point, problem)
     mat, rhs, _ = _derivative_system(point, problem, terms, 2 * point.m_k)
-    x = _solve_checked(mat, rhs, point, rtol)
+    x = _solve_checked(mat, rhs, point)
     ds1 = _real(x[0], "dS_1/dg")
     de = x[1:]
     a = _quadratic_coefficients(point, terms, ds1, de)
-    d2s1 = _second_derivative(point, problem, terms, ds1, de, a, rtol)
+    d2s1 = _second_derivative(point, problem, terms, ds1, de, a)
     return TangentData(ds1_dg=ds1, de_dg=de, point=point, d2s1_dg2=d2s1,
                        a=a)
 

@@ -285,6 +285,19 @@ def _write_records(tmp_path, text):
             "--out", str(tmp_path)]
 
 
+def _out_under_a_file(tmp_path, command):
+    """argv whose --out needs a directory where a plain file stands."""
+    prob_file = tmp_path / "n2.json"
+    prob_file.write_text(rs.save_problem(rs.build_lattice_model(2, 2)))
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    if command == "sweep":
+        return ["sweep", "--problem", str(prob_file), "--g-target", "-0.1",
+                "--out", str(afile)]
+    return ["critical", "--problem", str(prob_file), "--g-min", "-0.1",
+            "--g-max", "0", "--out", str(afile / "x.json")]
+
+
 @pytest.mark.parametrize("make_argv, name", [
     (lambda tmp: ["--config", str(tmp / "missing.json"), "lattice", "--n",
                   "2", "--pairs", "2"], "missing.json"),
@@ -294,10 +307,24 @@ def _write_records(tmp_path, text):
     (lambda tmp: _write_records(tmp, '[{"g_c": -0.25}]'), "toy_critical_"),
     (lambda tmp: ["sweep", "--problem", str(tmp), "--g-target", "-0.1"],
      "problem file"),
+    (lambda tmp: _out_under_a_file(tmp, "sweep"), "afile"),
+    (lambda tmp: _out_under_a_file(tmp, "critical"), "afile"),
 ], ids=["config-missing", "config-not-json", "config-not-object",
-        "records-not-list", "record-lacks-key", "problem-is-a-directory"])
+        "records-not-list", "record-lacks-key", "problem-is-a-directory",
+        "sweep-out-is-a-file", "critical-out-under-a-file"])
 def test_bad_input_file_is_one_error_line(tmp_path, capsys, make_argv, name):
     assert run_cli(make_argv(tmp_path)) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: ") and name in err[0]
+
+
+@pytest.mark.parametrize("command", ["sweep", "critical"])
+def test_output_location_is_checked_before_any_work(tmp_path, capsys,
+                                                    monkeypatch, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the output location was checked")
+
+    monkeypatch.setattr(continuation, "sweep", no_work)
+    monkeypatch.setattr(critical, "scan_critical", no_work)
+    assert run_cli(_out_under_a_file(tmp_path, command)) == 2

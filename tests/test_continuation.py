@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -201,3 +203,107 @@ def test_figure_data_propagates_programming_errors(monkeypatch, sweeps6,
     with pytest.raises(TypeError):
         continuation.sample_figure_data(sweeps6["pos"], lattice6,
                                         cluster_level=1)
+
+
+# ---------------------------------------------------------------------------
+# the crossing loop's rarely taken paths
+# ---------------------------------------------------------------------------
+
+def _toy_mm_point(toy_mm):
+    """The toy's one negative critical point, where all M = 4 energies
+    collapse at g_c = -1/4."""
+    pts = rs.scan_critical(toy_mm, 0, (-0.5, 0.0), rs.ground_occupation(toy_mm))
+    assert len(pts) == 1
+    return pts[0]
+
+
+def test_failed_restart_truncates_without_crossing(monkeypatch, toy_mm):
+    def failing(*args, **kwargs):
+        raise ContinuationError("no landing")
+
+    monkeypatch.setattr(continuation, "restart_solve", failing)
+    path = continuation.sweep(toy_mm, rs.ground_occupation(toy_mm), -0.5)
+    assert path.status == "truncated"
+    assert path.crossings == []
+    failed = [d for d in path.diagnostics if d.startswith("restart failed")]
+    assert failed == ["restart failed at g_c=-0.25: no landing"]
+
+
+def test_energy_jump_truncates(monkeypatch):
+    monkeypatch.setattr(continuation, "ENERGY_JUMP_FACTOR", 0.0)
+    p = rs.build_lattice_model(2, 2)
+    path = continuation.sweep(p, rs.ground_occupation(p), -0.4)
+    assert path.status == "truncated"
+    assert len(path.diagnostics) == 1
+    assert path.diagnostics[0].startswith("energy jump at g=")
+
+
+def test_stall_without_collapse_candidate(monkeypatch, toy_mm):
+    monkeypatch.setattr(continuation, "collapse_candidates",
+                        lambda values, problem: [])
+    path = continuation.sweep(toy_mm, rs.ground_occupation(toy_mm), -0.5,
+                              options=SweepOptions(auto_scan=False))
+    assert path.status == "truncated"
+    assert len(path.diagnostics) == 1
+    assert path.diagnostics[0].startswith(
+        "Newton failed after max step reductions: ")
+
+
+def test_point_registered_twice_is_crossed_once(toy_mm):
+    pt = _toy_mm_point(toy_mm)
+    occ = rs.ground_occupation(toy_mm)
+    opts = SweepOptions(auto_scan=False)
+    once = continuation.sweep(toy_mm, occ, -0.5, options=opts,
+                              critical_points=[pt])
+    twice = continuation.sweep(toy_mm, occ, -0.5, options=opts,
+                               critical_points=[pt, pt])
+    assert once.status == twice.status == "completed"
+    assert twice.crossings == [pt]
+    assert twice.diagnostics == once.diagnostics == []
+    assert len(twice.samples) == len(once.samples)
+    for a, b in zip(once.samples, twice.samples):
+        assert a.g == b.g and a.energy == b.energy
+        assert a.residual_norm == b.residual_norm
+        assert np.array_equal(a.energies.values, b.energies.values)
+
+
+def test_noncluster_mismatch_alone_passes_the_point():
+    # three levels, three pairs: the level-1 collapse at g_c = 0.434 keeps
+    # one real non-cluster energy, 6.61
+    p = rs.PairingProblem((rs.Level(0.0, 2), rs.Level(1.0, 2),
+                           rs.Level(3.0, 2)), 3)
+    occ = rs.ground_occupation(p)
+    pt = rs.scan_critical(p, 1, (0.0, 0.5), occ)[0]
+    assert pt.e_noncluster.shape == (1,) and pt.e_noncluster[0].imag == 0.0
+    opts = SweepOptions(auto_scan=False)
+    r_c = opts.crossing_radius
+    real = continuation.sweep(p, occ, 0.45, options=opts,
+                              critical_points=[pt])
+    assert real.crossings == [pt]
+
+    moved = dataclasses.replace(pt, e_noncluster=pt.e_noncluster + 0.5)
+    path = continuation.sweep(p, occ, 0.45, options=opts,
+                              critical_points=[moved])
+    assert path.crossings == []
+    assert path.diagnostics[0] == (
+        f"passed critical point of another branch at "
+        f"g_c={pt.g_c:.8g} (level 1)")
+    # the total energy alone would have corroborated the moved point
+    edge = [s for s in path.samples if s.g == pt.g_c - r_c]
+    assert len(edge) == 1
+    e_pred = continuation.expected_restart_energy(
+        rs.solve_tangent(moved, p), -r_c)
+    assert abs(edge[0].energy - e_pred) <= 1.0
+
+
+def test_restart_solve_failures_raise(monkeypatch, toy_mm):
+    tan = rs.solve_tangent(_toy_mm_point(toy_mm), toy_mm)
+    with pytest.raises(ContinuationError, match="nonzero delta_g"):
+        continuation.restart_solve(tan, toy_mm, 0.0)
+
+    def unconverged(e0, g, eta2, d, **kwargs):
+        return np.asarray(e0), False, 60, 1.0
+
+    monkeypatch.setattr(continuation, "newton_core", unconverged)
+    with pytest.raises(ContinuationError, match="restart at g=-0.245 failed"):
+        continuation.restart_solve(tan, toy_mm, 5e-3)

@@ -313,3 +313,33 @@ def test_critical_levels_need_an_integer_cluster_within_the_branch():
     # an explicit cluster size replaces 1 - 2 d_k on every occupied level
     assert critical_levels(p, (1, 0, 2), m_k=2) == [0, 2]
     assert critical_levels(p, (1, 1, 1), m_k=4) == []
+
+
+def _two_close_roots(walker, problem, k, m_k, g):
+    return (g - 1.005) * (g - 1.025)
+
+
+def _dip_brackets(problem, monkeypatch, det_at):
+    """_find_brackets on the grid (0, 1, 2), where the middle |det| of
+    (g - 1.005)(g - 1.025) dips below a tenth of its neighbours with no
+    sign change; `det_at` stands in for the fine re-walk."""
+    monkeypatch.setattr(critical, "_det_at", det_at)
+    gs = np.array([0.0, 1.0, 2.0])
+    dets = np.array([_two_close_roots(None, problem, 0, 3, g) for g in gs])
+    states = [np.array([1.0 + 0j])] * 3
+    return critical._find_brackets(problem, 0, 3, gs, dets, states)
+
+
+def test_det_dip_is_rewalked_into_two_brackets(toy_3lvl, monkeypatch):
+    brackets = _dip_brackets(toy_3lvl, monkeypatch, _two_close_roots)
+    assert [(a, b) for a, b, *_ in brackets] == [
+        pytest.approx((1.00, 1.01)), pytest.approx((1.02, 1.03))]
+    for _, _, det_a, det_b, _ in brackets:
+        assert det_a * det_b < 0
+
+
+def test_failed_dip_rewalk_yields_no_bracket(toy_3lvl, monkeypatch):
+    def walk_fails(walker, problem, k, m_k, g):
+        raise ContinuationError("walk fails")
+
+    assert _dip_brackets(toy_3lvl, monkeypatch, walk_fails) == []

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import richardson as rs
-from richardson.cluster import pn_coefficients
+from richardson.cluster import cluster_matrix, pn_coefficients
 from richardson.critical import CriticalPoint
-from richardson.tangent import _b_constant_columns, _first_column_cofactors
+from richardson.tangent import _first_column_cofactors
 
 from conftest import nearest_members
 
@@ -35,7 +35,7 @@ def test_tangent_residual_and_detB(lattice6, table3, tangents6):
     g_c, m_k = pt.g_c, pt.m_k
     eta2k = 2 * lattice6.levels[pt.k].eta
     pn = pn_coefficients(lattice6, pt.k, pt.e_noncluster, 2 * m_k - 1)
-    b = _b_constant_columns(g_c, pn.p, m_k)
+    b = cluster_matrix(g_c, pn, m_k, rows=2 * m_k)
     chi = np.zeros(2 * m_k + 1)
     chi[1:m_k + 1] = pt.chi
     pn_prime = np.array([
