@@ -224,9 +224,9 @@ def cmd_sweep(args):
         print(f"loaded {len(points)} critical point(s) from {rec_file}")
     prefix = output_dir(args.out or ".")
     opts = continuation.SweepOptions()
-    if args.step:
+    if args.step is not None:
         opts.step_init = args.step
-    if args.crossing_radius:
+    if args.crossing_radius is not None:
         opts.crossing_radius = args.crossing_radius
     path = continuation.sweep(problem, branch, args.g_target, options=opts,
                               critical_points=points)
@@ -239,11 +239,9 @@ def cmd_sweep(args):
         path, problem,
         cluster_level=(args.cluster_level - 1
                        if args.cluster_level is not None else None))
-    stride = max(1, args.stride)
-    atomic_write(prefix / f"{name}.csv",
-                 _csv(fig.header, fig.rows[::stride]))
-    print(f"wrote {prefix / (name + '.csv')} "
-          f"({len(fig.rows[::stride])} samples)")
+    rows = fig.rows[::args.stride]
+    atomic_write(prefix / f"{name}.csv", _csv(fig.header, rows))
+    print(f"wrote {prefix / (name + '.csv')} ({len(rows)} samples)")
     if fig.s_rows is not None:
         atomic_write(prefix / f"{name}_spower.csv",
                      _csv(fig.s_header, fig.s_rows))
@@ -296,6 +294,26 @@ def cmd_verify(args):
         print(f"note: {len(branches)} of {dim} oracle states covered; "
               f"raise --excitations for more")
     return 0
+
+
+# counts must be integers >= 1, lengths numbers > 0
+POSITIVE_OPTIONS = {"points": int, "grid": int, "stride": int,
+                    "step": float, "crossing_radius": float}
+
+
+def check_positive(args):
+    """Reject a non-positive count or length, from a flag or from --config
+    (argparse does not convert non-string set_defaults values)."""
+    for dest, kind in POSITIVE_OPTIONS.items():
+        val = getattr(args, dest, None)
+        if val is None:
+            continue
+        ok = isinstance(val, (int, kind)) and not isinstance(val, bool) \
+            and (val >= 1 if kind is int else val > 0)
+        if not ok:
+            want = "an integer >= 1" if kind is int else "a number > 0"
+            raise ValueError(f"--{dest.replace('_', '-')} must be {want}, "
+                             f"got {val!r}")
 
 
 def build_parser():
@@ -374,6 +392,7 @@ def main(argv=None):
                     f"{', '.join(unknown)}")
             parser.set_defaults(**defaults)
             args = ap.parse_args(argv)
+        check_positive(args)
         return args.func(args)
     except CapacityError as err:
         print(f"error: {err}", file=sys.stderr)

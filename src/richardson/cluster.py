@@ -40,7 +40,6 @@ class PnCoefficients:
     """P_0..P_nmax anchored at level k."""
 
     p: np.ndarray
-    k_ref: int
 
     def __post_init__(self):
         arr = np.array(self.p, dtype=float)
@@ -94,7 +93,7 @@ def pn_coefficients(problem: PairingProblem, k: int, e_noncluster,
     if bad > IMAG_TOL:
         raise ConsistencyError(
             f"P_n imaginary residue {bad:.3e} exceeds {IMAG_TOL}")
-    return PnCoefficients(vals.real, k_ref=k)
+    return PnCoefficients(vals.real)
 
 
 def power_sums_to_elementary(s: np.ndarray) -> np.ndarray:

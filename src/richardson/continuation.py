@@ -200,7 +200,9 @@ def sweep(problem: PairingProblem, branch, g_target: float,
     |g - g_c| < r_c is already behind it.  Each leg ends at the window
     edge g_c - sign r_c (or at g_target if nearer), where the point is
     crossed by the tangent restart to g_c + sign r_c, or passed when the
-    state does not corroborate it.  The last leg runs to g_target.
+    state does not corroborate it.  When g_target lies in a window short
+    of its g_c, the restart lands on g_target and the point is not listed
+    as crossed.  The last leg runs to g_target.
     """
     if g_target == 0.0:
         raise ValueError("g_target must be nonzero")
@@ -297,7 +299,8 @@ def sweep(problem: PairingProblem, branch, g_target: float,
         except ContinuationError as err:
             stop = f"restart failed at g_c={point.g_c:.8g}: {err}"
             break
-        crossings.append(point)
+        if abs(point.g_c) < abs(g_target):
+            crossings.append(point)
         walker = Walker(eta2, d, point.g_c + jump_delta, landed.values,
                         min_step=STEP_MIN, name="sweep")
         origin = landed.origin

@@ -6,18 +6,20 @@ non-cluster energies.  Near g_c the cluster obeys
     S_p = chi_p S_1 + a_p S_1^2 + O(S_1^3),   chi_p = 0 for p > M_k,
 
 with S_1 = S_1' dg + S_1'' dg^2/2 + ...  Divided by S_1, the cluster moment
-equations are smooth through g_c.  Their first derivative is the matrix B
-of the second-order cluster expansion: 2M_k rows whose first column holds
-the unknowns (dS_1/dg, de_b/dg) and whose other columns multiply S_1' a_p.
-Those other columns are the cluster matrix (`cluster.cluster_matrix`)
-extended to 2M_k rows, or to 3M_k rows one order up.  The derivative
-system takes the determinant condition det(B) = 0, expanded along that
-first column (which eliminates the a_p), plus the derivative of the
-non-cluster equations.  The a_p then come back as B's null vector.
+equations are smooth through g_c.  Their first derivative is B v = 0,
+with B the matrix of the second-order cluster expansion and v its null
+vector, v_1 = 1 and v_p = (S_p/S_1)' = S_1' a_p.  Only B's first column
+depends on the derivatives (dS_1/dg, de_b/dg); its other columns are the
+cluster matrix (`cluster.cluster_matrix`) extended to 3M_k rows.  So
+B v = 0 is linear in (dS_1/dg, de_b/dg, v_2..v_{3M_k}).  With the
+derivative of the non-cluster equations it forms one square bordered
+matrix of size M + 2M_k, and one solve gives the derivatives and every
+a_p.  The v_p with p > 2M_k vanish at this order (S_p/S_1 = O(dg^2)
+there).
 
-One order up the same elimination works on 3M_k rows (S_p/S_1 = O(dg^2) up
-to p = 3M_k): (S_1'', e_b'') enter exactly where (S_1', e_b') did, and the
-rest is a right-hand side built from the first-order solution.
+One order up, the second derivatives of the same unknowns enter exactly
+where the first derivatives did, and the rest is a right-hand side built
+from the first-order solution: the same matrix is solved again.
 
 The restart guess at g_c + dg takes the dg^2 Taylor polynomial of the
 cluster power sums,
@@ -71,15 +73,6 @@ class TangentData:
         object.__setattr__(self, "a", a)
 
 
-def _first_column_cofactors(b_const):
-    n = b_const.shape[0]
-    cof = np.empty(n)
-    for p in range(n):
-        minor = np.delete(b_const, p, axis=0)[:, 1:]
-        cof[p] = (-1.0) ** p * (np.linalg.det(minor) if minor.size else 1.0)
-    return cof
-
-
 def _conv(x, y, p):
     """sum_{i=1}^{p-2} x_i y_{p-1-i}, the quadratic term of cluster row p."""
     return sum(x[i] * y[p - 1 - i] for i in range(1, p - 1))
@@ -91,73 +84,56 @@ def _dpn_de(inv, n_max):
     return (n + 1) * inv[None, :] ** (n + 2)
 
 
-def _expansion_terms(point, problem):
-    """Every g-independent array of the expansion, built once at 3M_k rows.
+def _bordered_system(point, problem):
+    """The bordered matrix, its first-order rhs and the terms it reuses.
 
-    Returns inv = 1/(2 eta_k - e_b), P_0..P_{3M_k-1}, B's constant columns
-    (the cluster matrix at 3M_k rows with its first column, which holds the
-    unknowns, zeroed; for p = 2 the subdiagonal entry it drops multiplies
-    a_1 = 0) and B's first column split by unknown,
-    B_{p,1} = -chi_p/g_c + q_p dS_1/dg + w_p . de/dg with
+    Unknowns (dS_1/dg, de_b/dg, v_2..v_{3M_k}).  Cluster row p is
+    B_{p,1} + sum_{j>=2} L_{p,j} v_j = 0, with L the cluster matrix at
+    3M_k rows and B's first column
+    B_{p,1} = -chi_p/g_c + q_p dS_1/dg + w_p . de/dg, where
     q_p = -2 g_c sum_{i=1}^{p-2} chi_{p-i-1} chi_i and
-    w_{p,b} = 4 g_c sum_{n=0}^{M_k-p} chi_{n+p} dP_n/de_b,
-    as chi (padded to index 0..3M_k, zero past M_k), q and w.  Row p of
-    each depends on p alone, so the 2M_k-row system reads leading blocks.
+    w_{p,b} = 4 g_c sum_{n=0}^{M_k-p} chi_{n+p} dP_n/de_b; its constant
+    goes to the rhs.  Non-cluster row b is the derivative of the deflated
+    equations plus the cluster backreaction
+    -4g sum_n S_n/(2 eta_k - e_b)^(n+1) through dS_1/dg.
+    Returns (matrix, rhs, inv, pn, chi) with inv = 1/(2 eta_k - e_b),
+    pn = P_0..P_{3M_k-1} and chi padded to index 0..3M_k (zero past M_k).
     """
-    g_c, m_k, rows = point.g_c, point.m_k, 3 * point.m_k
-    inv = 1.0 / (problem.eta2_array()[point.k] - point.e_noncluster)
-    pn = pn_coefficients(problem, point.k, point.e_noncluster, rows - 1).p
-    chi = np.zeros(rows + 1)
-    chi[1:m_k + 1] = point.chi
-    q = np.array([-2.0 * g_c * _conv(chi, chi, p) for p in range(1, rows + 1)])
-    dpn = _dpn_de(inv, m_k)
-    w = np.zeros((rows, inv.shape[0]), dtype=np.complex128)
-    for p in range(1, m_k + 1):
-        w[p - 1] = 4.0 * g_c * (chi[p:m_k + 1] @ dpn[:m_k - p + 1])
-    b_const = cluster_matrix(g_c, pn, m_k, rows)
-    b_const[:, 0] = 0.0
-    return inv, pn, b_const, chi, q, w
-
-
-def _derivative_system(point, problem, terms, rows):
-    """(matrix, rhs, cofactors) of the derivative system with B cut at
-    `rows` rows; the cofactors are those of B's first column."""
-    g_c, k, m_k = point.g_c, point.k, point.m_k
+    g_c, k, m_k, rows = point.g_c, point.k, point.m_k, 3 * point.m_k
     e_nc = point.e_noncluster
     nb = e_nc.shape[0]
-    inv, _, b_const, chi, q, w = terms
-    cof = _first_column_cofactors(b_const[:rows, :rows])
+    inv = 1.0 / (problem.eta2_array()[k] - e_nc)
+    pn = pn_coefficients(problem, k, e_nc, rows - 1).p
+    chi = np.zeros(rows + 1)
+    chi[1:m_k + 1] = point.chi
+    dpn = _dpn_de(inv, m_k)
 
-    size = nb + 1
-    mat = np.zeros((size, size), dtype=np.complex128)
-    rhs = np.zeros(size, dtype=np.complex128)
-    # row 0: sum_p C_p B_{p,1} = 0
-    mat[0, 0] = cof @ q[:rows]
-    mat[0, 1:] = cof @ w[:rows]
-    rhs[0] = cof @ chi[1:rows + 1] / g_c
-
-    # rows 1..nb: derivative of the deflated equations plus the cluster
-    # backreaction -4g sum_n S_n/(2 eta_k - e_b)^(n+1) through dS_1/dg
+    mat = np.zeros((rows + nb, rows + nb), dtype=np.complex128)
+    rhs = np.full(rows + nb, 1.0 / g_c, dtype=np.complex128)
+    for p in range(1, rows + 1):
+        mat[p - 1, 0] = -2.0 * g_c * _conv(chi, chi, p)
+    for p in range(1, m_k + 1):
+        mat[p - 1, 1:nb + 1] = 4.0 * g_c * (chi[p:m_k + 1]
+                                            @ dpn[:m_k - p + 1])
+    mat[:rows, nb + 1:] = cluster_matrix(g_c, pn, m_k, rows)[:, 1:]
+    rhs[:rows] = chi[1:] / g_c
     if nb:
-        mat[1:, 1:] = deflated_jacobian(g_c, e_nc, problem, k, m_k)
-        mat[1:, 0] = -4.0 * g_c * (inv[:, None] ** np.arange(2, m_k + 2)
-                                   @ point.chi)
-        rhs[1:] = 1.0 / g_c
-    return mat, rhs, cof
+        mat[rows:, 0] = -4.0 * g_c * (inv[:, None] ** np.arange(2, m_k + 2)
+                                      @ point.chi)
+        mat[rows:, 1:nb + 1] = deflated_jacobian(g_c, e_nc, problem, k, m_k)
+    return mat, rhs, inv, pn, chi
 
 
 def assemble_derivative_system(point: CriticalPoint,
                                problem: PairingProblem):
-    """Linear system (matrix, rhs) in the unknowns (dS_1/dg, de_b/dg).
+    """Bordered linear system (matrix, rhs) in the unknowns
+    (dS_1/dg, de_b/dg, v_2..v_{3M_k}), v_p = S_1' a_p.
 
-    Square of size M - M_k + 1, complex; the non-cluster rows come in
-    conjugate pairs so the solution has real dS_1/dg and conjugate-closed
-    de_b/dg.
+    Square of size M + 2M_k, complex; the 3M_k cluster rows come first,
+    and the non-cluster rows come in conjugate pairs so the solution has
+    real dS_1/dg and v_p and conjugate-closed de_b/dg.
     """
-    mat, rhs, _ = _derivative_system(point, problem,
-                                     _expansion_terms(point, problem),
-                                     2 * point.m_k)
-    return mat, rhs
+    return _bordered_system(point, problem)[:2]
 
 
 def _solve_checked(mat, rhs, point):
@@ -182,33 +158,19 @@ def _real(z, name):
     return z.real
 
 
-def _quadratic_coefficients(point, terms, ds1, de):
-    """a_p, p = 1..2M_k, from B's null vector v (v_1 = 1, v_p = S_1' a_p)."""
-    rows = 2 * point.m_k
-    _, _, b_const, chi, q, w = terms
-    first = np.real(-chi[1:rows + 1] / point.g_c + q[:rows] * ds1
-                    + w[:rows] @ de)
-    v = np.linalg.lstsq(b_const[:rows, 1:rows], -first, rcond=None)[0]
-    a = np.zeros(rows)
-    if ds1 != 0.0:
-        a[1:] = v / ds1
-    return a
-
-
-def _second_derivative(point, problem, terms, ds1, de, a):
-    """d^2 S_1/dg^2 from the derivative system cut at 3M_k rows.
+def _second_derivative(point, problem, system, ds1, de, a):
+    """d^2 S_1/dg^2 from the bordered matrix with a second-order rhs.
 
     With u_p = S_p/S_1 (u_p' = S_1' a_p), cluster row p reads
     L(g, P) u - 2g S_1 sum_i u_i u_{p-1-i} = 0.  Its second derivative
-    at g_c is the first-order row with (S_1'', e'') in place of
-    (S_1', e') plus r_p below; the non-cluster rows likewise gain r_b.
+    at g_c is the first-order row with (S_1'', e'', u'') in place of
+    (S_1', e', u') plus r_p below; the non-cluster rows likewise gain r_b.
     """
     g, k, m_k = point.g_c, point.k, point.m_k
     rows = 3 * m_k
-    mat, _, cof = _derivative_system(point, problem, terms, rows)
+    mat, _, inv, pn, chi = system
     e = point.e_noncluster
     eta2 = problem.eta2_array()
-    inv, pn, _, chi, _, _ = terms
     dpn = _dpn_de(inv, rows - 1)
     n = np.arange(rows)[:, None]
     d1p = (dpn @ de).real                                   # dP_n/dg
@@ -217,16 +179,14 @@ def _second_derivative(point, problem, terms, ds1, de, a):
     du[1:2 * m_k + 1] = ds1 * a
 
     # 2 L' u' + L'' u (without e'') - 2 [g S_1 Q(u)]'' (without S_1'')
-    r = np.empty(rows)
+    rhs = np.empty(mat.shape[0], dtype=np.complex128)
     for p in range(1, rows + 1):
         span = rows - p + 1
-        r[p - 1] = ((8.0 * pn + 8.0 * g * d1p)[:span] @ du[p:]
-                    + (8.0 * d1p + 4.0 * g * d2p)[:span] @ chi[p:]
-                    - 4.0 * (m_k + 1 - p) * du[p - 1]
-                    - 4.0 * ds1 * _conv(chi, chi, p)
-                    - 8.0 * g * ds1 * _conv(chi, du, p))
-    rhs = np.empty(mat.shape[0], dtype=np.complex128)
-    rhs[0] = -(cof @ r)
+        rhs[p - 1] = -((8.0 * pn + 8.0 * g * d1p)[:span] @ du[p:]
+                       + (8.0 * d1p + 4.0 * g * d2p)[:span] @ chi[p:]
+                       - 4.0 * (m_k + 1 - p) * du[p - 1]
+                       - 4.0 * ds1 * _conv(chi, chi, p)
+                       - 8.0 * g * ds1 * _conv(chi, du, p))
     if e.size:
         # deflated rows: 2 J e'/g + g d^2H[e', e'], H = (residual - 1)/g
         lvl = deflated_d_array(problem, k, m_k) / (eta2 - e[:, None]) ** 3
@@ -235,26 +195,28 @@ def _second_derivative(point, problem, terms, ds1, de, a):
         # backreaction -4g sum_n S_n/(2 eta_k - e_b)^(n+1) with S_n = S_1 u_n
         pw = inv[:, None] ** np.arange(1, rows + 2)
         nn = np.arange(rows + 1)
-        r_nc = (2.0 * mat[1:, 1:] @ de / g + hess
+        r_nc = (2.0 * mat[rows:, 1:e.size + 1] @ de / g + hess
                 - 8.0 * ds1 * (pw @ chi)
                 - 8.0 * g * ds1 * (pw @ du)
                 - 8.0 * g * ds1 * de * (inv[:, None] * pw @ ((nn + 1) * chi)))
-        rhs[1:] = -r_nc
+        rhs[rows:] = -r_nc
     x = _solve_checked(mat, rhs, point)
     return _real(x[0], "d2S_1/dg2")
 
 
 def solve_tangent(point: CriticalPoint,
                   problem: PairingProblem) -> TangentData:
-    """Solve the derivative system and the one above it; asserts residuals
-    and realness."""
-    terms = _expansion_terms(point, problem)
-    mat, rhs, _ = _derivative_system(point, problem, terms, 2 * point.m_k)
-    x = _solve_checked(mat, rhs, point)
+    """Solve the bordered system at first and second order; asserts
+    residuals and realness."""
+    system = _bordered_system(point, problem)
+    x = _solve_checked(system[0], system[1], point)
     ds1 = _real(x[0], "dS_1/dg")
-    de = x[1:]
-    a = _quadratic_coefficients(point, terms, ds1, de)
-    d2s1 = _second_derivative(point, problem, terms, ds1, de, a)
+    nb = point.e_noncluster.shape[0]
+    de = x[1:nb + 1]
+    a = np.zeros(2 * point.m_k)
+    if ds1 != 0.0:
+        a[1:] = x[nb + 1:nb + 2 * point.m_k].real / ds1
+    d2s1 = _second_derivative(point, problem, system, ds1, de, a)
     return TangentData(ds1_dg=ds1, de_dg=de, point=point, d2s1_dg2=d2s1,
                        a=a)
 

@@ -23,13 +23,12 @@ import time
 from contextlib import redirect_stdout
 
 import numpy as np
-import pytest
 
 import richardson as rs
 from richardson import cli, continuation, oracle
 from richardson.solver import restart_step_cap
 
-from conftest import TABLE3_SCANS, nearest_members
+from conftest import nearest_members
 
 # (side, 0-based level) -> published coupling; None means "no root"
 TABLE3_VALUES = {

@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 import richardson as rs
@@ -328,3 +327,38 @@ def test_output_location_is_checked_before_any_work(tmp_path, capsys,
     monkeypatch.setattr(continuation, "sweep", no_work)
     monkeypatch.setattr(critical, "scan_critical", no_work)
     assert run_cli(_out_under_a_file(tmp_path, command)) == 2
+
+
+@pytest.mark.parametrize("options, config, name", [
+    (["verify", "--points", "0"], None, "--points"),
+    (["critical", "--g-min", "-0.1", "--g-max", "0", "--grid", "0"], None,
+     "--grid"),
+    (["sweep", "--g-target", "-0.1", "--step", "-0.001"], None, "--step"),
+    (["sweep", "--g-target", "-0.1", "--crossing-radius", "-0.005"], None,
+     "--crossing-radius"),
+    (["sweep", "--g-target", "-0.1", "--stride", "0"], None, "--stride"),
+    (["sweep", "--g-target", "-0.1"], {"stride": 0}, "--stride"),
+    (["sweep", "--g-target", "-0.1"], {"step": 0}, "--step"),
+    (["verify"], {"points": -3}, "--points"),
+    (["verify"], {"points": 2.5}, "--points"),
+], ids=["points", "grid", "step", "crossing-radius", "stride",
+        "config-stride", "config-step", "config-points", "config-float-count"])
+def test_non_positive_option_is_rejected_before_any_work(
+        tmp_path, capsys, monkeypatch, options, config, name):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the options were checked")
+
+    for mod, attr in ((continuation, "sweep"), (critical, "scan_critical"),
+                      (rs.oracle, "checked_dimension")):
+        monkeypatch.setattr(mod, attr, no_work)
+    prob_file = tmp_path / "n2.json"
+    prob_file.write_text(rs.save_problem(rs.build_lattice_model(2, 2)))
+    argv = options[:1] + ["--problem", str(prob_file)] + options[1:]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["--config", str(cfg)] + argv
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and name in err[0]

@@ -74,6 +74,22 @@ def test_sweep_small_instance_matches_oracle():
             assert np.min(np.abs(spec - path.samples[-1].energy)) < 1e-8
 
 
+def test_point_beyond_target_is_not_crossed():
+    # g_c = -0.403709 lies inside the window of g_target = -0.4: the restart
+    # from g_c lands on g_target, short of the point, so nothing is crossed
+    p = rs.PairingProblem((rs.Level(0.0, 2), rs.Level(1.0, 2),
+                           rs.Level(2.5, 2)), 2)
+    occ = rs.ground_occupation(p)
+    short = continuation.sweep(p, occ, -0.4)
+    assert short.status == "completed" and short.crossings == []
+    assert short.samples[-1].g == -0.4
+    exact = oracle.exact_spectrum(p.with_g(-0.4)).min()
+    assert abs(short.samples[-1].energy - exact) <= 1e-10
+    beyond = continuation.sweep(p, occ, -0.45)
+    assert [c.g_c for c in beyond.crossings] == [
+        pytest.approx(-0.403709, abs=1e-6)]
+
+
 def test_unregistered_collapse_truncates_with_hint(lattice6, ground6):
     opts = SweepOptions(auto_scan=False)
     path = continuation.sweep(lattice6, ground6, 0.2, options=opts)

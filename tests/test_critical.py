@@ -7,8 +7,7 @@ import pytest
 import richardson as rs
 from richardson import continuation, critical, oracle
 from richardson.cluster import cluster_matrix, pn_coefficients
-from richardson.critical import (TruncatedScanWarning, critical_levels,
-                                 deflated_jacobian)
+from richardson.critical import TruncatedScanWarning, critical_levels
 from richardson.errors import ContinuationError, UnresolvedRootError
 from richardson.solver import newton_core
 

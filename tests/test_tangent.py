@@ -4,7 +4,6 @@ import pytest
 import richardson as rs
 from richardson.cluster import cluster_matrix, pn_coefficients
 from richardson.critical import CriticalPoint
-from richardson.tangent import _first_column_cofactors
 
 from conftest import nearest_members
 
@@ -12,19 +11,30 @@ from conftest import nearest_members
 def test_system_size_counts(toy_3lvl, lattice6, table3):
     pt = rs.scan_critical(toy_3lvl, 0, (-0.6, 0.0))[0]
     mat, rhs = rs.assemble_derivative_system(pt, toy_3lvl)
-    assert mat.shape == (toy_3lvl.m_pairs - pt.m_k + 1,) * 2
+    assert mat.shape == (toy_3lvl.m_pairs + 2 * pt.m_k,) * 2
     pt6 = table3["points"][("neg", 3)]
     mat6, _ = rs.assemble_derivative_system(pt6, lattice6)
-    assert mat6.shape == (18 - 5 + 1, 18 - 5 + 1)
+    assert mat6.shape == (18 + 2 * 5, 18 + 2 * 5)
 
 
-def test_all_collapse_gives_1x1_system(toy_mm):
+def test_all_collapse_gives_cluster_only_system(toy_mm):
     pt = rs.scan_critical(toy_mm, 0, (-0.6, 0.0))[0]
     mat, rhs = rs.assemble_derivative_system(pt, toy_mm)
-    assert mat.shape == (1, 1)
+    assert mat.shape == (3 * pt.m_k, 3 * pt.m_k) == (12, 12)
     tan = rs.solve_tangent(pt, toy_mm)
     assert np.isfinite(tan.ds1_dg)
     assert tan.de_dg.shape == (0,)
+
+
+def test_first_order_tail_vanishes(lattice6, table3, tangents6):
+    # S_p/S_1 = O(dg^2) for p > 2M_k, so the first-order unknowns
+    # v_p = S_1' a_p vanish there and one matrix serves both orders
+    for key in tangents6:
+        pt = table3["points"][key]
+        mat, rhs = rs.assemble_derivative_system(pt, lattice6)
+        v = np.linalg.solve(mat, rhs)[len(pt.e_noncluster) + 1:]
+        tail = v[2 * pt.m_k - 1:]
+        assert np.max(np.abs(tail)) <= 1e-10 * np.max(np.abs(v)), key
 
 
 def test_tangent_residual_and_detB(lattice6, table3, tangents6):
