@@ -12,7 +12,7 @@ from .cluster import (PnCoefficients, PowerSums, chi_ratios, cluster_matrix,
 from .continuation import (SweepOptions, SweepPath, SweepSample,
                            restart_solve, sample_figure_data, sweep)
 from .critical import (CriticalPoint, critical_residuals, deflated_occupation,
-                       deflated_residuals, scan_critical, solve_critical)
+                       deflated_residuals, scan_critical)
 from .model import (Level, OccupationMap, PairingProblem, build_lattice_model,
                     excited_occupations, ground_occupation, load_problem,
                     merge_levels, save_problem)
@@ -32,7 +32,7 @@ __all__ = [
     "cluster_matrix", "default_cluster_size", "detect_cluster",
     "invert_power_sums", "pn_coefficients", "power_sums",
     "CriticalPoint", "critical_residuals", "deflated_occupation",
-    "deflated_residuals", "scan_critical", "solve_critical",
+    "deflated_residuals", "scan_critical",
     "TangentData", "assemble_derivative_system", "linear_guess",
     "solve_tangent",
     "SweepOptions", "SweepPath", "SweepSample", "restart_solve",

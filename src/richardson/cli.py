@@ -29,7 +29,6 @@ from .errors import (CapacityError, OracleDimensionError, ProblemFormatError,
                      RichardsonError)
 
 EXIT_USAGE = 2
-EXIT_CAPACITY = 2
 EXIT_TRUNCATED = 4
 EXIT_GUARD = 5
 
@@ -201,10 +200,10 @@ def cmd_critical(args):
     return 0
 
 
-def _csv(header, rows, digits=12):
+def _csv(header, rows):
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(f"{v:.{digits}g}" for v in row))
+        lines.append(",".join(f"{v:.12g}" for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -293,31 +292,35 @@ def cmd_verify(args):
     if len(branches) < dim:
         print(f"note: {len(branches)} of {dim} oracle states covered; "
               f"raise --excitations for more")
-    return 0
+    # a skipped or truncated sample is not a checked one
+    return EXIT_TRUNCATED if checked < len(branches) * len(grid) else 0
 
 
-# counts must be integers >= 1, lengths numbers > 0
-POSITIVE_OPTIONS = {"points": int, "grid": int, "stride": int,
-                    "step": float, "crossing_radius": float}
+def _positive(kind):
+    """argparse type for a count (int, >= 1) or a length (float, > 0)."""
+    want = "an integer >= 1" if kind is int else "a number > 0"
+
+    def convert(text):
+        try:
+            val = kind(text)
+        except ValueError:
+            val = 0
+        if not val > 0:
+            raise argparse.ArgumentTypeError(f"must be {want}, got {text!r}")
+        return val
+    return convert
 
 
-def check_positive(args):
-    """Reject a non-positive count or length, from a flag or from --config
-    (argparse does not convert non-string set_defaults values)."""
-    for dest, kind in POSITIVE_OPTIONS.items():
-        val = getattr(args, dest, None)
-        if val is None:
-            continue
-        ok = isinstance(val, (int, kind)) and not isinstance(val, bool) \
-            and (val >= 1 if kind is int else val > 0)
-        if not ok:
-            want = "an integer >= 1" if kind is int else "a number > 0"
-            raise ValueError(f"--{dest.replace('_', '-')} must be {want}, "
-                             f"got {val!r}")
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag or config value as one ProblemFormatError line
+    instead of a usage block and SystemExit."""
+
+    def error(self, message):
+        raise ProblemFormatError(message)
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="richardson",
         description="Richardson pairing equations: critical couplings, "
                     "exact solutions at g_c, continuation through them")
@@ -343,7 +346,7 @@ def build_parser():
                    help="'ground' or comma-separated occupation counts")
     p.add_argument("--mk", type=int, default=None,
                    help="override the cluster size M_k")
-    p.add_argument("--grid", type=int, default=None,
+    p.add_argument("--grid", type=_positive(int), default=None,
                    help="scan grid points")
     p.add_argument("--out", help="critical-point record file")
     p.set_defaults(func=cmd_critical)
@@ -355,9 +358,9 @@ def build_parser():
     p.add_argument("--out", help="output directory (default .)")
     p.add_argument("--cluster-level", type=int, default=None,
                    help="1-based level for the S_p table")
-    p.add_argument("--step", type=float, default=None)
-    p.add_argument("--crossing-radius", type=float, default=None)
-    p.add_argument("--stride", type=int, default=1,
+    p.add_argument("--step", type=_positive(float), default=None)
+    p.add_argument("--crossing-radius", type=_positive(float), default=None)
+    p.add_argument("--stride", type=_positive(int), default=1,
                    help="keep every n-th sample in the CSV")
     p.set_defaults(func=cmd_sweep)
 
@@ -366,7 +369,7 @@ def build_parser():
     p.add_argument("--problem", required=True)
     p.add_argument("--g-min", type=float, default=-0.2)
     p.add_argument("--g-max", type=float, default=0.2)
-    p.add_argument("--points", type=int, default=11)
+    p.add_argument("--points", type=_positive(int), default=11)
     p.add_argument("--excitations", type=int, default=1)
     p.set_defaults(func=cmd_verify)
     return ap
@@ -374,33 +377,33 @@ def build_parser():
 
 def main(argv=None):
     ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = ap.parse_args(argv)
         if args.config:
-            # config values become the subcommand's defaults; flags win
+            # config values become the subcommand's string defaults, which
+            # argparse converts and checks like flags; flags win, and a
+            # null keeps the option's own default
             sub = next(a for a in ap._actions
                        if isinstance(a, argparse._SubParsersAction))
             parser = sub.choices[args.command]
             options = {a.dest for a in parser._actions
                        if a.option_strings and a.dest != "help"}
-            defaults = {key.replace("-", "_"): val for key, val
-                        in _load_json(args.config, dict).items()}
-            unknown = sorted(set(defaults) - options)
+            config = {key.replace("-", "_"): val for key, val
+                      in _load_json(args.config, dict).items()}
+            unknown = sorted(set(config) - options)
             if unknown:
                 raise ProblemFormatError(
                     f"{args.config}: not an option of '{args.command}': "
                     f"{', '.join(unknown)}")
-            parser.set_defaults(**defaults)
+            parser.set_defaults(**{
+                key: val if isinstance(val, str) else json.dumps(val)
+                for key, val in config.items() if val is not None})
             args = ap.parse_args(argv)
-        check_positive(args)
         return args.func(args)
-    except CapacityError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CAPACITY
     except OracleDimensionError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_GUARD
-    except (ProblemFormatError, ValueError) as err:
+    except (CapacityError, ProblemFormatError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except RichardsonError as err:      # a branch that could not be continued

@@ -204,18 +204,12 @@ def scaled_determinant(mat: np.ndarray) -> float:
     return float(sign * np.exp(logabs - np.log(norms).sum()))
 
 
-def detect_cluster(values, problem: PairingProblem, k: int,
-                   radius=None) -> np.ndarray:
-    """Indices of energies within the membership radius of 2 eta_k.
-
-    The radius is 0.25 x the nearest-level gap in 2*eta, capped by the
-    user radius when given.
-    """
+def detect_cluster(values, problem: PairingProblem, k: int) -> np.ndarray:
+    """Indices of energies within the membership radius of 2 eta_k, which
+    is 0.25 x the nearest-level gap in 2*eta."""
     eta2 = problem.eta2_array()
     gaps = np.abs(eta2 - eta2[k])
     gaps[k] = np.inf
     r = 0.25 * gaps.min()
-    if radius is not None:
-        r = min(r, radius)
     vals = np.asarray(values)
     return np.nonzero(np.abs(vals - eta2[k]) < r)[0]

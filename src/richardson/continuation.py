@@ -67,10 +67,6 @@ class SweepPath:
     def g_values(self):
         return np.array([s.g for s in self.samples])
 
-    @property
-    def energies(self):
-        return np.array([s.energy for s in self.samples])
-
 
 # ---------------------------------------------------------------------------
 # collapse detection
@@ -144,7 +140,7 @@ def restart_solve(tangent: TangentData, problem: PairingProblem,
     for div, max_iter in ((1.0, 40), (8.0, 60), (32.0, 60), (128.0, 60),
                           (512.0, 60)):
         frac = delta_g / div
-        guess = linear_guess(tangent, frac, max_delta=abs(delta_g))
+        guess = linear_guess(tangent, frac)
         vals, ok, _, rn = newton_core(guess.values, point.g_c + frac, eta2,
                                       d, max_iter=max_iter, step_cap=cap)
         e_exp = expected_restart_energy(tangent, frac)

@@ -193,8 +193,8 @@ def _validate_point(point, problem):
 
 
 def scan_critical(problem: PairingProblem, k: int, g_range, branch=None, *,
-                  m_k=None, grid_points=None, deflated_occ=None,
-                  strict=False) -> list[CriticalPoint]:
+                  m_k=None, grid_points=None,
+                  deflated_occ=None) -> list[CriticalPoint]:
     """All critical couplings for level k with g in (g_lo, g_hi).
 
     Walks the deflated branch over a uniform grid, brackets every sign
@@ -203,16 +203,18 @@ def scan_critical(problem: PairingProblem, k: int, g_range, branch=None, *,
     sharply without a sign change are re-walked at 100x density to catch
     close root pairs.  Branch continuation failure truncates the scan with
     a TruncatedScanWarning; a bracket that does not hold a validated root
-    is skipped with one (strict=True raises UnresolvedRootError instead).
+    is skipped with one.  There is no strict mode: a warnings filter such
+    as ``warnings.simplefilter("error", TruncatedScanWarning)`` turns every
+    skip and truncation into an error.
     """
     g_lo, g_hi = sorted(g_range)
     if g_lo < 0 < g_hi:
         lower = scan_critical(problem, k, (g_lo, 0.0), branch, m_k=m_k,
                               grid_points=grid_points,
-                              deflated_occ=deflated_occ, strict=strict)
+                              deflated_occ=deflated_occ)
         upper = scan_critical(problem, k, (0.0, g_hi), branch, m_k=m_k,
                               grid_points=grid_points,
-                              deflated_occ=deflated_occ, strict=strict)
+                              deflated_occ=deflated_occ)
         return sorted(lower + upper, key=lambda p: p.g_c)
 
     direction = 1 if g_hi > 0 else -1
@@ -262,11 +264,9 @@ def scan_critical(problem: PairingProblem, k: int, g_range, branch=None, *,
         except RichardsonError as err:
             # a deflated branch hopping at one of its own collapses can
             # flip the determinant sign with no zero in between
-            msg = (f"root in ({g_a:.8g}, {g_b:.8g}) for level {k} could "
-                   f"not be resolved: {err}")
-            if strict:
-                raise UnresolvedRootError(msg) from err
-            warnings.warn(f"skipping spurious bracket: {msg}",
+            warnings.warn(f"skipping spurious bracket: root in "
+                          f"({g_a:.8g}, {g_b:.8g}) for level {k} could not "
+                          f"be resolved: {err}",
                           TruncatedScanWarning, stacklevel=2)
     points.sort(key=lambda p: p.g_c)
     return points
@@ -338,14 +338,3 @@ def _resolve_bracket(problem, k, m_k, g_a, g_b, det_a, det_b, e_a,
                          branch_occ, deflated_occ, origin)
     return _validate_point(point, problem)
 
-
-def solve_critical(problem: PairingProblem, k: int, bracket, branch=None, *,
-                   m_k=None, deflated_occ=None,
-                   grid_points=None) -> CriticalPoint | None:
-    """First critical point (nearest g=0) in the bracket, or None."""
-    points = scan_critical(problem, k, bracket, branch, m_k=m_k,
-                           deflated_occ=deflated_occ,
-                           grid_points=grid_points, strict=True)
-    if not points:
-        return None
-    return min(points, key=lambda p: abs(p.g_c))

@@ -44,10 +44,10 @@ class DegenerateTangentError(RichardsonError):
 class UnresolvedRootError(RichardsonError):
     """A bracketed determinant sign change holds no validated root.
 
-    Raised when false position along the deflated branch ends with the
-    critical residuals above tolerance (a sign change with no zero, as
-    when the branch hops at one of its own collapses), or when the branch
-    cannot be continued inside the bracket.
+    Raised inside `critical.scan_critical` when false position along the
+    deflated branch ends with the critical residuals above tolerance (a
+    sign change with no zero, as when the branch hops at one of its own
+    collapses); the scan turns it into a skipped bracket.
     """
 
 

@@ -140,8 +140,7 @@ class OccupationMap:
     def total(self) -> int:
         return sum(self.counts)
 
-    def validate_for(self, problem: PairingProblem, pairs=None):
-        pairs = problem.m_pairs if pairs is None else pairs
+    def validate_for(self, problem: PairingProblem):
         if len(self.counts) != problem.n_levels:
             raise ValueError(
                 f"occupation has {len(self.counts)} entries for "
@@ -150,9 +149,9 @@ class OccupationMap:
             if c > lv.pair_capacity:
                 raise CapacityError(
                     f"counts[{j}]={c} exceeds level capacity {lv.pair_capacity}")
-        if self.total != pairs:
-            raise ValueError(
-                f"occupation sums to {self.total}, expected {pairs}")
+        if self.total != problem.m_pairs:
+            raise ValueError(f"occupation sums to {self.total}, "
+                             f"expected {problem.m_pairs}")
         return self
 
 
@@ -175,8 +174,7 @@ def lattice_energies(n: int) -> list[float]:
             for ca, cb in itertools.product(cosines, cosines)]
 
 
-def build_lattice_model(n: int, filling: int, g: float = 0.0,
-                        label: str = "") -> PairingProblem:
+def build_lattice_model(n: int, filling: int) -> PairingProblem:
     """Pairing model on an n x n periodic square lattice with M=filling pairs.
 
     Each momentum contributes one time-reversed pair state; level
@@ -187,9 +185,9 @@ def build_lattice_model(n: int, filling: int, g: float = 0.0,
         raise ValueError("lattice size n must be >= 2")
     levels = merge_levels([Level(eta=e, omega=2) for e in lattice_energies(n)],
                           warn=False)
-    if not label:
-        label = f"lattice{n}x{n}_M{filling}"
-    return PairingProblem(levels, m_pairs=filling, g=g, label=label)
+    # the label names the sweep CSVs
+    return PairingProblem(levels, m_pairs=filling,
+                          label=f"lattice{n}x{n}_M{filling}")
 
 
 # ---------------------------------------------------------------------------

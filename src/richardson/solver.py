@@ -121,7 +121,7 @@ def symmetrize_conjugate(values):
 
 
 def newton_core(e0, g, eta2, d, *, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
-                max_halvings=NEWTON_MAX_HALVINGS, step_cap=None):
+                step_cap=None):
     """Damped Newton on the array-level system; returns (values, converged,
     iterations, residual_norm).  Never raises on non-convergence.
 
@@ -157,7 +157,7 @@ def newton_core(e0, g, eta2, d, *, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
                 sn = float(np.max(np.abs(step)))
                 if sn > step_cap:
                     lam = step_cap / sn
-            for _ in range(max_halvings + 1):
+            for _ in range(NEWTON_MAX_HALVINGS + 1):
                 trial = symmetrize_conjugate(e + lam * step)
                 rt = kern.residuals(trial, g, eta2, d)
                 rtn = float(np.max(np.abs(rt)))
@@ -272,7 +272,6 @@ def jacobian(e: PairEnergies, problem: PairingProblem) -> np.ndarray:
 
 def newton_solve(initial: PairEnergies, problem: PairingProblem, *,
                  tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
-                 max_halvings=NEWTON_MAX_HALVINGS,
                  step_cap=None) -> SolveReport:
     """Solve the Richardson equations at problem.g starting from `initial`.
 
@@ -282,8 +281,7 @@ def newton_solve(initial: PairEnergies, problem: PairingProblem, *,
     """
     vals, ok, iters, rn = newton_core(
         initial.values, problem.g, problem.eta2_array(), problem.d_array(),
-        tol=tol, max_iter=max_iter, max_halvings=max_halvings,
-        step_cap=step_cap)
+        tol=tol, max_iter=max_iter, step_cap=step_cap)
     return SolveReport(ok, iters, rn,
                        PairEnergies(vals, initial.origin, problem.g))
 
@@ -332,19 +330,17 @@ def _single_level_roots(d: float, m: int) -> tuple[complex, ...]:
     return tuple(x)
 
 
-def init_weak_coupling(problem: PairingProblem, occupation, g_small: float, *,
-                       g_max=None) -> PairEnergies:
+def init_weak_coupling(problem: PairingProblem, occupation,
+                       g_small: float) -> PairEnergies:
     """Weak-coupling seed: m pair energies near 2 eta_j for each occupied level.
 
     Each level's energies come from the reduced single-level system solved
     by Newton from a small conjugate-symmetric circle around 2 eta_j.
     """
     occ = as_occupation(occupation).validate_for(problem)
-    if g_max is None:
-        g_max = 1e-3 * problem.mean_level_spacing()
+    g_max = 1e-3 * problem.mean_level_spacing()
     if not 0.0 < abs(g_small) <= g_max:
-        raise ValueError(
-            f"g_small={g_small} outside (0, {g_max:.3g}]; pass g_max to override")
+        raise ValueError(f"g_small={g_small} outside (0, {g_max:.3g}]")
     return PairEnergies(*_weak_seed_arrays(problem.eta2_array(),
                                            problem.d_array(), occ.counts,
                                            g_small),

@@ -221,12 +221,7 @@ def solve_tangent(point: CriticalPoint,
                        a=a)
 
 
-def default_guess_radius(g_c: float) -> float:
-    return max(1e-2 * abs(g_c), 1e-3)
-
-
-def linear_guess(tangent: TangentData, delta_g: float, *,
-                 max_delta=None) -> PairEnergies:
+def linear_guess(tangent: TangentData, delta_g: float) -> PairEnergies:
     """Restart guess for the full equations at g = g_c + delta_g.
 
     Cluster energies come from inverting the delta_g^2 Taylor polynomial
@@ -235,12 +230,6 @@ def linear_guess(tangent: TangentData, delta_g: float, *,
     block carries the collapsed level, the rest keep their branch labels.
     """
     point = tangent.point
-    if max_delta is None:
-        max_delta = default_guess_radius(point.g_c)
-    if abs(delta_g) > max_delta:
-        raise ValueError(
-            f"|delta_g|={abs(delta_g):.3g} exceeds guess radius "
-            f"{max_delta:.3g}; pass max_delta to override")
     s1_lin = tangent.ds1_dg * delta_g
     s1 = s1_lin + 0.5 * tangent.d2s1_dg2 * delta_g ** 2
     s_hat = point.chi * s1 + tangent.a[:point.m_k] * s1_lin ** 2

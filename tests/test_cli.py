@@ -4,7 +4,7 @@ import pytest
 
 import richardson as rs
 from richardson import cli, continuation, critical
-from richardson.errors import DegenerateTangentError
+from richardson.errors import ContinuationError, DegenerateTangentError
 
 TABLE1_ROWS = [
     "1    -4         2      0",
@@ -149,6 +149,31 @@ def test_verify_small_lattice(tmp_path, capsys):
     out = capsys.readouterr().out
     dev_line = [ln for ln in out.splitlines() if "max deviation" in ln][0]
     assert float(dev_line.split()[-1]) <= 1e-8
+
+
+def test_verify_exits_4_on_skipped_or_truncated_sample(tmp_path, capsys,
+                                                       monkeypatch):
+    # one grid point cannot be swept, another ends truncated: both are
+    # reported, the summary still prints, and the exit code says so
+    real = continuation.sweep
+
+    def flaky(problem, branch, g, *args, **kwargs):
+        if g == -0.2:
+            raise ContinuationError("branch stalled")
+        path = real(problem, branch, g, *args, **kwargs)
+        if g == 0.2:
+            path.status = "truncated"
+        return path
+
+    monkeypatch.setattr(continuation, "sweep", flaky)
+    prob_file = tmp_path / "n2.json"
+    prob_file.write_text(rs.save_problem(rs.build_lattice_model(2, 2)))
+    assert run_cli(["verify", "--problem", str(prob_file),
+                    "--points", "5"]) == 4
+    out = capsys.readouterr().out
+    assert "at g=-0.2: skipped (branch stalled)" in out
+    assert "at g=0.2: truncated" in out
+    assert "samples checked: " in out
 
 
 def test_verify_guard_exit(tmp_path, capsys):
@@ -362,3 +387,36 @@ def test_non_positive_option_is_rejected_before_any_work(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: ") and name in err[0]
+
+
+@pytest.mark.parametrize("options, config", [
+    (["--stride", "x"], None),
+    ([], {"stride": "x"}),
+], ids=["flag", "config"])
+def test_unconvertible_option_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                                options, config):
+    # a value the option's type cannot read is converted and reported the
+    # same way from a flag and from --config: exit 2, one line, no work
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the options were checked")
+
+    monkeypatch.setattr(continuation, "sweep", no_work)
+    prob_file = tmp_path / "n2.json"
+    prob_file.write_text(rs.save_problem(rs.build_lattice_model(2, 2)))
+    argv = ["sweep", "--problem", str(prob_file), "--g-target", "-0.1"]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["--config", str(cfg)] + argv
+    assert run_cli(argv + options) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "--stride" in err[0]
+
+
+def test_config_null_keeps_the_default(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": None}))
+    assert run_cli(["--config", str(cfg), "lattice", "--n", "2",
+                    "--pairs", "2"]) == 0
+    assert "wrote" not in capsys.readouterr().out

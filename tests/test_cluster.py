@@ -141,8 +141,6 @@ def test_detect_cluster(lattice6):
     vals = np.array([-2.1, -2.05 + 0.1j, -2.05 - 0.1j, -3.9, 0.2])
     idx = rs.detect_cluster(vals, lattice6, 3)
     assert sorted(idx) == [0, 1, 2]
-    idx_r = rs.detect_cluster(vals, lattice6, 3, radius=0.105)
-    assert sorted(idx_r) == [0]
 
 
 @settings(max_examples=60, deadline=None)

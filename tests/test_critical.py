@@ -8,7 +8,7 @@ import richardson as rs
 from richardson import continuation, critical, oracle
 from richardson.cluster import cluster_matrix, pn_coefficients
 from richardson.critical import TruncatedScanWarning, critical_levels
-from richardson.errors import ContinuationError, UnresolvedRootError
+from richardson.errors import ContinuationError
 from richardson.solver import newton_core
 
 from conftest import TABLE3_SCANS, nearest_members, physical_state_at
@@ -107,11 +107,12 @@ def test_chi_matches_measured_slopes(toy_3lvl):
 
 
 def test_solve_critical_bracket(lattice6, ground6, table3):
-    pt = rs.solve_critical(lattice6, 3, (-0.05, 0.0), ground6)
-    assert pt is not None
+    # the point nearest g = 0 in the bracket
+    pts = rs.scan_critical(lattice6, 3, (-0.05, 0.0), ground6)
+    pt = min(pts, key=lambda p: abs(p.g_c))
     assert pt.g_c == pytest.approx(table3["points"][("neg", 3)].g_c,
                                    abs=1e-12)
-    assert rs.solve_critical(lattice6, 3, (-0.03, -0.02), ground6) is None
+    assert rs.scan_critical(lattice6, 3, (-0.03, -0.02), ground6) == []
 
 
 def test_scan_empty_ranges(lattice6, ground6):
@@ -169,8 +170,6 @@ def _assert_every_bracket_skipped(problem, k, rng, monkeypatch):
                if str(w.message).startswith("skipping spurious bracket")]
     assert sum(found) >= 1
     assert len(skipped) == sum(found)
-    with pytest.raises(UnresolvedRootError):
-        rs.solve_critical(problem, k, rng)
 
 
 def test_sign_change_without_zero_is_skipped(toy_3lvl, monkeypatch):
@@ -210,8 +209,6 @@ def test_unbuildable_bracket_is_skipped(lattice6):
     skipped = [str(w.message) for w in seen
                if str(w.message).startswith("skipping spurious bracket")]
     assert len(skipped) == 1 and "null space" in skipped[0]
-    with pytest.raises(UnresolvedRootError, match="null space"):
-        rs.scan_critical(lattice6, 4, (0.0, 0.31), strict=True)
 
 
 def test_cross_validation_extrapolation(lattice6, table3, tangents6):

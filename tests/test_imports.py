@@ -1,4 +1,5 @@
-"""Every module in src/ and tests/ uses each name it imports.
+"""Every module in src/ and tests/ uses each name it imports, and every
+name the package exports exists.
 
 A stdlib-`ast` stand-in for a linter's unused-import check: a name bound
 by an import must appear as a name somewhere in the module, or be listed
@@ -9,6 +10,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import richardson
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src").rglob("*.py")) + sorted(
@@ -48,3 +51,14 @@ def test_check_sees_an_unused_import():
                          ids=[str(p.relative_to(ROOT)) for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_all_resolves():
+    # the unused-import check exempts __all__, so a name removed from the
+    # package but still listed there would pass it
+    assert len(set(richardson.__all__)) == len(richardson.__all__)
+    assert [n for n in richardson.__all__ if not hasattr(richardson, n)] == []
+    namespace = {}
+    exec("from richardson import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(richardson.__all__)

@@ -115,7 +115,7 @@ def test_init_weak_coupling_single_pair_order():
     p = rs.PairingProblem((rs.Level(1.0, 2),), 1)
     errs = []
     for g in (1e-3, 5e-4):
-        e = rs.init_weak_coupling(p, (1,), g, g_max=1.0)
+        e = rs.init_weak_coupling(p, (1,), g)
         # exact root of the reduced system: e = 2 eta - 4 g d + O(g^2)
         errs.append(abs(e.values[0] - (2.0 - 4 * g * (-0.5))))
     assert errs[0] < 1e-12 and errs[1] < 1e-12
@@ -125,7 +125,7 @@ def test_init_weak_coupling_6x6_level2(lattice6):
     from dataclasses import replace
     p = replace(lattice6, m_pairs=4)
     occ = (0, 0, 4, 0, 0, 0, 0, 0, 0)
-    e = rs.init_weak_coupling(p, occ, -1e-3, g_max=1.0)
+    e = rs.init_weak_coupling(p, occ, -1e-3)
     assert len(e) == 4
     assert np.all(np.abs(e.values - (-4.0)) < 0.05)
     assert np.max(np.abs(np.sort_complex(e.values) -
@@ -138,7 +138,7 @@ def test_init_weak_coupling_spec_example_level(lattice6):
     from dataclasses import replace
     p = replace(lattice6, m_pairs=4)
     occ = (0, 4, 0, 0, 0, 0, 0, 0, 0)
-    e = rs.init_weak_coupling(p, occ, -1e-3, g_max=1.0)
+    e = rs.init_weak_coupling(p, occ, -1e-3)
     assert np.all(np.abs(e.values - (-6.0)) < 0.05)
     assert np.count_nonzero(e.values.imag > 1e-12) == 2
 
@@ -172,8 +172,7 @@ def test_one_pair_matches_companion_matrix_oracle():
             poly = np.polyadd(poly, 4 * g * d[j] * np.pad(
                 others, (len(poly) - len(others), 0)))
         roots = np.roots(poly)
-        seed = rs.init_weak_coupling(p, (1, 0, 0), np.sign(g) * 1e-3,
-                                     g_max=1.0)
+        seed = rs.init_weak_coupling(p, (1, 0, 0), np.sign(g) * 1e-3)
         cur = seed
         for gv in np.linspace(seed.g, g, 12):
             cur = rs.newton_solve(cur, p.with_g(gv)).final
@@ -306,12 +305,17 @@ def test_symmetrize_conjugate_bit_identical_to_numpy_loop(vals):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_newton_core_restores_error_state():
+def test_newton_core_restores_error_state(monkeypatch):
     one = (np.array([2.0]), np.array([-0.5]))      # eta2, d
     p = rs.build_lattice_model(4, 4)
     escaped = np.array(
         rs.init_weak_coupling(p, rs.ground_occupation(p), -1e-3).values)
     escaped[-1] = 1e160
+
+    def no_halving(e0):
+        monkeypatch.setattr(solver, "NEWTON_MAX_HALVINGS", 0)
+        return newton_core(e0, -0.1, *one)
+
     exits = [
         # converged: e = 2 eta - 4 g d = 1.8
         (lambda: newton_core([1.7], -0.1, *one), (True, 5)),
@@ -322,8 +326,7 @@ def test_newton_core_restores_error_state():
          (False, 1)),
         # the full step from 2 - 0.39 overshoots to 2 - 0.0195 and no
         # halving is allowed
-        (lambda: newton_core([1.61], -0.1, *one, max_halvings=0),
-         (False, 1)),
+        (lambda: no_halving([1.61]), (False, 1)),
     ]
     state = dict(divide="raise", over="warn", under="print", invalid="log")
     with np.errstate(**state):

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import richardson as rs
 from richardson.cluster import cluster_matrix, pn_coefficients
 from richardson.critical import CriticalPoint
+from richardson.solver import find_poles
 
 from conftest import nearest_members
 
@@ -124,11 +127,20 @@ def test_linear_guess_delta_zero(lattice6, table3, tangents6):
     assert guess.g == pt.g_c
 
 
-def test_linear_guess_radius_guard(tangents6):
-    tan = tangents6[("pos", 1)]
-    with pytest.raises(ValueError):
-        rs.linear_guess(tan, 0.5)
-    rs.linear_guess(tan, 0.5, max_delta=1.0)   # override allowed
+def test_linear_guess_spreads_a_collapsed_cluster(toy_3lvl):
+    # with dS_1/dg = S_1'' = 0 every cluster power sum vanishes, so the
+    # inversion returns the exact collapse at 2 eta_k, a pole; the guess
+    # spreads the cluster on a conjugate-closed circle of radius |delta|
+    pt = rs.scan_critical(toy_3lvl, 0, (-0.6, 0.0))[0]
+    tan = replace(rs.solve_tangent(pt, toy_3lvl), ds1_dg=0.0, d2s1_dg2=0.0)
+    with pytest.warns(UserWarning, match="poorly conditioned"):
+        guess = rs.linear_guess(tan, 1e-3)
+    cluster = guess.values[:pt.m_k]
+    eta2k = 2 * toy_3lvl.levels[0].eta
+    assert np.max(np.abs(np.abs(cluster - eta2k) - 1e-3)) < 1e-12
+    assert all(np.min(np.abs(cluster - z.conjugate())) < 1e-12
+               for z in cluster)
+    assert find_poles(guess.values, toy_3lvl.eta2_array()) == []
 
 
 def test_restart_converges_fast_at_clean_point(lattice6, table3, tangents6):
