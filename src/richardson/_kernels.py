@@ -52,15 +52,15 @@ def pn_sums(eta2, d, k, e_noncluster, n_max):
     de = eta2[k] - np.asarray(e_noncluster, dtype=np.complex128)
     out = np.empty(n_max + 1, dtype=np.complex128)
     lvl_term = dj / dl
-    nc_term = 1.0 / de if de.size else de
+    nc_term = 1.0 / de
     for n in range(n_max + 1):
-        out[n] = lvl_term.sum() + (nc_term.sum() if de.size else 0.0)
+        out[n] = lvl_term.sum() + nc_term.sum()
         lvl_term = lvl_term / dl
-        if de.size:
-            nc_term = nc_term / de
+        nc_term = nc_term / de
     return out
 
 
 def backend_name():
-    """Name of the kernel implementation, "numpy" (the only one)."""
+    """Name of the kernel implementation, "numpy" (the only one).  Read only
+    by `perfbench/worker.py`; ROADMAP direction 1 deletes both."""
     return "numpy"

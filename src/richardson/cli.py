@@ -19,12 +19,12 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import continuation, critical, model, oracle
+from .cluster import default_cluster_size
 from .errors import (CapacityError, OracleDimensionError, ProblemFormatError,
                      RichardsonError)
 
@@ -63,13 +63,9 @@ def atomic_write(path, text):
 
 
 def max_threads():
-    env = os.environ.get("RICHARDSON_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
+    """1: `critical` scans its levels in order on the calling thread.  Read
+    only by `perfbench/worker.py`; ROADMAP direction 1 deletes both."""
+    return 1
 
 
 def load_problem_file(path) -> model.PairingProblem:
@@ -90,6 +86,13 @@ def _load_json(path, expected):
         raise ProblemFormatError(f"{path}: expected a JSON "
                                  f"{'object' if expected is dict else 'list'}")
     return doc
+
+
+def level_index(problem, j, flag):
+    """0-based index of the 1-based level j given by `flag`, in 1..n_levels."""
+    if not 1 <= j <= problem.n_levels:
+        raise ProblemFormatError(f"{flag} {j}: not in 1..{problem.n_levels}")
+    return j - 1
 
 
 def parse_branch(spec, problem) -> model.OccupationMap:
@@ -164,12 +167,6 @@ def cmd_lattice(args):
     return 0
 
 
-def _scan_one(problem, k, g_range, branch, args):
-    return critical.scan_critical(
-        problem, k, g_range, branch, m_k=args.mk,
-        grid_points=args.grid)
-
-
 def cmd_critical(args):
     problem = load_problem_file(args.problem)
     branch = parse_branch(args.branch, problem)
@@ -177,16 +174,14 @@ def cmd_critical(args):
     if args.level == "all":
         levels = critical.critical_levels(problem, branch, args.mk)
     else:
-        levels = [int(args.level) - 1]
+        levels = [level_index(problem, int(args.level), "--level")]
     out = args.out or records_path(args.problem, branch)
     output_dir(Path(out).parent)
-    points = []
-    with ThreadPoolExecutor(max_workers=max_threads()) as pool:
-        futures = {pool.submit(_scan_one, problem, k, g_range, branch, args): k
-                   for k in levels}
-        for fut, k in futures.items():
-            points.extend(fut.result())
-    points.sort(key=lambda p: p.g_c)
+    points = sorted((p for k in levels
+                     for p in critical.scan_critical(
+                         problem, k, g_range, branch, m_k=args.mk,
+                         grid_points=args.grid)),
+                    key=lambda p: p.g_c)
 
     print("j    g_c          M_k  energy")
     for p in points:
@@ -213,6 +208,10 @@ def cmd_sweep(args):
     if args.g_target == 0.0:
         print("error: --g-target must be nonzero", file=sys.stderr)
         return EXIT_USAGE
+    cluster_level = None if args.cluster_level is None else level_index(
+        problem, args.cluster_level, "--cluster-level")
+    if cluster_level is not None:   # M_k must be an integer for the S_p table
+        default_cluster_size(problem.levels[cluster_level])
     points = None
     rec_file = records_path(args.problem, branch)
     if rec_file.exists():
@@ -234,10 +233,8 @@ def cmd_sweep(args):
     sign = "pos" if args.g_target > 0 else "neg"
     name = f"{label}_{branch_tag(branch)}_{sign}"
 
-    fig = continuation.sample_figure_data(
-        path, problem,
-        cluster_level=(args.cluster_level - 1
-                       if args.cluster_level is not None else None))
+    fig = continuation.sample_figure_data(path, problem,
+                                          cluster_level=cluster_level)
     rows = fig.rows[::args.stride]
     atomic_write(prefix / f"{name}.csv", _csv(fig.header, rows))
     print(f"wrote {prefix / (name + '.csv')} ({len(rows)} samples)")
@@ -344,7 +341,7 @@ def build_parser():
     p.add_argument("--g-max", type=float, required=True)
     p.add_argument("--branch", default="ground",
                    help="'ground' or comma-separated occupation counts")
-    p.add_argument("--mk", type=int, default=None,
+    p.add_argument("--mk", type=_positive(int), default=None,
                    help="override the cluster size M_k")
     p.add_argument("--grid", type=_positive(int), default=None,
                    help="scan grid points")

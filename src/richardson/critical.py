@@ -170,7 +170,7 @@ def _det_at(walker, problem, k, m_k, g):
 
 def _build_point(problem, k, m_k, g_c, e_nc, branch_occ, deflated_occ,
                  origins) -> CriticalPoint:
-    pn = pn_coefficients(problem, k, e_nc, max(2 * m_k - 1, m_k - 1))
+    pn = pn_coefficients(problem, k, e_nc, m_k - 1)
     chi = chi_ratios(g_c, pn, m_k)
     eta2k = problem.eta2_array()[k]
     energy = m_k * eta2k + float(np.sum(e_nc.real))
@@ -272,14 +272,21 @@ def scan_critical(problem: PairingProblem, k: int, g_range, branch=None, *,
     return points
 
 
-def _find_brackets(problem, k, m_k, gs, dets, states):
-    """Sign-change cells as (g_a, g_b, det_a, det_b, e_a); sharp |det| dips
-    without a sign change are re-walked finely to catch close root pairs."""
-    out = []
+def _sign_cells(gs, dets, states):
+    """Cells (g_a, g_b, det_a, det_b, e_a) where the determinant changes
+    sign or is zero at the right end, so an exact zero counts once."""
     signs = np.sign(dets)
-    for i in range(len(gs) - 1):
-        if signs[i + 1] == 0 or (signs[i] != 0 and signs[i] != signs[i + 1]):
-            out.append((gs[i], gs[i + 1], dets[i], dets[i + 1], states[i]))
+    return [(gs[i], gs[i + 1], dets[i], dets[i + 1], states[i])
+            for i in range(len(gs) - 1)
+            if signs[i + 1] == 0
+            or (signs[i] != 0 and signs[i] != signs[i + 1])]
+
+
+def _find_brackets(problem, k, m_k, gs, dets, states):
+    """`_sign_cells` of the grid and of a fine re-walk of each sharp |det|
+    dip without a sign change, which may hide a close root pair."""
+    out = _sign_cells(gs, dets, states)
+    signs = np.sign(dets)
     mags = np.abs(dets)
     for i in range(1, len(gs) - 1):
         sharp = mags[i] < 0.1 * min(mags[i - 1], mags[i + 1])
@@ -295,11 +302,7 @@ def _find_brackets(problem, k, m_k, gs, dets, states):
                 fstates.append(cw.e)
         except ContinuationError:
             continue
-        fsigns = np.sign(fdets)
-        for j in range(len(fine) - 1):
-            if fsigns[j] != fsigns[j + 1]:
-                out.append((fine[j], fine[j + 1], fdets[j],
-                            fdets[j + 1], fstates[j]))
+        out += _sign_cells(fine, fdets, fstates)
     out.sort(key=lambda t: min(t[0], t[1]))
     return out
 

@@ -250,8 +250,7 @@ def test_missing_problem_file_usage_error(capsys):
                     "--g-min", "-0.1", "--g-max", "0"]) == 2
 
 
-def test_critical_all_levels_with_thread_cap(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("RICHARDSON_THREADS", "2")
+def test_critical_all_levels(tmp_path, capsys):
     prob_file = _toy3_file(tmp_path)
     code = run_cli(["critical", "--problem", str(prob_file), "--level", "all",
                     "--g-min", "-0.6", "--g-max", "0"])
@@ -420,3 +419,37 @@ def test_config_null_keeps_the_default(tmp_path, capsys):
     assert run_cli(["--config", str(cfg), "lattice", "--n", "2",
                     "--pairs", "2"]) == 0
     assert "wrote" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("levels, options, name", [
+    ((), ["critical", "--level", "99"], "--level 99"),
+    ((), ["critical", "--level", "0"], "--level 0"),
+    ((), ["critical", "--level", "1", "--mk", "0"], "--mk"),
+    ((), ["critical", "--level", "1", "--mk", "-1"], "--mk"),
+    ((), ["sweep", "--cluster-level", "0"], "--cluster-level 0"),
+    ((), ["sweep", "--cluster-level", "99"], "--cluster-level 99"),
+    ((rs.Level(0.0, 2), rs.Level(1.0, 3)), ["sweep", "--cluster-level", "2"],
+     "M_k"),
+], ids=["level-99", "level-0", "mk-0", "mk-negative", "cluster-level-0",
+        "cluster-level-99", "cluster-level-odd-omega"])
+def test_bad_level_argument_is_rejected_before_any_work(
+        tmp_path, capsys, monkeypatch, levels, options, name):
+    # by default the 4x4 lattice with M = 4; a level with odd Omega has the
+    # non-integer cluster size M_k = 1 + Omega/2, so it has no S_p table
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the level arguments were checked")
+
+    monkeypatch.setattr(continuation, "sweep", no_work)
+    monkeypatch.setattr(critical, "scan_critical", no_work)
+    problem = rs.PairingProblem(levels, 2) if levels \
+        else rs.build_lattice_model(4, 4)
+    prob_file = tmp_path / "prob.json"
+    prob_file.write_text(rs.save_problem(problem))
+    span = (["--g-min", "-0.1", "--g-max", "0"] if options[0] == "critical"
+            else ["--g-target", "-0.1", "--out", str(tmp_path / "runs")])
+    assert run_cli(options[:1] + ["--problem", str(prob_file)] + span
+                   + options[1:]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and name in err[0]
+    assert [f for f in tmp_path.rglob("*") if f.is_file()] == [prob_file]

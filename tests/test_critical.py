@@ -315,13 +315,14 @@ def _two_close_roots(walker, problem, k, m_k, g):
     return (g - 1.005) * (g - 1.025)
 
 
-def _dip_brackets(problem, monkeypatch, det_at):
+def _dip_brackets(problem, monkeypatch, det_at, det=_two_close_roots):
     """_find_brackets on the grid (0, 1, 2), where the middle |det| of
-    (g - 1.005)(g - 1.025) dips below a tenth of its neighbours with no
-    sign change; `det_at` stands in for the fine re-walk."""
+    (g - 1.005)(g - 1.025), or of `det`, dips below a tenth of its
+    neighbours with no sign change; `det_at` stands in for the fine
+    re-walk."""
     monkeypatch.setattr(critical, "_det_at", det_at)
     gs = np.array([0.0, 1.0, 2.0])
-    dets = np.array([_two_close_roots(None, problem, 0, 3, g) for g in gs])
+    dets = np.array([det(None, problem, 0, 3, g) for g in gs])
     states = [np.array([1.0 + 0j])] * 3
     return critical._find_brackets(problem, 0, 3, gs, dets, states)
 
@@ -332,6 +333,19 @@ def test_det_dip_is_rewalked_into_two_brackets(toy_3lvl, monkeypatch):
         pytest.approx((1.00, 1.01)), pytest.approx((1.02, 1.03))]
     for _, _, det_a, det_b, _ in brackets:
         assert det_a * det_b < 0
+
+
+def _root_on_the_fine_grid(walker, problem, k, m_k, g):
+    return (g - np.linspace(0.0, 2.0, 201)[101]) * (g - 1.025)
+
+
+def test_exact_zero_in_the_dip_rewalk_is_one_bracket(toy_3lvl, monkeypatch):
+    # the fine grid of the re-walk holds the root exactly; its cells count
+    # as the coarse grid's do, so the zero closes one bracket, not two
+    brackets = _dip_brackets(toy_3lvl, monkeypatch, _root_on_the_fine_grid,
+                             det=_root_on_the_fine_grid)
+    assert [(a, b) for a, b, *_ in brackets] == [
+        pytest.approx((1.00, 1.01)), pytest.approx((1.02, 1.03))]
 
 
 def test_failed_dip_rewalk_yields_no_bracket(toy_3lvl, monkeypatch):
