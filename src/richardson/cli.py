@@ -2,14 +2,21 @@
 
 Commands compose through files: `lattice` writes a problem file, `critical`
 writes critical-point records next to it, and `sweep` loads those records.
-`sweep` still re-scans over (0, g_target +- 2 r_c), r_c the crossing
-radius, and drops a rescanned point within 1e-9 of a loaded one of its
-level.  `critical --level all` and that re-scan cover the levels that can
-collapse (`critical.critical_levels`), not every occupied level.
+Beside the default record file `critical` writes a coverage file,
+`<stem>_scanned_<tag>.json`: the sha1 of the problem and of the record
+file's text, the branch occupation, the scanned g range, the `--mk` and
+`--grid` overrides (null when not given) and the 1-based levels whose scan
+raised no TruncatedScanWarning.  `sweep` walks from the loaded records
+alone when that file matches both hashes, has no overrides, covers the
+auto-scan range (0, g_target +- 2 r_c), r_c the crossing radius, and lists
+every level that can collapse (`critical.critical_levels`).  Otherwise it
+re-scans those levels over that range and drops a rescanned point within
+1e-9 of a loaded one of its level.
 Human-readable tables go to stdout with 6 significant
 digits; CSV and JSON files carry 12 digits so they can seed further runs.
 Level indices in tables and flags are 1-based to match the j labels
-physicists expect; the Python API is 0-based.
+physicists expect; the Python API is 0-based.  Warnings print as one
+`warning: <message>` line each.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -75,17 +83,26 @@ def load_problem_file(path) -> model.PairingProblem:
         raise ProblemFormatError(f"problem file {path}: {err.strerror}")
 
 
-def _load_json(path, expected):
-    """The JSON value in `path`, which must be an `expected` (dict or list);
-    anything else is a ProblemFormatError naming the file."""
+def _read_json(path, expected):
+    """(text, value) of the JSON file `path`, whose value must be an
+    `expected` (dict or list); anything else is a ProblemFormatError naming
+    the file."""
     try:
-        doc = json.loads(Path(path).read_text())
+        text = Path(path).read_text()
+        doc = json.loads(text)
     except (OSError, json.JSONDecodeError) as err:
         raise ProblemFormatError(f"{path}: {err}") from err
     if not isinstance(doc, expected):
         raise ProblemFormatError(f"{path}: expected a JSON "
                                  f"{'object' if expected is dict else 'list'}")
-    return doc
+    return text, doc
+
+
+def _sha1(text):
+    # imported here: loading hashlib adds about 3.5 MB of resident memory,
+    # and `lattice` and `verify` never hash
+    import hashlib
+    return hashlib.sha1(text.encode()).hexdigest()
 
 
 def level_index(problem, j, flag):
@@ -103,9 +120,7 @@ def parse_branch(spec, problem) -> model.OccupationMap:
 
 
 def branch_tag(occ: model.OccupationMap) -> str:
-    import hashlib
-    digest = hashlib.sha1(",".join(map(str, occ.counts)).encode()).hexdigest()
-    return digest[:8]
+    return _sha1(",".join(map(str, occ.counts)))[:8]
 
 
 def print_level_table(problem):
@@ -152,6 +167,54 @@ def records_path(problem_path, branch):
     return base.with_name(f"{base.stem}_critical_{branch_tag(branch)}.json")
 
 
+def coverage_path(problem_path, branch):
+    """What `critical` scanned for the default record file; the name must
+    not match `<stem>_critical_*.json`."""
+    base = Path(problem_path)
+    return base.with_name(f"{base.stem}_scanned_{branch_tag(branch)}.json")
+
+
+def _scan_level(problem, k, g_range, branch, args):
+    """(points, warned): `critical.scan_critical` of level k, and whether
+    it raised a TruncatedScanWarning.  Each warning it raised is issued
+    again afterwards, from the module it named, so the caller's filters
+    still see it once."""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", critical.TruncatedScanWarning)
+            points = critical.scan_critical(problem, k, g_range, branch,
+                                            m_k=args.mk,
+                                            grid_points=args.grid)
+    finally:
+        modules = {getattr(m, "__file__", None): name
+                   for name, m in list(sys.modules.items())}
+        for w in caught:
+            # warn_explicit drops a warning whose module is None; with no
+            # module of that file, name it as warn_explicit would
+            module = modules.get(w.filename, w.filename.removesuffix(".py"))
+            warnings.warn_explicit(w.message, w.category, w.filename,
+                                   w.lineno, module, source=w.source)
+    return points, any(issubclass(w.category, critical.TruncatedScanWarning)
+                       for w in caught)
+
+
+def _scan_covers(cov_file, problem, branch, rec_text, g_range):
+    """Does the coverage file say that the records in `rec_text` hold
+    every critical point a default auto-scan over g_range would find?"""
+    doc = _read_json(cov_file, dict)[1]
+    try:
+        g_lo, g_hi = doc["g_range"]
+        wanted = {k + 1 for k in critical.critical_levels(problem, branch)}
+        return (doc["problem_sha1"] == _sha1(model.save_problem(problem))
+                and doc["records_sha1"] == _sha1(rec_text)
+                and doc["occupation"] == list(branch.counts)
+                and doc["mk"] is None and doc["grid"] is None
+                and g_lo <= g_range[0] and g_range[1] <= g_hi
+                and wanted <= set(doc["levels"]))
+    except (KeyError, TypeError, ValueError) as err:
+        raise ProblemFormatError(f"{cov_file}: bad coverage: {err!r}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -174,14 +237,17 @@ def cmd_critical(args):
     if args.level == "all":
         levels = critical.critical_levels(problem, branch, args.mk)
     else:
-        levels = [level_index(problem, int(args.level), "--level")]
-    out = args.out or records_path(args.problem, branch)
+        levels = [level_index(problem, args.level, "--level")]
+    default_out = records_path(args.problem, branch)
+    out = args.out or default_out
     output_dir(Path(out).parent)
-    points = sorted((p for k in levels
-                     for p in critical.scan_critical(
-                         problem, k, g_range, branch, m_k=args.mk,
-                         grid_points=args.grid)),
-                    key=lambda p: p.g_c)
+    points, covered = [], []
+    for k in levels:
+        found, warned = _scan_level(problem, k, g_range, branch, args)
+        points += found
+        if not warned:
+            covered.append(k + 1)
+    points.sort(key=lambda p: p.g_c)
 
     print("j    g_c          M_k  energy")
     for p in points:
@@ -189,8 +255,15 @@ def cmd_critical(args):
               f"{_fmt(p.energy, 6)}")
     if not points:
         print("(no critical points in range)")
-    atomic_write(out, json.dumps([point_to_record(p) for p in points],
-                                 indent=2) + "\n")
+    text = json.dumps([point_to_record(p) for p in points], indent=2) + "\n"
+    atomic_write(out, text)
+    if Path(out) == default_out:
+        atomic_write(coverage_path(args.problem, branch), json.dumps({
+            "problem_sha1": _sha1(model.save_problem(problem)),
+            "records_sha1": _sha1(text),
+            "occupation": list(branch.counts),
+            "g_range": sorted(g_range), "mk": args.mk, "grid": args.grid,
+            "levels": covered}, indent=2) + "\n")
     print(f"wrote {out}")
     return 0
 
@@ -212,20 +285,28 @@ def cmd_sweep(args):
         problem, args.cluster_level, "--cluster-level")
     if cluster_level is not None:   # M_k must be an integer for the S_p table
         default_cluster_size(problem.levels[cluster_level])
-    points = None
-    rec_file = records_path(args.problem, branch)
-    if rec_file.exists():
-        try:
-            points = [record_to_point(r) for r in _load_json(rec_file, list)]
-        except (KeyError, TypeError, ValueError) as err:
-            raise ProblemFormatError(f"{rec_file}: bad record: {err!r}")
-        print(f"loaded {len(points)} critical point(s) from {rec_file}")
-    prefix = output_dir(args.out or ".")
     opts = continuation.SweepOptions()
     if args.step is not None:
         opts.step_init = args.step
     if args.crossing_radius is not None:
         opts.crossing_radius = args.crossing_radius
+    points = None
+    rec_file = records_path(args.problem, branch)
+    if rec_file.exists():
+        rec_text, recs = _read_json(rec_file, list)
+        try:
+            points = [record_to_point(r) for r in recs]
+        except (KeyError, TypeError, ValueError) as err:
+            raise ProblemFormatError(f"{rec_file}: bad record: {err!r}")
+        print(f"loaded {len(points)} critical point(s) from {rec_file}")
+        cov_file = coverage_path(args.problem, branch)
+        # the records already hold what the auto-scan would find
+        if cov_file.exists() and _scan_covers(
+                cov_file, problem, branch, rec_text,
+                continuation.auto_scan_range(args.g_target,
+                                             opts.crossing_radius)):
+            opts.auto_scan = False
+    prefix = output_dir(args.out or ".")
     path = continuation.sweep(problem, branch, args.g_target, options=opts,
                               critical_points=points)
 
@@ -245,6 +326,9 @@ def cmd_sweep(args):
     print(f"status: {path.status}   crossings: "
           + (", ".join(f"j={p.k + 1} g_c={_fmt(p.g_c)}"
                        for p in path.crossings) or "none"))
+    if path.registered:
+        print("note: registered " + ", ".join(
+            f"(k={p.k}, g_c={p.g_c:.6g})" for p in path.registered))
     for diag in path.diagnostics:
         print("note:", diag)
     if path.status != "completed":
@@ -293,6 +377,17 @@ def cmd_verify(args):
     return EXIT_TRUNCATED if checked < len(branches) * len(grid) else 0
 
 
+def _level(text):
+    """argparse type for `critical --level`: 'all' or a 1-based index."""
+    if text == "all":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be 'all' or an integer, got {text!r}") from None
+
+
 def _positive(kind):
     """argparse type for a count (int, >= 1) or a length (float, > 0)."""
     want = "an integer >= 1" if kind is int else "a number > 0"
@@ -334,7 +429,7 @@ def build_parser():
 
     p = sub.add_parser("critical", help="locate critical couplings")
     p.add_argument("--problem", required=True)
-    p.add_argument("--level", default="all",
+    p.add_argument("--level", type=_level, default="all",
                    help="1-based level j, or 'all' for the occupied levels "
                         "that can collapse")
     p.add_argument("--g-min", type=float, required=True)
@@ -372,8 +467,14 @@ def build_parser():
     return ap
 
 
+def _warning_line(message, category, filename, lineno, line=None):
+    return f"warning: {message}\n"
+
+
 def main(argv=None):
     ap = build_parser()
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = _warning_line
     try:
         args = ap.parse_args(argv)
         if args.config:
@@ -386,7 +487,7 @@ def main(argv=None):
             options = {a.dest for a in parser._actions
                        if a.option_strings and a.dest != "help"}
             config = {key.replace("-", "_"): val for key, val
-                      in _load_json(args.config, dict).items()}
+                      in _read_json(args.config, dict)[1].items()}
             unknown = sorted(set(config) - options)
             if unknown:
                 raise ProblemFormatError(
@@ -406,6 +507,8 @@ def main(argv=None):
     except RichardsonError as err:      # a branch that could not be continued
         print(f"error: {err}", file=sys.stderr)
         return EXIT_TRUNCATED
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

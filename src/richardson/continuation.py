@@ -62,6 +62,7 @@ class SweepPath:
     crossings: list[CriticalPoint]
     status: str                 # "completed" or "truncated"
     diagnostics: list[str] = field(default_factory=list)
+    registered: list[CriticalPoint] = field(default_factory=list)
 
     @property
     def g_values(self):
@@ -161,10 +162,16 @@ def restart_solve(tangent: TangentData, problem: PairingProblem,
 # the sweep driver
 # ---------------------------------------------------------------------------
 
-def _auto_scan_points(problem, branch, g_target, opts) -> list[CriticalPoint]:
+def auto_scan_range(g_target: float, crossing_radius: float):
+    """(g_lo, g_hi) that the auto-scan of a sweep to g_target covers: from
+    0 to two crossing radii beyond the target."""
     direction = 1 if g_target > 0 else -1
-    outer = g_target + direction * 2 * opts.crossing_radius
-    rng = (0.0, outer) if direction > 0 else (outer, 0.0)
+    outer = g_target + direction * 2 * crossing_radius
+    return (0.0, outer) if direction > 0 else (outer, 0.0)
+
+
+def _auto_scan_points(problem, branch, g_target, opts) -> list[CriticalPoint]:
+    rng = auto_scan_range(g_target, opts.crossing_radius)
     return sorted((p for k in critical_levels(problem, branch)
                    for p in scan_critical(problem, k, rng, branch)),
                   key=lambda p: abs(p.g_c))
@@ -199,6 +206,11 @@ def sweep(problem: PairingProblem, branch, g_target: float,
     state does not corroborate it.  When g_target lies in a window short
     of its g_c, the restart lands on g_target and the point is not listed
     as crossed.  The last leg runs to g_target.
+
+    The returned path's `registered` lists the points the walk considered:
+    the given `critical_points` of g_target's sign in their given order,
+    then those the auto-scan over `auto_scan_range` found that are not
+    within 1e-9 of a given one at the same level.
     """
     if g_target == 0.0:
         raise ValueError("g_target must be nonzero")
@@ -216,10 +228,6 @@ def sweep(problem: PairingProblem, branch, g_target: float,
             if not any(q.k == p.k and abs(q.g_c - p.g_c) < 1e-9
                        for q in registered):
                 registered.append(p)
-        if registered:
-            diagnostics.append(
-                "registered " +
-                ", ".join(f"(k={p.k}, g_c={p.g_c:.6g})" for p in registered))
     r_c = opts.crossing_radius
 
     g_init = 1e-3 * problem.mean_level_spacing()
@@ -309,7 +317,8 @@ def sweep(problem: PairingProblem, branch, g_target: float,
     if stop:
         diagnostics.append(stop)
     return SweepPath(samples, crossings,
-                     "truncated" if stop else "completed", diagnostics)
+                     "truncated" if stop else "completed", diagnostics,
+                     registered)
 
 
 # ---------------------------------------------------------------------------

@@ -41,3 +41,19 @@ def test_worker_and_workload_names():
     point = cli.record_to_point(rec)
     assert point.g_c == rec["g_c"] and point.k == rec["level_index"] - 1
     assert continuation.SweepOptions(auto_scan=False).auto_scan is False
+
+
+def test_critical_leaves_one_record_file_for_the_benchmark(tmp_path, capsys):
+    # `CliLat6.observe` in perfbench/workloads.py reads the one
+    # `<stem>_critical_*.json` that `critical` wrote; no other file that
+    # `critical` writes may match the pattern
+    prob_file = tmp_path / "lat6.json"
+    problem = rs.PairingProblem((rs.Level(0.0, 6), rs.Level(1.0, 2)), 4)
+    prob_file.write_text(rs.save_problem(problem))
+    assert cli.main(["critical", "--problem", str(prob_file), "--g-min",
+                     "-0.3", "--g-max", "0"]) == 0
+    files = list(tmp_path.glob(f"{prob_file.stem}_critical_*.json"))
+    assert len(files) == 1
+    records = json.loads(files[0].read_text())
+    assert isinstance(records, list) and records
+    assert [cli.record_to_point(r).k for r in records] == [0]

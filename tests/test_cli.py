@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -424,14 +430,17 @@ def test_config_null_keeps_the_default(tmp_path, capsys):
 @pytest.mark.parametrize("levels, options, name", [
     ((), ["critical", "--level", "99"], "--level 99"),
     ((), ["critical", "--level", "0"], "--level 0"),
+    ((), ["critical", "--level", "abc"], "argument --level: "),
+    ((), [{"level": "abc"}, "critical"], "argument --level: "),
     ((), ["critical", "--level", "1", "--mk", "0"], "--mk"),
     ((), ["critical", "--level", "1", "--mk", "-1"], "--mk"),
     ((), ["sweep", "--cluster-level", "0"], "--cluster-level 0"),
     ((), ["sweep", "--cluster-level", "99"], "--cluster-level 99"),
     ((rs.Level(0.0, 2), rs.Level(1.0, 3)), ["sweep", "--cluster-level", "2"],
      "M_k"),
-], ids=["level-99", "level-0", "mk-0", "mk-negative", "cluster-level-0",
-        "cluster-level-99", "cluster-level-odd-omega"])
+], ids=["level-99", "level-0", "level-abc", "config-level-abc", "mk-0",
+        "mk-negative", "cluster-level-0", "cluster-level-99",
+        "cluster-level-odd-omega"])
 def test_bad_level_argument_is_rejected_before_any_work(
         tmp_path, capsys, monkeypatch, levels, options, name):
     # by default the 4x4 lattice with M = 4; a level with odd Omega has the
@@ -445,11 +454,194 @@ def test_bad_level_argument_is_rejected_before_any_work(
         else rs.build_lattice_model(4, 4)
     prob_file = tmp_path / "prob.json"
     prob_file.write_text(rs.save_problem(problem))
+    config = []
+    if isinstance(options[0], dict):    # the value comes from --config
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(options[0]))
+        config, options = ["--config", str(cfg)], options[1:]
     span = (["--g-min", "-0.1", "--g-max", "0"] if options[0] == "critical"
             else ["--g-target", "-0.1", "--out", str(tmp_path / "runs")])
-    assert run_cli(options[:1] + ["--problem", str(prob_file)] + span
+    assert run_cli(config + options[:1] + ["--problem", str(prob_file)] + span
                    + options[1:]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: ") and name in err[0]
-    assert [f for f in tmp_path.rglob("*") if f.is_file()] == [prob_file]
+    assert sorted(f for f in tmp_path.rglob("*") if f.is_file()) == sorted(
+        [prob_file] + [tmp_path / "cfg.json"] * bool(config))
+
+
+def _warn_on_level(monkeypatch, level):
+    """Make `critical.scan_critical` warn once for 0-based `level`."""
+    scan = critical.scan_critical
+
+    def warning(problem, k, *args, **kwargs):
+        if k == level:   # from the caller's line, as `scan_critical` warns
+            warnings.warn(f"scan truncated: test stall at level {k}",
+                          critical.TruncatedScanWarning, stacklevel=2)
+        return scan(problem, k, *args, **kwargs)
+
+    monkeypatch.setattr(critical, "scan_critical", warning)
+
+
+def test_warnings_print_as_one_line(tmp_path):
+    # a fresh interpreter, where warnings reach stderr as a user sees them
+    program = textwrap.dedent("""
+        import sys, warnings
+        from richardson import cli, critical
+
+        def truncated(*args, **kwargs):
+            warnings.warn("scan truncated: test stall",
+                          critical.TruncatedScanWarning)
+            return []
+
+        critical.scan_critical = truncated
+        before = warnings.formatwarning
+        code = cli.main(sys.argv[1:])
+        assert warnings.formatwarning is before, "formatwarning not restored"
+        sys.exit(code)
+    """)
+    prob_file = tmp_path / "toy.json"
+    p = rs.PairingProblem((rs.Level(0.0, 6), rs.Level(1.0, 2)), 4)
+    prob_file.write_text(rs.save_problem(p))
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-W", "always", "-c", program, "critical",
+         "--problem", str(prob_file), "--level", "1", "--g-min", "-0.3",
+         "--g-max", "0"], capture_output=True, text=True, env=env,
+        timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr.splitlines() == ["warning: scan truncated: test stall"]
+
+
+def test_critical_warning_reaches_the_caller_once(tmp_path, capsys,
+                                                  monkeypatch):
+    # `critical` records each level's warnings to learn which scans were
+    # whole, then issues them again for the caller's own filters
+    _warn_on_level(monkeypatch, 1)
+    prob_file = tmp_path / "toy.json"
+    p = rs.PairingProblem((rs.Level(0.0, 6), rs.Level(1.0, 2)), 4)
+    prob_file.write_text(rs.save_problem(p))
+    argv = ["critical", "--problem", str(prob_file), "--g-min", "-0.3",
+            "--g-max", "0"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(argv) == 0
+    assert [str(w.message) for w in caught] == [
+        "scan truncated: test stall at level 1"]
+    assert caught[0].category is critical.TruncatedScanWarning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warnings.filterwarnings("ignore", module=r"richardson\.cli")
+        assert run_cli(argv) == 0
+    assert caught == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", critical.TruncatedScanWarning)
+        with pytest.raises(critical.TruncatedScanWarning):
+            run_cli(argv)
+
+
+def _no_scan(monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("sweep scanned")
+
+    monkeypatch.setattr(critical, "scan_critical", no_scan)
+    monkeypatch.setattr(continuation, "scan_critical", no_scan)
+
+
+def _toy_critical(tmp_path, options=(), g_min="-0.52"):
+    """The toy problem, two levels that can collapse, after `critical`."""
+    prob_file = tmp_path / "toy.json"
+    p = rs.PairingProblem((rs.Level(0.0, 6), rs.Level(1.0, 2)), 4)
+    prob_file.write_text(rs.save_problem(p))
+    assert run_cli(["critical", "--problem", str(prob_file), "--g-min",
+                    g_min, "--g-max", "0", *options]) == 0
+    return prob_file, cli.coverage_path(prob_file, rs.ground_occupation(p))
+
+
+def _toy_sweep(prob_file, out, options=()):
+    return run_cli(["sweep", "--problem", str(prob_file), "--g-target",
+                    "-0.5", "--out", str(out), *options])
+
+
+def test_sweep_reuses_the_scan_of_critical(tmp_path, capsys, monkeypatch):
+    prob_file, cov_file = _toy_critical(tmp_path)
+    cov = json.loads(cov_file.read_text())
+    assert cov["levels"] == [1, 2] and cov["g_range"] == [-0.52, 0.0]
+    assert cov["mk"] is None and cov["grid"] is None
+    capsys.readouterr()
+    with monkeypatch.context() as patch:
+        _no_scan(patch)
+        assert _toy_sweep(prob_file, tmp_path / "reused") == 0
+    reused = capsys.readouterr().out
+    assert "note: registered (k=0, g_c=-0.25)\n" in reused
+    cov_file.unlink()
+    assert _toy_sweep(prob_file, tmp_path / "rescanned") == 0
+    assert capsys.readouterr().out == reused.replace(
+        str(tmp_path / "reused"), str(tmp_path / "rescanned"))
+    csvs = [sorted((tmp_path / d).glob("*.csv")) for d in
+            ("reused", "rescanned")]
+    assert [f.name for f in csvs[0]] == [f.name for f in csvs[1]]
+    for a, b in zip(*csvs):
+        assert a.read_text() == b.read_text()
+
+
+def _edit_records(prob_file, cov_file):
+    rec_file = cov_file.with_name(cov_file.name.replace("_scanned_",
+                                                        "_critical_"))
+    rec_file.write_text(rec_file.read_text() + "\n")
+
+
+def _edit_problem(prob_file, cov_file):
+    doc = json.loads(prob_file.read_text())
+    doc["label"] = "edited"
+    prob_file.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("critical_options, g_min, edit, sweep_options", [
+    ((), "-0.3", None, ()),
+    (("--level", "1"), "-0.52", None, ()),
+    (("--mk", "4"), "-0.52", None, ()),
+    (("--grid", "500"), "-0.52", None, ()),
+    ((), "-0.52", _edit_records, ()),
+    ((), "-0.52", _edit_problem, ()),
+    ((), "-0.52", None, ("--crossing-radius", "0.02")),
+], ids=["narrower-range", "single-level", "mk", "grid", "edited-records",
+        "edited-problem", "crossing-radius"])
+def test_sweep_rescans_what_critical_did_not_cover(
+        tmp_path, capsys, monkeypatch, critical_options, g_min, edit,
+        sweep_options):
+    prob_file, cov_file = _toy_critical(tmp_path, critical_options, g_min)
+    assert cov_file.exists()
+    if edit is not None:
+        edit(prob_file, cov_file)
+    _no_scan(monkeypatch)
+    with pytest.raises(AssertionError, match="sweep scanned"):
+        _toy_sweep(prob_file, tmp_path, sweep_options)
+
+
+def test_sweep_rescans_a_level_whose_scan_warned(tmp_path, capsys,
+                                                 monkeypatch):
+    with monkeypatch.context() as patch:
+        _warn_on_level(patch, 1)
+        prob_file, cov_file = _toy_critical(tmp_path)
+    assert json.loads(cov_file.read_text())["levels"] == [1]
+    _no_scan(monkeypatch)
+    with pytest.raises(AssertionError, match="sweep scanned"):
+        _toy_sweep(prob_file, tmp_path)
+
+
+@pytest.mark.parametrize("text", ["{not json", "[]", '{"levels": [1, 2]}'],
+                         ids=["not-json", "not-object", "lacks-keys"])
+def test_bad_coverage_file_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                             text):
+    prob_file, cov_file = _toy_critical(tmp_path)
+    cov_file.write_text(text)
+    capsys.readouterr()
+    _no_scan(monkeypatch)
+    monkeypatch.setattr(continuation, "sweep", lambda *a, **k: 1 / 0)
+    assert _toy_sweep(prob_file, tmp_path) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and cov_file.name in err[0]

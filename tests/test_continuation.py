@@ -283,6 +283,22 @@ def test_point_registered_twice_is_crossed_once(toy_mm):
         assert np.array_equal(a.energies.values, b.energies.values)
 
 
+def test_registered_lists_given_points_then_scanned_ones(toy_mm):
+    # given points of the target's sign in their order, then what the
+    # auto-scan found that no given point of its level is within 1e-9 of
+    pt = _toy_mm_point(toy_mm)
+    occ = rs.ground_occupation(toy_mm)
+    beyond = dataclasses.replace(pt, g_c=-0.6)
+    other_sign = dataclasses.replace(pt, g_c=0.25)
+    path = continuation.sweep(toy_mm, occ, -0.5,
+                              critical_points=[other_sign, beyond])
+    assert path.status == "completed"
+    assert [p.g_c for p in path.registered] == [-0.6, pytest.approx(pt.g_c)]
+    assert path.diagnostics == []
+    again = continuation.sweep(toy_mm, occ, -0.5, critical_points=[pt])
+    assert len(again.registered) == 1 and again.registered[0] is pt
+
+
 def test_noncluster_mismatch_alone_passes_the_point():
     # three levels, three pairs: the level-1 collapse at g_c = 0.434 keeps
     # one real non-cluster energy, 6.61
