@@ -6,12 +6,13 @@ Beside the default record file `critical` writes a coverage file,
 `<stem>_scanned_<tag>.json`: the sha1 of the problem and of the record
 file's text, the branch occupation, the scanned g range, the `--mk` and
 `--grid` overrides (null when not given) and the 1-based levels whose scan
-raised no TruncatedScanWarning.  `sweep` walks from the loaded records
-alone when that file matches both hashes, has no overrides, covers the
-auto-scan range (0, g_target +- 2 r_c), r_c the crossing radius, and lists
-every level that can collapse (`critical.critical_levels`).  Otherwise it
-re-scans those levels over that range and drops a rescanned point within
-1e-9 of a loaded one of its level.
+listed no issue (`critical.ScanResult.issues`, which no warnings filter
+changes).  `sweep` walks from the loaded records alone when that file
+matches both hashes, has no overrides, covers the auto-scan range
+(0, g_target +- 2 r_c), r_c the crossing radius, and lists every level
+that can collapse (`critical.critical_levels`).  Otherwise it re-scans
+those levels over that range and drops a rescanned point within 1e-9 of a
+loaded one of its level.
 Human-readable tables go to stdout with 6 significant
 digits; CSV and JSON files carry 12 digits so they can seed further runs.
 Level indices in tables and flags are 1-based to match the j labels
@@ -174,30 +175,6 @@ def coverage_path(problem_path, branch):
     return base.with_name(f"{base.stem}_scanned_{branch_tag(branch)}.json")
 
 
-def _scan_level(problem, k, g_range, branch, args):
-    """(points, warned): `critical.scan_critical` of level k, and whether
-    it raised a TruncatedScanWarning.  Each warning it raised is issued
-    again afterwards, from the module it named, so the caller's filters
-    still see it once."""
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", critical.TruncatedScanWarning)
-            points = critical.scan_critical(problem, k, g_range, branch,
-                                            m_k=args.mk,
-                                            grid_points=args.grid)
-    finally:
-        modules = {getattr(m, "__file__", None): name
-                   for name, m in list(sys.modules.items())}
-        for w in caught:
-            # warn_explicit drops a warning whose module is None; with no
-            # module of that file, name it as warn_explicit would
-            module = modules.get(w.filename, w.filename.removesuffix(".py"))
-            warnings.warn_explicit(w.message, w.category, w.filename,
-                                   w.lineno, module, source=w.source)
-    return points, any(issubclass(w.category, critical.TruncatedScanWarning)
-                       for w in caught)
-
-
 def _scan_covers(cov_file, problem, branch, rec_text, g_range):
     """Does the coverage file say that the records in `rec_text` hold
     every critical point a default auto-scan over g_range would find?"""
@@ -243,9 +220,10 @@ def cmd_critical(args):
     output_dir(Path(out).parent)
     points, covered = [], []
     for k in levels:
-        found, warned = _scan_level(problem, k, g_range, branch, args)
+        found = critical.scan_critical(problem, k, g_range, branch,
+                                       m_k=args.mk, grid_points=args.grid)
         points += found
-        if not warned:
+        if not found.issues:
             covered.append(k + 1)
     points.sort(key=lambda p: p.g_c)
 
@@ -423,7 +401,8 @@ def build_parser():
 
     p = sub.add_parser("lattice", help="generate the square-lattice model")
     p.add_argument("--n", type=int, required=True, help="lattice size n")
-    p.add_argument("--pairs", type=int, required=True, help="pair count M")
+    p.add_argument("--pairs", type=_positive(int), required=True,
+                   help="pair count M")
     p.add_argument("--out", help="problem file to write")
     p.set_defaults(func=cmd_lattice)
 

@@ -23,30 +23,6 @@ from .solver import IMAG_TOL
 NULL_SPACE_SEPARATION = 0.1
 
 
-@dataclass(frozen=True)
-class PowerSums:
-    """S_1..S_pmax anchored at 2 eta_k; S_0 = M_k is implicit."""
-
-    s: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.s, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "s", arr)
-
-
-@dataclass(frozen=True)
-class PnCoefficients:
-    """P_0..P_nmax anchored at level k."""
-
-    p: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.p, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "p", arr)
-
-
 def default_cluster_size(level: Level) -> int:
     """M_k = 1 - 2 d_k; asserts that the value is a positive integer."""
     m = 1.0 - 2.0 * level.d
@@ -58,8 +34,9 @@ def default_cluster_size(level: Level) -> int:
     return int(m_int)
 
 
-def power_sums(e_cluster, eta_k: float, p_max: int) -> PowerSums:
-    """S_p = sum_{a in cluster} (2 eta_k - e_a)^p for p = 1..p_max."""
+def power_sums(e_cluster, eta_k: float, p_max: int) -> np.ndarray:
+    """S_p = sum_{a in cluster} (2 eta_k - e_a)^p for p = 1..p_max, as a
+    read-only float array; S_0 = M_k is implicit."""
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
     offs = 2.0 * eta_k - np.asarray(e_cluster, dtype=np.complex128)
@@ -73,12 +50,14 @@ def power_sums(e_cluster, eta_k: float, p_max: int) -> PowerSums:
                 "cluster is not conjugate-closed")
         out[p - 1] = s.real
         term = term * offs
-    return PowerSums(out)
+    out.setflags(write=False)
+    return out
 
 
 def pn_coefficients(problem: PairingProblem, k: int, e_noncluster,
-                    n_max: int) -> PnCoefficients:
-    """P_n per the cluster expansion, n = 0..n_max, real parts.
+                    n_max: int) -> np.ndarray:
+    """P_n per the cluster expansion, n = 0..n_max, real parts, as a
+    read-only float array.
 
     P_n = sum_{j != k} d_j/(2eta_k - 2eta_j)^(n+1)
         + sum_{b not in C_k} 1/(2eta_k - e_b)^(n+1)
@@ -93,7 +72,9 @@ def pn_coefficients(problem: PairingProblem, k: int, e_noncluster,
     if bad > IMAG_TOL:
         raise ConsistencyError(
             f"P_n imaginary residue {bad:.3e} exceeds {IMAG_TOL}")
-    return PnCoefficients(vals.real)
+    pn = vals.real.copy()
+    pn.setflags(write=False)
+    return pn
 
 
 def power_sums_to_elementary(s: np.ndarray) -> np.ndarray:
@@ -124,7 +105,7 @@ def invert_power_sums(s, size: int, eta_k: float) -> InversionResult:
     x_a = 2 eta_k - e_a; roots come from the companion-matrix eigenvalues
     (numpy.roots); the condition field estimates their sensitivity.
     """
-    svals = s.s if isinstance(s, PowerSums) else np.asarray(s, dtype=float)
+    svals = np.asarray(s, dtype=float)
     if len(svals) < size:
         raise ValueError(f"need at least {size} power sums, got {len(svals)}")
     elem = power_sums_to_elementary(svals[:size])
@@ -156,7 +137,7 @@ def cluster_matrix(g: float, pn, m_k: int, rows=None) -> np.ndarray:
     diagonal, 4g P_{c-p} above it.
     """
     n = m_k if rows is None else rows
-    p = pn.p if isinstance(pn, PnCoefficients) else np.asarray(pn, dtype=float)
+    p = np.asarray(pn, dtype=float)
     if len(p) < n:
         raise ValueError(f"need P_0..P_{n - 1}, got {len(p)} entries")
     mat = np.zeros((n, n))

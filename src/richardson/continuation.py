@@ -26,7 +26,8 @@ from .cluster import default_cluster_size, detect_cluster, power_sums
 from .critical import CriticalPoint, critical_levels, scan_critical
 from .errors import ConsistencyError, ContinuationError
 from .model import PairingProblem, as_occupation
-from .solver import PairEnergies, Walker, newton_core, restart_step_cap
+from .solver import (PairEnergies, Walker, newton_core, restart_step_cap,
+                     weak_coupling_g)
 from .tangent import TangentData, linear_guess, solve_tangent
 
 # sweep step control: bounds, and the Newton iteration counts above which
@@ -230,7 +231,7 @@ def sweep(problem: PairingProblem, branch, g_target: float,
                 registered.append(p)
     r_c = opts.crossing_radius
 
-    g_init = 1e-3 * problem.mean_level_spacing()
+    g_init = weak_coupling_g(problem)
     g0 = direction * min(abs(g_init), abs(g_target) / 2.0)
     walker, origin, rn = Walker.weak_start(eta2, d, occ.counts, g0,
                                            min_step=STEP_MIN, name="sweep")
@@ -375,6 +376,6 @@ def sample_figure_data(path: SweepPath, problem: PairingProblem,
                                 problem.levels[k].eta, m_k + 1)
             except ConsistencyError:
                 continue
-            out.append((s.g, *ps.s, float(inside)))
+            out.append((s.g, *ps, float(inside)))
         s_rows = np.array(out) if out else np.empty((0, m_k + 3))
     return FigureData(header, rows, s_header, s_rows)

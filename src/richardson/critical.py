@@ -26,7 +26,7 @@ from .cluster import (chi_ratios, cluster_matrix, default_cluster_size,
                       pn_coefficients, scaled_determinant)
 from .errors import ContinuationError, RichardsonError, UnresolvedRootError
 from .model import OccupationMap, PairingProblem, as_occupation, ground_occupation
-from .solver import Walker
+from .solver import Walker, weak_coupling_g
 
 RESIDUAL_TOL = 1e-10
 DEFAULT_GRID_PER_UNIT = 400
@@ -192,31 +192,55 @@ def _validate_point(point, problem):
     return point
 
 
+class ScanResult(list):
+    """The critical points of one scan, in order of g_c.  ``issues`` holds
+    the text of each truncation or skipped bracket, in the order the scan
+    met them; each was also warned as a TruncatedScanWarning."""
+
+    def __init__(self, points=(), issues=()):
+        super().__init__(points)
+        self.issues = list(issues)
+
+
 def scan_critical(problem: PairingProblem, k: int, g_range, branch=None, *,
                   m_k=None, grid_points=None,
-                  deflated_occ=None) -> list[CriticalPoint]:
+                  deflated_occ=None) -> ScanResult:
     """All critical couplings for level k with g in (g_lo, g_hi).
 
     Walks the deflated branch over a uniform grid, brackets every sign
     change of the scaled determinant and finds each root by false position
     in g along the branch (`_resolve_bracket`).  Cells where |det| dips
     sharply without a sign change are re-walked at 100x density to catch
-    close root pairs.  Branch continuation failure truncates the scan with
-    a TruncatedScanWarning; a bracket that does not hold a validated root
-    is skipped with one.  There is no strict mode: a warnings filter such
-    as ``warnings.simplefilter("error", TruncatedScanWarning)`` turns every
-    skip and truncation into an error.
+    close root pairs.  A range across 0 is scanned as its two sides, each
+    walked out from weak coupling.  Branch continuation failure truncates
+    a side, and a bracket that does not hold a validated root is skipped;
+    either lands in the result's ``issues`` and is warned from the
+    caller's line as a TruncatedScanWarning.  A warnings filter such as
+    ``warnings.simplefilter("error", TruncatedScanWarning)`` turns every
+    skip and truncation into an error; filters do not change ``issues``.
     """
     g_lo, g_hi = sorted(g_range)
-    if g_lo < 0 < g_hi:
-        lower = scan_critical(problem, k, (g_lo, 0.0), branch, m_k=m_k,
-                              grid_points=grid_points,
-                              deflated_occ=deflated_occ)
-        upper = scan_critical(problem, k, (0.0, g_hi), branch, m_k=m_k,
-                              grid_points=grid_points,
-                              deflated_occ=deflated_occ)
-        return sorted(lower + upper, key=lambda p: p.g_c)
+    sides = [(g_lo, 0.0), (0.0, g_hi)] if g_lo < 0 < g_hi else [(g_lo, g_hi)]
+    found = ScanResult()
+    for near_far in sides:
+        _scan_side(found, problem, k, near_far, branch, m_k, grid_points,
+                   deflated_occ)
+    found.sort(key=lambda p: p.g_c)
+    return found
 
+
+def _report(found, text):
+    """Add an issue to `found` and warn it from the line that called
+    `scan_critical`, three frames above this one."""
+    found.issues.append(text)
+    warnings.warn(text, TruncatedScanWarning, stacklevel=4)
+
+
+def _scan_side(found, problem, k, g_range, branch, m_k, grid_points,
+               deflated_occ):
+    """`scan_critical` over a range on one side of 0, adding its points
+    and issues to `found`."""
+    g_lo, g_hi = g_range
     direction = 1 if g_hi > 0 else -1
     far = g_hi if direction > 0 else g_lo
     near = g_lo if direction > 0 else g_hi
@@ -229,11 +253,11 @@ def scan_critical(problem: PairingProblem, k: int, g_range, branch=None, *,
                                            direction)
     span = abs(far - near)
     if span == 0.0:
-        return []
+        return
     if grid_points is None:
         grid_points = max(400, int(round(span * DEFAULT_GRID_PER_UNIT)))
 
-    g_init = 1e-3 * problem.mean_level_spacing()
+    g_init = weak_coupling_g(problem)
     start = direction * max(abs(near), abs(g_init))
     grid = np.linspace(start, far, grid_points + 1)
 
@@ -248,28 +272,23 @@ def scan_critical(problem: PairingProblem, k: int, g_range, branch=None, *,
             stops.append(g)
             states.append(walker.e)
     except ContinuationError as err:
-        warnings.warn(f"scan truncated: {err}", TruncatedScanWarning,
-                      stacklevel=2)
+        _report(found, f"scan truncated: {err}")
     if len(stops) < 2:
-        return []
+        return
 
     brackets = _find_brackets(problem, k, m_k, np.array(stops),
                               np.array(dets), states)
-    points = []
     for g_a, g_b, det_a, det_b, e_a in brackets:
         try:
-            points.append(_resolve_bracket(problem, k, m_k, g_a, g_b,
-                                          det_a, det_b, e_a, branch_occ,
-                                          deflated_occ, origin))
+            found.append(_resolve_bracket(problem, k, m_k, g_a, g_b,
+                                         det_a, det_b, e_a, branch_occ,
+                                         deflated_occ, origin))
         except RichardsonError as err:
             # a deflated branch hopping at one of its own collapses can
             # flip the determinant sign with no zero in between
-            warnings.warn(f"skipping spurious bracket: root in "
-                          f"({g_a:.8g}, {g_b:.8g}) for level {k} could not "
-                          f"be resolved: {err}",
-                          TruncatedScanWarning, stacklevel=2)
-    points.sort(key=lambda p: p.g_c)
-    return points
+            _report(found, f"skipping spurious bracket: root in "
+                           f"({g_a:.8g}, {g_b:.8g}) for level {k} could not "
+                           f"be resolved: {err}")
 
 
 def _sign_cells(gs, dets, states):

@@ -330,6 +330,12 @@ def _single_level_roots(d: float, m: int) -> tuple[complex, ...]:
     return tuple(x)
 
 
+def weak_coupling_g(problem: PairingProblem) -> float:
+    """Largest |g| `init_weak_coupling` seeds at: 1e-3 of the mean level
+    spacing.  Sweeps and scans start their walks there."""
+    return 1e-3 * problem.mean_level_spacing()
+
+
 def init_weak_coupling(problem: PairingProblem, occupation,
                        g_small: float) -> PairEnergies:
     """Weak-coupling seed: m pair energies near 2 eta_j for each occupied level.
@@ -338,7 +344,7 @@ def init_weak_coupling(problem: PairingProblem, occupation,
     by Newton from a small conjugate-symmetric circle around 2 eta_j.
     """
     occ = as_occupation(occupation).validate_for(problem)
-    g_max = 1e-3 * problem.mean_level_spacing()
+    g_max = weak_coupling_g(problem)
     if not 0.0 < abs(g_small) <= g_max:
         raise ValueError(f"g_small={g_small} outside (0, {g_max:.3g}]")
     return PairEnergies(*_weak_seed_arrays(problem.eta2_array(),

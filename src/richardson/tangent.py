@@ -103,7 +103,7 @@ def _bordered_system(point, problem):
     e_nc = point.e_noncluster
     nb = e_nc.shape[0]
     inv = 1.0 / (problem.eta2_array()[k] - e_nc)
-    pn = pn_coefficients(problem, k, e_nc, rows - 1).p
+    pn = pn_coefficients(problem, k, e_nc, rows - 1)
     chi = np.zeros(rows + 1)
     chi[1:m_k + 1] = point.chi
     dpn = _dpn_de(inv, m_k)

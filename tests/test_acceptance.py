@@ -150,8 +150,8 @@ def test_criterion_4_lemma_asymptotics(lattice6, table3, tangents6):
         sol = continuation.restart_solve(tan, lattice6, delta)
         idx = nearest_members(sol.values, 2 * eta_k, pt.m_k)
         ps = rs.power_sums(sol.values[idx], eta_k, pt.m_k + 1)
-        ratios[delta] = ps.s / ps.s[0]
-        resid[delta] = np.abs(ratios[delta] - chi - a * ps.s[0])
+        ratios[delta] = ps / ps[0]
+        resid[delta] = np.abs(ratios[delta] - chi - a * ps[0])
     failures = []
     slopes = []
     for p in range(2, pt.m_k + 2):
@@ -207,7 +207,7 @@ def test_criterion_5_restart_quality(lattice6, table3, tangents6):
         for delta in deltas:
             sol = continuation.restart_solve(tan, lattice6, delta)
             idx = nearest_members(sol.values, 2 * eta_k, pt.m_k)
-            s_true = rs.power_sums(sol.values[idx], eta_k, pt.m_k).s
+            s_true = rs.power_sums(sol.values[idx], eta_k, pt.m_k)
             err = np.max(np.abs(tan.ds1_dg * pt.chi * delta - s_true))
             pool = list(np.delete(sol.values, idx))
             for z, dz in zip(pt.e_noncluster, tan.de_dg):
@@ -333,10 +333,10 @@ def test_criterion_7_tangent_correctness(lattice6, table3, tangents6):
         eta_k = lattice6.levels[pt.k].eta
         s1u = rs.power_sums(up.values[nearest_members(up.values,
                                                       2 * eta_k, pt.m_k)],
-                            eta_k, 1).s[0]
+                            eta_k, 1)[0]
         s1d = rs.power_sums(dn.values[nearest_members(dn.values,
                                                       2 * eta_k, pt.m_k)],
-                            eta_k, 1).s[0]
+                            eta_k, 1)[0]
         fd = (s1u - s1d) / (2 * delta)
         if abs(fd - tan.ds1_dg) > 1e-4 * abs(tan.ds1_dg):
             failures.append(f"{key} dS1/dg: fd {fd:.6f} vs {tan.ds1_dg:.6f}")

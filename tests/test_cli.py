@@ -50,6 +50,20 @@ def test_lattice_odd_note(capsys):
     assert "odd lattice" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_lattice_rejects_a_pair_count_below_one(tmp_path, capsys, pairs):
+    # every other command refuses a problem without pairs, so `lattice`
+    # must not write one
+    out_file = tmp_path / "lat4.json"
+    assert run_cli(["lattice", "--n", "4", "--pairs", pairs,
+                    "--out", str(out_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: argument --pairs: must be an integer >= 1, got {pairs!r}"]
+    assert not out_file.exists()
+
+
 def test_critical_records_roundtrip(tmp_path, capsys):
     prob_file = tmp_path / "toy.json"
     p = rs.PairingProblem((rs.Level(0.0, 6), rs.Level(1.0, 2)), 4)
@@ -471,14 +485,17 @@ def test_bad_level_argument_is_rejected_before_any_work(
 
 
 def _warn_on_level(monkeypatch, level):
-    """Make `critical.scan_critical` warn once for 0-based `level`."""
+    """Make `critical.scan_critical` report one issue for 0-based `level`."""
     scan = critical.scan_critical
 
     def warning(problem, k, *args, **kwargs):
+        issues = []
         if k == level:   # from the caller's line, as `scan_critical` warns
-            warnings.warn(f"scan truncated: test stall at level {k}",
-                          critical.TruncatedScanWarning, stacklevel=2)
-        return scan(problem, k, *args, **kwargs)
+            issues.append(f"scan truncated: test stall at level {k}")
+            warnings.warn(issues[0], critical.TruncatedScanWarning,
+                          stacklevel=2)
+        found = scan(problem, k, *args, **kwargs)
+        return critical.ScanResult(found, found.issues + issues)
 
     monkeypatch.setattr(critical, "scan_critical", warning)
 
@@ -492,7 +509,7 @@ def test_warnings_print_as_one_line(tmp_path):
         def truncated(*args, **kwargs):
             warnings.warn("scan truncated: test stall",
                           critical.TruncatedScanWarning)
-            return []
+            return critical.ScanResult([], ["scan truncated: test stall"])
 
         critical.scan_critical = truncated
         before = warnings.formatwarning
@@ -517,8 +534,8 @@ def test_warnings_print_as_one_line(tmp_path):
 
 def test_critical_warning_reaches_the_caller_once(tmp_path, capsys,
                                                   monkeypatch):
-    # `critical` records each level's warnings to learn which scans were
-    # whole, then issues them again for the caller's own filters
+    # a scan's warning reaches the caller's filters once, from the line of
+    # `cli` that called the scan; `critical` reads the issue from the result
     _warn_on_level(monkeypatch, 1)
     prob_file = tmp_path / "toy.json"
     p = rs.PairingProblem((rs.Level(0.0, 6), rs.Level(1.0, 2)), 4)
@@ -630,6 +647,25 @@ def test_sweep_rescans_a_level_whose_scan_warned(tmp_path, capsys,
     _no_scan(monkeypatch)
     with pytest.raises(AssertionError, match="sweep scanned"):
         _toy_sweep(prob_file, tmp_path)
+
+
+def test_coverage_ignores_the_warnings_filters(tmp_path, capsys,
+                                              monkeypatch):
+    # level 2 (1-based) stalls past g = -0.3; with every warning ignored its
+    # truncated scan still keeps it out of the coverage file
+    det_at = critical._det_at
+
+    def stalling(walker, problem, k, m_k, g):
+        if k == 1 and g < -0.3:
+            raise ContinuationError(f"test stall at g={g:.6g}")
+        return det_at(walker, problem, k, m_k, g)
+
+    monkeypatch.setattr(critical, "_det_at", stalling)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("ignore")
+        prob_file, cov_file = _toy_critical(tmp_path)
+    assert caught == []
+    assert json.loads(cov_file.read_text())["levels"] == [1]
 
 
 @pytest.mark.parametrize("text", ["{not json", "[]", '{"levels": [1, 2]}'],

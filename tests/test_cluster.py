@@ -23,13 +23,13 @@ def test_power_sums_basic():
     eta_k = 1.0
     cluster = [2 * eta_k - 0.1, 2 * eta_k + 0.1]
     ps = rs.power_sums(cluster, eta_k, 2)
-    assert abs(ps.s[0]) < 1e-15
-    assert abs(ps.s[1] - 0.02) < 1e-15
+    assert abs(ps[0]) < 1e-15
+    assert abs(ps[1] - 0.02) < 1e-15
 
 
 def test_power_sums_collapsed():
     ps = rs.power_sums([4.0, 4.0, 4.0], 2.0, 4)
-    assert np.all(ps.s == 0.0)
+    assert np.all(ps == 0.0)
 
 
 def test_power_sums_vs_naive_loop():
@@ -40,7 +40,16 @@ def test_power_sums_vs_naive_loop():
         for p in range(1, 7):
             naive = sum((-2.0 - z) ** p for z in cluster)
             assert abs(naive.imag) < 1e-9
-            assert abs(ps.s[p - 1] - naive.real) < 1e-12
+            assert abs(ps[p - 1] - naive.real) < 1e-12
+
+
+def test_power_sums_and_pn_are_read_only_float_arrays(toy_3lvl):
+    ps = rs.power_sums([1.9, 2.1], 1.0, 3)
+    pn = rs.pn_coefficients(toy_3lvl, 0, [2.3], 2)
+    for arr in (ps, pn):
+        assert type(arr) is np.ndarray and arr.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
 
 
 def test_power_sums_consistency_error():
@@ -54,7 +63,7 @@ def test_pn_single_term():
     pn = rs.pn_coefficients(p, 0, [], 3)
     d1 = -0.5
     for n in range(4):
-        assert abs(pn.p[n] - d1 / (-2.0) ** (n + 1)) < 1e-14
+        assert abs(pn[n] - d1 / (-2.0) ** (n + 1)) < 1e-14
 
 
 def test_pn_conjugate_pair_contribution():
@@ -64,7 +73,7 @@ def test_pn_conjugate_pair_contribution():
     base = rs.pn_coefficients(p, 0, [], 2)
     for n in range(3):
         expect = 2 * np.real(1.0 / (0.0 - z) ** (n + 1))
-        assert abs(pn.p[n] - base.p[n] - expect) < 1e-12
+        assert abs(pn[n] - base[n] - expect) < 1e-12
 
 
 def test_invert_power_sums_roundtrip():
@@ -151,7 +160,7 @@ def test_power_sum_inversion_roundtrip_property(size, seed):
     ps = rs.power_sums(cluster, 0.5, size)
     inv = rs.invert_power_sums(ps, size, 0.5)
     back = rs.power_sums(inv.energies, 0.5, size)
-    assert np.max(np.abs(back.s - ps.s)) < 1e-7 * max(1.0, np.max(np.abs(ps.s)))
+    assert np.max(np.abs(back - ps)) < 1e-7 * max(1.0, np.max(np.abs(ps)))
 
 
 def test_chi_matches_centered_slopes_6x6(lattice6, table3, tangents6):
@@ -166,6 +175,6 @@ def test_chi_matches_centered_slopes_6x6(lattice6, table3, tangents6):
     for sgn in (+1, -1):
         sol = restart_solve(tan, lattice6, sgn * 1e-4)
         idx = np.argsort(np.abs(sol.values - 2 * eta_k))[:pt.m_k]
-        s[sgn] = rs.power_sums(sol.values[idx], eta_k, pt.m_k).s
+        s[sgn] = rs.power_sums(sol.values[idx], eta_k, pt.m_k)
     slopes = (s[+1] - s[-1]) / (s[+1][0] - s[-1][0])
     assert np.max(np.abs(slopes - pt.chi) / np.abs(pt.chi)) < 1e-3

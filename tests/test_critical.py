@@ -102,7 +102,7 @@ def test_chi_matches_measured_slopes(toy_3lvl):
     sol = rs.restart_solve(tan, toy_3lvl, 1e-4)
     idx = nearest_members(sol.values, 2 * toy_3lvl.levels[0].eta, pt.m_k)
     ps = rs.power_sums(sol.values[idx], toy_3lvl.levels[0].eta, pt.m_k)
-    ratios = ps.s / ps.s[0]
+    ratios = ps / ps[0]
     assert np.max(np.abs(ratios - pt.chi)) < 1e-2
 
 
@@ -199,6 +199,28 @@ def test_walk_failure_inside_bracket_is_skipped(toy_3lvl, monkeypatch):
     _assert_every_bracket_skipped(toy_3lvl, 0, (-0.6, 0.0), monkeypatch)
 
 
+def test_straddling_scan_reports_its_issues_from_the_caller(toy_3lvl,
+                                                           monkeypatch):
+    # a stall on each side of g = 0 truncates both halves of the scan; each
+    # issue is warned from this file, in the order `issues` lists them
+    det_at = critical._det_at
+
+    def stalling(walker, problem, k, m_k, g):
+        if g < -0.5 or g > 0.2:
+            raise ContinuationError(f"test stall at g={g:.6g}")
+        return det_at(walker, problem, k, m_k, g)
+
+    monkeypatch.setattr(critical, "_det_at", stalling)
+    with pytest.warns(TruncatedScanWarning) as seen:
+        found = rs.scan_critical(toy_3lvl, 0, (-0.6, 0.3), grid_points=60)
+    assert isinstance(found, list)
+    assert [str(w.message) for w in seen] == found.issues
+    assert [w.filename for w in seen] == [__file__] * 2
+    stalls = [float(text.removeprefix("scan truncated: test stall at g="))
+              for text in found.issues]
+    assert stalls[0] < -0.5 and stalls[1] > 0.2
+
+
 def test_unbuildable_bracket_is_skipped(lattice6):
     # at the bracket of level 4 near g = 0.1288 the cluster null space is
     # not one-dimensional, so the point cannot be built (chi_ratios raises
@@ -277,7 +299,7 @@ def test_neg2_root_from_physical_branch(lattice6, ground6, table3):
 
     def cluster_s1(vals):
         idx = nearest_members(vals, 2 * eta_k, pt.m_k)
-        return rs.power_sums(vals[idx], eta_k, 1).s[0]
+        return rs.power_sums(vals[idx], eta_k, 1)[0]
 
     g, vals = path.samples[-1].g, path.samples[-1].energies.values
     prev = None

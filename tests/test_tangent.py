@@ -113,7 +113,7 @@ def test_tangent_finite_difference_small_problem(toy_3lvl):
         idx = nearest_members(sols[sgn].values, 2 * toy_3lvl.levels[0].eta,
                               pt.m_k)
         s1[sgn] = rs.power_sums(sols[sgn].values[idx],
-                                toy_3lvl.levels[0].eta, 1).s[0]
+                                toy_3lvl.levels[0].eta, 1)[0]
     fd = (s1[+1] - s1[-1]) / (2 * delta)
     assert abs(fd - tan.ds1_dg) <= 1e-4 * abs(tan.ds1_dg)
 
@@ -167,7 +167,7 @@ def test_guess_error_quadratic_in_smooth_coordinates(lattice6, table3,
     for delta in deltas:
         sol = rs.restart_solve(tan, lattice6, delta)
         idx = nearest_members(sol.values, 2 * eta_k, pt.m_k)
-        s_true = rs.power_sums(sol.values[idx], eta_k, pt.m_k).s
+        s_true = rs.power_sums(sol.values[idx], eta_k, pt.m_k)
         s_hat = tan.ds1_dg * pt.chi * delta
         err = np.max(np.abs(s_hat - s_true))
         nc_true = np.delete(sol.values, idx)
@@ -195,7 +195,7 @@ def test_second_order_coefficients_match_central_differences(
     for sgn in (+1, -1):
         sol = rs.restart_solve(tan, lattice6, sgn * delta)
         idx = nearest_members(sol.values, 2 * eta_k, pt.m_k)
-        s[sgn] = rs.power_sums(sol.values[idx], eta_k, 2 * pt.m_k).s
+        s[sgn] = rs.power_sums(sol.values[idx], eta_k, 2 * pt.m_k)
     s1_fd = (s[+1][0] - s[-1][0]) / (2 * delta)
     s1pp_fd = (s[+1][0] + s[-1][0]) / delta ** 2
     assert abs(s1pp_fd - tan.d2s1_dg2) <= 1e-3 * abs(tan.d2s1_dg2)
