@@ -314,45 +314,99 @@ def cmd_sweep(args):
     return 0
 
 
+def _verify_branch(problem, occ, grid, scans):
+    """{g: energy} of the branch at each grid point, None where the sweep
+    was skipped or truncated: the unperturbed energy at g = 0, and one
+    sweep per sign of g to its farthest grid point, read at the others as
+    stops.  `scans` is shared by the command's branches."""
+    unperturbed = sum(2.0 * lv.eta * c
+                      for lv, c in zip(problem.levels, occ.counts))
+    out = {g: unperturbed if g == 0.0 else None for g in grid}
+    for sign in dict.fromkeys(np.sign(grid[grid != 0.0])):
+        gs = [g for g in grid if g * sign > 0]
+        far = max(gs, key=abs)
+        opts = continuation.SweepOptions(auto_scan=False)
+        try:
+            points = continuation.auto_scan_points(
+                problem, occ, far, opts.crossing_radius, scans)
+            path = continuation.sweep(problem, occ, far, opts,
+                                      critical_points=points,
+                                      stops=[g for g in gs if g != far])
+        except RichardsonError as err:
+            for g in gs:
+                print(f"branch {occ.counts} at g={_fmt(g)}: skipped ({err})")
+            continue
+        for g in gs:
+            if g == far:
+                sample = path.samples[-1] \
+                    if path.status == "completed" else None
+            else:
+                sample = path.stop_samples.get(g)
+            if sample is None:
+                print(f"branch {occ.counts} at g={_fmt(g)}: truncated")
+            else:
+                out[g] = sample.energy
+    return out
+
+
+def _shared_eigenvalues(spectrum, nearest):
+    """Groups of eigenvalues (neighbours within 1e-9 of each other) that
+    more of the given branches land nearest to than the group has
+    members: [(branches, lowest eigenvalue of the group)]."""
+    group = np.concatenate(([0], np.cumsum(np.diff(spectrum) > 1e-9)))
+    size = np.bincount(group)
+    landed = {}
+    for occ, idx in nearest.items():
+        landed.setdefault(group[idx], []).append(occ)
+    return [(occs, spectrum[group == gid][0])
+            for gid, occs in landed.items() if len(occs) > size[gid]]
+
+
 def cmd_verify(args):
     problem = load_problem_file(args.problem)
     grid = np.linspace(args.g_min, args.g_max, args.points)
-    spectrum_cache = {}
     branches = [model.ground_occupation(problem)]
     branches += [occ for occ in model.excited_occupations(
         problem, args.excitations) if occ != branches[0]]
     dim = oracle.checked_dimension(problem)   # guards before any sweep
     print(f"oracle dimension: {dim}; checking {len(branches)} branch(es) "
           f"on {len(grid)} couplings")
+    # scans of one deflated branch, reused by every branch of this command
+    scans = {}
+    energies = {occ: _verify_branch(problem, occ, grid, scans)
+                for occ in branches}
     worst = 0.0
     checked = 0
-    for occ in branches:
-        for g in grid:
-            if g == 0.0:
-                energy = sum(2.0 * lv.eta * c
-                             for lv, c in zip(problem.levels, occ.counts))
-            else:
-                try:
-                    path = continuation.sweep(problem, occ, g)
-                except RichardsonError as err:
-                    print(f"branch {occ.counts} at g={_fmt(g)}: skipped ({err})")
-                    continue
-                if path.status != "completed":
-                    print(f"branch {occ.counts} at g={_fmt(g)}: truncated")
-                    continue
-                energy = path.samples[-1].energy
-            if g not in spectrum_cache:
-                spectrum_cache[g] = oracle.exact_spectrum(problem.with_g(g))
-            dev = float(np.min(np.abs(spectrum_cache[g] - energy)))
+    failed = False
+    for g in dict.fromkeys(grid):
+        landed = {occ: e[g] for occ, e in energies.items() if e[g] is not None}
+        if not landed:
+            continue
+        spectrum = oracle.exact_spectrum(problem.with_g(g))
+        nearest = {}
+        for occ, energy in landed.items():
+            nearest[occ] = int(np.argmin(np.abs(spectrum - energy)))
+            dev = float(abs(spectrum[nearest[occ]] - energy))
+            if dev > args.tol:
+                print(f"branch {occ.counts} at g={_fmt(g)}: deviation "
+                      f"{_fmt(dev, 3)} exceeds --tol {_fmt(args.tol, 3)}")
+                failed = True
             worst = max(worst, dev)
-            checked += 1
+        for occs, value in _shared_eigenvalues(spectrum, nearest):
+            print(f"at g={_fmt(g)}: branches "
+                  + ", ".join(str(occ.counts) for occ in occs)
+                  + f" land nearest the same eigenvalue {_fmt(value)}")
+            failed = True
+        checked += len(landed) * int(np.count_nonzero(grid == g))
     print(f"samples checked: {checked}")
     print(f"max deviation from exact spectrum: {_fmt(worst, 3)}")
     if len(branches) < dim:
         print(f"note: {len(branches)} of {dim} oracle states covered; "
               f"raise --excitations for more")
     # a skipped or truncated sample is not a checked one
-    return EXIT_TRUNCATED if checked < len(branches) * len(grid) else 0
+    if failed or checked < len(branches) * len(grid):
+        return EXIT_TRUNCATED
+    return 0
 
 
 def _level(text):
@@ -366,19 +420,29 @@ def _level(text):
             f"must be 'all' or an integer, got {text!r}") from None
 
 
-def _positive(kind):
-    """argparse type for a count (int, >= 1) or a length (float, > 0)."""
-    want = "an integer >= 1" if kind is int else "a number > 0"
-
+def _count(least):
+    """argparse type for a count: an integer >= least."""
     def convert(text):
         try:
-            val = kind(text)
+            val = int(text)
         except ValueError:
-            val = 0
-        if not val > 0:
-            raise argparse.ArgumentTypeError(f"must be {want}, got {text!r}")
+            val = least - 1
+        if val < least:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {least}, got {text!r}")
         return val
     return convert
+
+
+def _length(text):
+    """argparse type for a length or tolerance: a number > 0."""
+    try:
+        val = float(text)
+    except ValueError:
+        val = 0.0
+    if not val > 0:
+        raise argparse.ArgumentTypeError(f"must be a number > 0, got {text!r}")
+    return val
 
 
 class _Parser(argparse.ArgumentParser):
@@ -401,7 +465,7 @@ def build_parser():
 
     p = sub.add_parser("lattice", help="generate the square-lattice model")
     p.add_argument("--n", type=int, required=True, help="lattice size n")
-    p.add_argument("--pairs", type=_positive(int), required=True,
+    p.add_argument("--pairs", type=_count(1), required=True,
                    help="pair count M")
     p.add_argument("--out", help="problem file to write")
     p.set_defaults(func=cmd_lattice)
@@ -415,9 +479,9 @@ def build_parser():
     p.add_argument("--g-max", type=float, required=True)
     p.add_argument("--branch", default="ground",
                    help="'ground' or comma-separated occupation counts")
-    p.add_argument("--mk", type=_positive(int), default=None,
+    p.add_argument("--mk", type=_count(1), default=None,
                    help="override the cluster size M_k")
-    p.add_argument("--grid", type=_positive(int), default=None,
+    p.add_argument("--grid", type=_count(1), default=None,
                    help="scan grid points")
     p.add_argument("--out", help="critical-point record file")
     p.set_defaults(func=cmd_critical)
@@ -429,9 +493,9 @@ def build_parser():
     p.add_argument("--out", help="output directory (default .)")
     p.add_argument("--cluster-level", type=int, default=None,
                    help="1-based level for the S_p table")
-    p.add_argument("--step", type=_positive(float), default=None)
-    p.add_argument("--crossing-radius", type=_positive(float), default=None)
-    p.add_argument("--stride", type=_positive(int), default=1,
+    p.add_argument("--step", type=_length, default=None)
+    p.add_argument("--crossing-radius", type=_length, default=None)
+    p.add_argument("--stride", type=_count(1), default=1,
                    help="keep every n-th sample in the CSV")
     p.set_defaults(func=cmd_sweep)
 
@@ -440,8 +504,13 @@ def build_parser():
     p.add_argument("--problem", required=True)
     p.add_argument("--g-min", type=float, default=-0.2)
     p.add_argument("--g-max", type=float, default=0.2)
-    p.add_argument("--points", type=_positive(int), default=11)
-    p.add_argument("--excitations", type=int, default=1)
+    p.add_argument("--points", type=_count(1), default=11)
+    p.add_argument("--excitations", type=_count(0), default=1,
+                   help="check the branches of up to this many pair "
+                        "excitations of the ground state")
+    p.add_argument("--tol", type=_length, default=1e-8,
+                   help="largest deviation from the exact spectrum that "
+                        "passes")
     p.set_defaults(func=cmd_verify)
     return ap
 

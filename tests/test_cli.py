@@ -6,6 +6,7 @@ import textwrap
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import richardson as rs
@@ -194,6 +195,50 @@ def test_verify_exits_4_on_skipped_or_truncated_sample(tmp_path, capsys,
     assert "at g=-0.2: skipped (branch stalled)" in out
     assert "at g=0.2: truncated" in out
     assert "samples checked: " in out
+
+
+def test_verify_deviation_above_tol_exits_4(tmp_path, capsys):
+    prob_file = tmp_path / "n2.json"
+    prob_file.write_text(rs.save_problem(rs.build_lattice_model(2, 2)))
+    argv = ["verify", "--problem", str(prob_file), "--points", "3"]
+    assert run_cli(argv) == 0
+    assert run_cli(argv + ["--tol", "1e-30"]) == 4
+    out = capsys.readouterr().out
+    assert "branch (1, 1, 0) at g=-0.2: deviation " in out
+    assert "exceeds --tol 1e-30" in out
+    assert "samples checked: 12" in out
+
+
+def test_verify_exits_4_when_branches_share_an_eigenvalue(
+        tmp_path, capsys, monkeypatch):
+    # every branch swept as the ground branch lands on its eigenvalue
+    real = continuation.sweep
+
+    def ground_only(problem, branch, g, *args, **kwargs):
+        return real(problem, rs.ground_occupation(problem), g, *args,
+                    **kwargs)
+
+    monkeypatch.setattr(continuation, "sweep", ground_only)
+    prob_file = tmp_path / "n2.json"
+    prob_file.write_text(rs.save_problem(rs.build_lattice_model(2, 2)))
+    assert run_cli(["verify", "--problem", str(prob_file),
+                    "--points", "3"]) == 4
+    out = capsys.readouterr().out
+    assert "at g=-0.2: branches (1, 1, 0), (0, 1, 1), (0, 2, 0), (1, 0, 1) " \
+           "land nearest the same eigenvalue" in out
+    assert "at g=0:" not in out
+
+
+@pytest.mark.parametrize("nearest, shared", [
+    ({"a": 0, "b": 3}, []),
+    ({"a": 1, "b": 2}, []),             # a degenerate pair, one each
+    ({"a": 1, "b": 1}, []),
+    ({"a": 1, "b": 1, "c": 2}, [(["a", "b", "c"], 2.0)]),
+    ({"a": 0, "b": 0}, [(["a", "b"], 1.0)]),
+])
+def test_shared_eigenvalues_count_against_the_group_size(nearest, shared):
+    spectrum = np.array([1.0, 2.0, 2.0 + 5e-10, 3.0])
+    assert cli._shared_eigenvalues(spectrum, nearest) == shared
 
 
 def test_verify_guard_exit(tmp_path, capsys):
@@ -385,8 +430,13 @@ def test_output_location_is_checked_before_any_work(tmp_path, capsys,
     (["sweep", "--g-target", "-0.1"], {"step": 0}, "--step"),
     (["verify"], {"points": -3}, "--points"),
     (["verify"], {"points": 2.5}, "--points"),
+    (["verify", "--excitations", "-1"], None, "--excitations"),
+    (["verify"], {"excitations": -1}, "--excitations"),
+    (["verify", "--tol", "0"], None, "--tol"),
+    (["verify"], {"tol": -1e-8}, "--tol"),
 ], ids=["points", "grid", "step", "crossing-radius", "stride",
-        "config-stride", "config-step", "config-points", "config-float-count"])
+        "config-stride", "config-step", "config-points", "config-float-count",
+        "excitations", "config-excitations", "tol", "config-tol"])
 def test_non_positive_option_is_rejected_before_any_work(
         tmp_path, capsys, monkeypatch, options, config, name):
     def no_work(*args, **kwargs):

@@ -339,3 +339,75 @@ def test_restart_solve_failures_raise(monkeypatch, toy_mm):
     monkeypatch.setattr(continuation, "newton_core", unconverged)
     with pytest.raises(ContinuationError, match="restart at g=-0.245 failed"):
         continuation.restart_solve(tan, toy_mm, 5e-3)
+
+
+def _same_sample(a, b):
+    return (a.g == b.g and a.energy == b.energy
+            and a.residual_norm == b.residual_norm
+            and a.energies.origin == b.energies.origin
+            and np.array_equal(a.energies.values, b.energies.values))
+
+
+@pytest.mark.parametrize("target, stops", [
+    # -0.039 and -0.044 lie in the window of the crossing at -0.0413245,
+    # short of g_c and beyond it (and -0.044 in the window of a passed
+    # level-4 point); -0.0845 and -0.13 short of the crossings at
+    # -0.0877434 and -0.131927.  Unsorted, one stop twice.
+    (-0.15, [-0.1, -0.044, -0.02, -0.039, -0.13, -0.044, -0.0845]),
+    # descending; 0.168 short of the crossing at 0.170878, 0.243 beyond
+    # the one at 0.240579
+    (0.26, [0.25, 0.243, 0.2, 0.168, 0.05]),
+], ids=["neg", "pos"])
+def test_stops_sample_what_a_sweep_to_each_stop_ends_on(lattice6, ground6,
+                                                        target, stops):
+    opts = SweepOptions(auto_scan=False)
+    points = continuation.sweep(lattice6, ground6, target).registered
+    plain = continuation.sweep(lattice6, ground6, target, opts,
+                               critical_points=points)
+    path = continuation.sweep(lattice6, ground6, target, opts,
+                              critical_points=points, stops=stops)
+    assert path.status == plain.status == "completed"
+    assert plain.crossings and path.crossings == plain.crossings
+    assert len(path.samples) == len(plain.samples)
+    assert all(map(_same_sample, path.samples, plain.samples))
+    assert sorted(path.stop_samples) == sorted(set(stops))
+    for s in stops:
+        alone = continuation.sweep(lattice6, ground6, s, opts,
+                                   critical_points=points)
+        assert alone.status == "completed"
+        assert _same_sample(path.stop_samples[s], alone.samples[-1]), s
+
+
+def test_stops_lie_strictly_between_zero_and_target(toy_mm):
+    occ = rs.ground_occupation(toy_mm)
+    for stops in ([0.1], [-0.5], [-0.6], [0.0]):
+        with pytest.raises(ValueError, match="stops"):
+            continuation.sweep(toy_mm, occ, -0.5, stops=stops)
+
+
+def test_shared_auto_scan_points_scan_each_key_once(monkeypatch):
+    # the 22 (branch, sign, level) scans of this problem's 5 branches share
+    # 8 deflated branches; a key's points are reused by other branches
+    p = rs.PairingProblem((rs.Level(0.0, 4), rs.Level(1.0, 4),
+                           rs.Level(2.5, 2)), 3)
+    fresh = {(b, g): continuation.auto_scan_points(p, b, g, 5e-3)
+             for b in rs.excited_occupations(p, 2) for g in (-0.6, 0.6)}
+    calls = []
+    real = continuation.scan_critical
+
+    def counted(problem, k, g_range, branch=None, **kwargs):
+        calls.append((k, kwargs["deflated_occ"].counts, g_range))
+        return real(problem, k, g_range, branch, **kwargs)
+
+    monkeypatch.setattr(continuation, "scan_critical", counted)
+    scans = {}
+    for (b, g), want in fresh.items():
+        got = continuation.auto_scan_points(p, b, g, 5e-3, scans)
+        assert len(got) == len(want)
+        for q, w in zip(got, want):
+            assert q.occupation_label == w.occupation_label == b
+            for f in dataclasses.fields(q):
+                assert np.array_equal(getattr(q, f.name), getattr(w, f.name))
+    assert len(calls) == len(set(calls)) == len(scans) == 8
+    # more points handed out than scanned: some were relabeled copies
+    assert sum(map(len, scans.values())) < sum(map(len, fresh.values()))

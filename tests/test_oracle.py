@@ -79,3 +79,60 @@ def test_basis_dimension_mixed_capacities(pairs):
     p = rs.PairingProblem((rs.Level(0.0, 2), rs.Level(0.4, 6),
                            rs.Level(1.1, 4), rs.Level(1.5, 10)), pairs)
     assert oracle.basis_dimension(p) == len(oracle.pair_basis(p))
+
+
+def _loop_hamiltonian(problem):
+    """The Python triple loop `oracle.hamiltonian` was built with, kept as
+    the reference for the vectorized build."""
+    dim = oracle.checked_dimension(problem)
+    basis = oracle.pair_basis(problem)
+    index = {state: i for i, state in enumerate(basis)}
+    eta2 = problem.eta2_array()
+    caps = problem.capacities()
+    g2 = 2.0 * problem.g
+    h = np.zeros((dim, dim))
+    for s, n in enumerate(basis):
+        diag = sum(eta2[j] * nj for j, nj in enumerate(n))
+        diag += g2 * sum(nj * (caps[j] - nj + 1) for j, nj in enumerate(n))
+        h[s, s] = diag
+        for jp in range(len(n)):          # annihilate a pair on jp
+            if n[jp] == 0:
+                continue
+            down = np.sqrt(n[jp] * (caps[jp] - n[jp] + 1))
+            for j in range(len(n)):       # create it on j
+                if j == jp or n[j] >= caps[j]:
+                    continue
+                up = np.sqrt((n[j] + 1) * (caps[j] - n[j]))
+                target = list(n)
+                target[jp] -= 1
+                target[j] += 1
+                t = index[tuple(target)]
+                h[t, s] += g2 * up * down
+    return h
+
+
+SMALL_PROBLEMS = {
+    "lat2": rs.build_lattice_model(2, 2),
+    "lat4": rs.build_lattice_model(4, 4),
+    "mixed": rs.PairingProblem((rs.Level(0.0, 2), rs.Level(0.4, 6),
+                                rs.Level(1.1, 4), rs.Level(1.5, 10)), 6),
+    # more levels than an int64 mixed-radix state key could number
+    "64-levels": rs.PairingProblem(
+        tuple(rs.Level(0.1 * j, 2) for j in range(64)), 1),
+}
+
+
+@pytest.mark.parametrize("g", [-0.17, 0.0, 0.3])
+@pytest.mark.parametrize("name", SMALL_PROBLEMS)
+def test_hamiltonian_equals_the_loop_bitwise(name, g):
+    p = SMALL_PROBLEMS[name].with_g(g)
+    h = oracle.hamiltonian(p)
+    assert h.tobytes() == _loop_hamiltonian(p).tobytes()
+
+
+@pytest.mark.parametrize("name", SMALL_PROBLEMS)
+def test_g_zero_spectrum_is_eigvalsh_bitwise(name):
+    # at g = 0 exact_spectrum sorts the diagonal instead of calling eigvalsh
+    p = SMALL_PROBLEMS[name].with_g(0.0)
+    want = np.linalg.eigvalsh(_loop_hamiltonian(p))
+    assert oracle.exact_spectrum(p).tobytes() == want.tobytes()
