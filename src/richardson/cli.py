@@ -40,6 +40,8 @@ from .errors import (CapacityError, OracleDimensionError, ProblemFormatError,
 EXIT_USAGE = 2
 EXIT_TRUNCATED = 4
 EXIT_GUARD = 5
+# largest deviation from the exact spectrum that `verify` passes
+VERIFY_TOL = 1e-8
 
 
 def _fmt(x, digits=6):
@@ -315,37 +317,35 @@ def cmd_sweep(args):
 
 
 def _verify_branch(problem, occ, grid, scans):
-    """{g: energy} of the branch at each grid point, None where the sweep
-    was skipped or truncated: the unperturbed energy at g = 0, and one
-    sweep per sign of g to its farthest grid point, read at the others as
-    stops.  `scans` is shared by the command's branches."""
+    """{g: energy} of the branch at each grid point, None where its sweep
+    was skipped or truncated: the unperturbed energy at g = 0, else the end
+    of a sweep to g.  Each sign of g is scanned once, to its farthest grid
+    point, and every sweep of that sign walks from those points.  `scans`
+    is shared by the command's branches."""
     unperturbed = sum(2.0 * lv.eta * c
                       for lv, c in zip(problem.levels, occ.counts))
     out = {g: unperturbed if g == 0.0 else None for g in grid}
+    opts = continuation.SweepOptions(auto_scan=False)
     for sign in dict.fromkeys(np.sign(grid[grid != 0.0])):
         gs = [g for g in grid if g * sign > 0]
-        far = max(gs, key=abs)
-        opts = continuation.SweepOptions(auto_scan=False)
         try:
             points = continuation.auto_scan_points(
-                problem, occ, far, opts.crossing_radius, scans)
-            path = continuation.sweep(problem, occ, far, opts,
-                                      critical_points=points,
-                                      stops=[g for g in gs if g != far])
+                problem, occ, max(gs, key=abs), opts.crossing_radius, scans)
         except RichardsonError as err:
             for g in gs:
                 print(f"branch {occ.counts} at g={_fmt(g)}: skipped ({err})")
             continue
         for g in gs:
-            if g == far:
-                sample = path.samples[-1] \
-                    if path.status == "completed" else None
-            else:
-                sample = path.stop_samples.get(g)
-            if sample is None:
+            try:
+                path = continuation.sweep(problem, occ, g, opts,
+                                          critical_points=points)
+            except RichardsonError as err:
+                print(f"branch {occ.counts} at g={_fmt(g)}: skipped ({err})")
+                continue
+            if path.status != "completed":
                 print(f"branch {occ.counts} at g={_fmt(g)}: truncated")
-            else:
-                out[g] = sample.energy
+                continue
+            out[g] = path.samples[-1].energy
     return out
 
 
@@ -387,9 +387,9 @@ def cmd_verify(args):
         for occ, energy in landed.items():
             nearest[occ] = int(np.argmin(np.abs(spectrum - energy)))
             dev = float(abs(spectrum[nearest[occ]] - energy))
-            if dev > args.tol:
+            if dev > VERIFY_TOL:
                 print(f"branch {occ.counts} at g={_fmt(g)}: deviation "
-                      f"{_fmt(dev, 3)} exceeds --tol {_fmt(args.tol, 3)}")
+                      f"{_fmt(dev, 3)} exceeds {_fmt(VERIFY_TOL, 3)}")
                 failed = True
             worst = max(worst, dev)
         for occs, value in _shared_eigenvalues(spectrum, nearest):
@@ -435,7 +435,7 @@ def _count(least):
 
 
 def _length(text):
-    """argparse type for a length or tolerance: a number > 0."""
+    """argparse type for a length: a number > 0."""
     try:
         val = float(text)
     except ValueError:
@@ -508,9 +508,6 @@ def build_parser():
     p.add_argument("--excitations", type=_count(0), default=1,
                    help="check the branches of up to this many pair "
                         "excitations of the ground state")
-    p.add_argument("--tol", type=_length, default=1e-8,
-                   help="largest deviation from the exact spectrum that "
-                        "passes")
     p.set_defaults(func=cmd_verify)
     return ap
 

@@ -12,15 +12,11 @@ and the next leg starts there; otherwise the point is passed.  Restart
 robustness comes from walking outward, with the same walker, from a
 fraction of the jump (the guess becomes exact as delta g -> 0), with an
 energy-trend check that rejects convergence onto a neighboring eigenstate.
-One sweep also samples intermediate stops, each exactly as a sweep ending
-there would, so a grid of couplings costs one walk.
 """
 
 from __future__ import annotations
 
-import copy
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -69,8 +65,6 @@ class SweepPath:
     status: str                 # "completed" or "truncated"
     diagnostics: list[str] = field(default_factory=list)
     registered: list[CriticalPoint] = field(default_factory=list)
-    # the sample at each stop of sweep(stops=) that the walk reached
-    stop_samples: dict[float, SweepSample] = field(default_factory=dict)
 
     @property
     def g_values(self):
@@ -227,8 +221,7 @@ def _corroborates(point, tan, g_now, vals_now) -> bool:
 
 def sweep(problem: PairingProblem, branch, g_target: float,
           options: SweepOptions | None = None,
-          critical_points: list[CriticalPoint] | None = None,
-          stops: Iterable[float] = ()) -> SweepPath:
+          critical_points: list[CriticalPoint] | None = None) -> SweepPath:
     """Continue the branch from weak coupling to g_target, crossing every
     corroborated critical point via the tangent restart.
 
@@ -245,26 +238,12 @@ def sweep(problem: PairingProblem, branch, g_target: float,
     the given `critical_points` of g_target's sign in their given order,
     then those the auto-scan over `auto_scan_range` found that are not
     within 1e-9 of a given one at the same level.
-
-    `stops` are couplings strictly between 0 and g_target, in any order,
-    repeats allowed.  The path's `stop_samples` maps each stop the walk
-    reached to the last sample of a sweep to that stop alone with the same
-    registered points, bit for bit; the weak-coupling start is then picked
-    from the stop nearest 0 instead of g_target.  Stops leave `samples` as
-    they are: at the first step whose trial reaches a stop, the last leg
-    of the sweep to it is walked on a copy of the walker, and a stop in the
-    window of a crossed point gets its own restart from g_c.  A stop is
-    missing when the walk ended short of it or its own leg or restart
-    failed.
     """
     if g_target == 0.0:
         raise ValueError("g_target must be nonzero")
     opts = options or SweepOptions()
     occ = as_occupation(branch).validate_for(problem)
     direction = 1 if g_target > 0 else -1
-    pending = sorted(set(stops), key=abs)   # stops not yet sampled
-    if any(not 0 < s * direction < abs(g_target) for s in pending):
-        raise ValueError("stops must lie strictly between 0 and g_target")
     eta2 = problem.eta2_array()
     d = problem.d_array()
 
@@ -280,8 +259,7 @@ def sweep(problem: PairingProblem, branch, g_target: float,
     r_c = opts.crossing_radius
 
     g_init = weak_coupling_g(problem)
-    nearest = pending[0] if pending else g_target
-    g0 = direction * min(abs(g_init), abs(nearest) / 2.0)
+    g0 = direction * min(abs(g_init), abs(g_target) / 2.0)
     walker, origin, rn = Walker.weak_start(eta2, d, occ.counts, g0,
                                            min_step=STEP_MIN, name="sweep")
 
@@ -290,7 +268,6 @@ def sweep(problem: PairingProblem, branch, g_target: float,
                            float(np.sum(walker.e.real)), residual_norm)
 
     samples = [sample(rn)]
-    stop_samples: dict[float, SweepSample] = {}
     crossings: list[CriticalPoint] = []
     step = opts.step_init
     slope_est = None
@@ -300,11 +277,6 @@ def sweep(problem: PairingProblem, branch, g_target: float,
         step; returns why the walk had to stop short, or None."""
         nonlocal step, slope_est
         while abs(walker.g) < reach:
-            # a sweep to a stop short of g_to parts from this walk at the
-            # first step whose trial g reaches the stop
-            while pending and abs(pending[0]) <= abs(g_to) and \
-                    (walker.g + direction * step - pending[0]) * direction >= 0:
-                walk_to_stop(pending.pop(0), reach)
             g = walker.g
             try:
                 step, iters, rn = walker.step_toward(g_to, direction * step)
@@ -336,25 +308,6 @@ def sweep(problem: PairingProblem, branch, g_target: float,
                 step = min(step * 2.0, STEP_MAX)
         return None
 
-    def walk_to_stop(s, reach):
-        """The last leg of a sweep to the stop s, walked from the current
-        state on a copy of it; the walk's own state is left as it was."""
-        nonlocal walker, step, slope_est
-        kept, n_samples = (walker, step, slope_est), len(samples)
-        walker = copy.copy(walker)
-        if walk(s, min(abs(s), reach)) is None:
-            stop_samples[s] = samples[-1]
-        walker, step, slope_est = kept
-        del samples[n_samples:]
-
-    def restarted(point, tan, delta):
-        """The sample at g_c + delta that the tangent restart lands."""
-        landed = restart_solve(tan, problem, delta)
-        g = point.g_c + delta
-        return SweepSample(g, landed, float(np.sum(landed.values.real)),
-                           float(np.max(np.abs(
-                               kern.residuals(landed.values, g, eta2, d)))))
-
     for point in sorted(registered, key=lambda p: abs(p.g_c)):
         if abs(point.g_c) > abs(g_target) + r_c \
                 or abs(point.g_c) + r_c <= abs(walker.g):
@@ -370,30 +323,21 @@ def sweep(problem: PairingProblem, branch, g_target: float,
                 f"passed critical point of another branch at "
                 f"g_c={point.g_c:.8g} (level {point.k})")
             continue
-        # a sweep to a stop in this window restarts onto the stop
-        far_edge = point.g_c + direction * r_c
-        while pending and abs(pending[0]) <= abs(far_edge):
-            s = pending.pop(0)
-            delta = s - point.g_c if abs(s) < abs(far_edge) \
-                else direction * r_c
-            try:
-                stop_samples[s] = restarted(point, tan, delta)
-            except ContinuationError:
-                pass
         jump_delta = direction * r_c
         if abs(point.g_c + jump_delta) > abs(g_target):
             jump_delta = g_target - point.g_c
         try:
-            landed = restarted(point, tan, jump_delta)
+            landed = restart_solve(tan, problem, jump_delta)
         except ContinuationError as err:
             stop = f"restart failed at g_c={point.g_c:.8g}: {err}"
             break
         if abs(point.g_c) < abs(g_target):
             crossings.append(point)
-        walker = Walker(eta2, d, landed.g, landed.energies.values,
+        walker = Walker(eta2, d, point.g_c + jump_delta, landed.values,
                         min_step=STEP_MIN, name="sweep")
-        origin = landed.energies.origin
-        samples.append(landed)
+        origin = landed.origin
+        samples.append(sample(float(np.max(np.abs(
+            kern.residuals(walker.e, walker.g, eta2, d))))))
         slope_est = None
     else:
         stop = walk(g_target, abs(g_target))
@@ -402,7 +346,7 @@ def sweep(problem: PairingProblem, branch, g_target: float,
         diagnostics.append(stop)
     return SweepPath(samples, crossings,
                      "truncated" if stop else "completed", diagnostics,
-                     registered, stop_samples)
+                     registered)
 
 
 # ---------------------------------------------------------------------------

@@ -197,15 +197,17 @@ def test_verify_exits_4_on_skipped_or_truncated_sample(tmp_path, capsys,
     assert "samples checked: " in out
 
 
-def test_verify_deviation_above_tol_exits_4(tmp_path, capsys):
+def test_verify_deviation_above_tolerance_exits_4(tmp_path, capsys,
+                                                   monkeypatch):
     prob_file = tmp_path / "n2.json"
     prob_file.write_text(rs.save_problem(rs.build_lattice_model(2, 2)))
     argv = ["verify", "--problem", str(prob_file), "--points", "3"]
     assert run_cli(argv) == 0
-    assert run_cli(argv + ["--tol", "1e-30"]) == 4
+    monkeypatch.setattr(cli, "VERIFY_TOL", 1e-30)
+    assert run_cli(argv) == 4
     out = capsys.readouterr().out
     assert "branch (1, 1, 0) at g=-0.2: deviation " in out
-    assert "exceeds --tol 1e-30" in out
+    assert "exceeds 1e-30" in out
     assert "samples checked: 12" in out
 
 
@@ -432,11 +434,9 @@ def test_output_location_is_checked_before_any_work(tmp_path, capsys,
     (["verify"], {"points": 2.5}, "--points"),
     (["verify", "--excitations", "-1"], None, "--excitations"),
     (["verify"], {"excitations": -1}, "--excitations"),
-    (["verify", "--tol", "0"], None, "--tol"),
-    (["verify"], {"tol": -1e-8}, "--tol"),
 ], ids=["points", "grid", "step", "crossing-radius", "stride",
         "config-stride", "config-step", "config-points", "config-float-count",
-        "excitations", "config-excitations", "tol", "config-tol"])
+        "excitations", "config-excitations"])
 def test_non_positive_option_is_rejected_before_any_work(
         tmp_path, capsys, monkeypatch, options, config, name):
     def no_work(*args, **kwargs):
