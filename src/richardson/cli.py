@@ -116,10 +116,16 @@ def level_index(problem, j, flag):
 
 
 def parse_branch(spec, problem) -> model.OccupationMap:
+    """The occupation that `--branch` names: 'ground' or pair counts per
+    level, separated by commas or spaces; a bad spec is a usage error
+    naming the option."""
     if not spec or spec == "ground":
         return model.ground_occupation(problem)
-    counts = tuple(int(tok) for tok in spec.replace(",", " ").split())
-    return model.OccupationMap(counts).validate_for(problem)
+    try:
+        counts = tuple(int(tok) for tok in spec.replace(",", " ").split())
+        return model.OccupationMap(counts).validate_for(problem)
+    except (CapacityError, ValueError) as err:
+        raise ProblemFormatError(f"--branch {spec}: {err}") from None
 
 
 def branch_tag(occ: model.OccupationMap) -> str:
@@ -138,7 +144,9 @@ def print_level_table(problem):
 # critical-point record files
 # ---------------------------------------------------------------------------
 
-def point_to_record(p: critical.CriticalPoint) -> dict:
+def point_to_record(p: critical.CriticalPoint,
+                    branch: model.OccupationMap) -> dict:
+    """The JSON record of a point that `critical` found for `branch`."""
     return {
         "level_index": p.k + 1,
         "g_c": p.g_c,
@@ -146,20 +154,20 @@ def point_to_record(p: critical.CriticalPoint) -> dict:
         "energy": p.energy,
         "e_noncluster": [[z.real, z.imag] for z in p.e_noncluster],
         "chi": list(p.chi),
-        "occupation": list(p.occupation_label.counts),
+        "occupation": list(branch.counts),
         "deflated_occupation": list(p.deflated_occupation.counts),
         "noncluster_origin": list(p.noncluster_origin),
     }
 
 
 def record_to_point(rec: dict) -> critical.CriticalPoint:
+    """The point of a record; its branch `"occupation"` is not read."""
     e_nc = np.array([complex(a, b) for a, b in rec["e_noncluster"]],
                     dtype=np.complex128)
     return critical.CriticalPoint(
         g_c=float(rec["g_c"]), k=int(rec["level_index"]) - 1,
         m_k=int(rec["m_k"]), e_noncluster=e_nc,
         chi=np.array(rec["chi"], dtype=float), energy=float(rec["energy"]),
-        occupation_label=model.OccupationMap(tuple(rec["occupation"])),
         deflated_occupation=model.OccupationMap(
             tuple(rec["deflated_occupation"])),
         noncluster_origin=tuple(rec["noncluster_origin"]))
@@ -235,7 +243,8 @@ def cmd_critical(args):
               f"{_fmt(p.energy, 6)}")
     if not points:
         print("(no critical points in range)")
-    text = json.dumps([point_to_record(p) for p in points], indent=2) + "\n"
+    text = json.dumps([point_to_record(p, branch) for p in points],
+                      indent=2) + "\n"
     atomic_write(out, text)
     if Path(out) == default_out:
         atomic_write(coverage_path(args.problem, branch), json.dumps({
@@ -458,9 +467,10 @@ def build_parser():
         prog="richardson",
         description="Richardson pairing equations: critical couplings, "
                     "exact solutions at g_c, continuation through them")
+    # listed for --help; `_config_flags` takes it off argv before parsing
     ap.add_argument("--config",
-                    help="JSON file with default option values for the "
-                         "subcommand; flags given on the command line win")
+                    help="JSON file of option values for the subcommand, "
+                         "read as flags before the command line's own")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("lattice", help="generate the square-lattice model")
@@ -512,6 +522,23 @@ def build_parser():
     return ap
 
 
+def _config_flags(argv):
+    """argv with `--config FILE` taken off and the file's entries put right
+    after the subcommand as `--key=value` flags, so that argparse reads
+    them like flags and the command line's own flags, which follow, win.
+    A non-string value is written as JSON; a null one is left out."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    pre.add_argument("rest", nargs=argparse.REMAINDER)
+    known, before = pre.parse_known_args(argv)
+    if known.config is None:
+        return argv
+    flags = [f"--{key}={val if isinstance(val, str) else json.dumps(val)}"
+             for key, val in _read_json(known.config, dict)[1].items()
+             if val is not None]
+    return before + known.rest[:1] + flags + known.rest[1:]
+
+
 def _warning_line(message, category, filename, lineno, line=None):
     return f"warning: {message}\n"
 
@@ -521,27 +548,7 @@ def main(argv=None):
     formatwarning = warnings.formatwarning
     warnings.formatwarning = _warning_line
     try:
-        args = ap.parse_args(argv)
-        if args.config:
-            # config values become the subcommand's string defaults, which
-            # argparse converts and checks like flags; flags win, and a
-            # null keeps the option's own default
-            sub = next(a for a in ap._actions
-                       if isinstance(a, argparse._SubParsersAction))
-            parser = sub.choices[args.command]
-            options = {a.dest for a in parser._actions
-                       if a.option_strings and a.dest != "help"}
-            config = {key.replace("-", "_"): val for key, val
-                      in _read_json(args.config, dict)[1].items()}
-            unknown = sorted(set(config) - options)
-            if unknown:
-                raise ProblemFormatError(
-                    f"{args.config}: not an option of '{args.command}': "
-                    f"{', '.join(unknown)}")
-            parser.set_defaults(**{
-                key: val if isinstance(val, str) else json.dumps(val)
-                for key, val in config.items() if val is not None})
-            args = ap.parse_args(argv)
+        args = ap.parse_args(_config_flags(argv))
         return args.func(args)
     except OracleDimensionError as err:
         print(f"error: {err}", file=sys.stderr)

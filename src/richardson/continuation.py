@@ -17,7 +17,7 @@ energy-trend check that rejects convergence onto a neighboring eigenstate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -179,11 +179,10 @@ def auto_scan_points(problem: PairingProblem, branch, g_target: float,
     `critical_levels` scanned over `auto_scan_range`, in order of |g_c|.
 
     A scan depends only on the level (which fixes M_k), the deflated
-    occupation and the range; the branch only labels its points.  Given a
-    dict `scans`, each scan is looked up there by that key first and stored
-    there after, and the points are relabeled with this branch, so branches
-    that share a deflated branch share its scan.  The caller owns the dict
-    and so decides how long a scan is reused.
+    occupation and the range.  Given a dict `scans`, each scan is looked up
+    there by that key first and stored there after, so branches that share
+    a deflated branch share its scan and its points.  The caller owns the
+    dict and so decides how long a scan is reused.
     """
     occ = as_occupation(branch)
     rng = auto_scan_range(g_target, crossing_radius)
@@ -196,11 +195,10 @@ def auto_scan_points(problem: PairingProblem, branch, g_target: float,
         key = (k, deflated.counts, rng)
         found = None if scans is None else scans.get(key)
         if found is None:
-            found = scan_critical(problem, k, rng, occ, deflated_occ=deflated)
+            found = scan_critical(problem, k, rng, deflated_occ=deflated)
             if scans is not None:
                 scans[key] = found
-        points += [p if p.occupation_label == occ
-                   else replace(p, occupation_label=occ) for p in found]
+        points += found
     return sorted(points, key=lambda p: abs(p.g_c))
 
 

@@ -40,9 +40,10 @@ class TruncatedScanWarning(UserWarning):
 class CriticalPoint:
     """Complete record of one critical coupling.
 
-    ``occupation_label`` is the weak-coupling occupation of the state
-    branch (M pairs); ``deflated_occupation`` is the M - M_k pair
-    configuration that seeds the deflated branch.
+    ``deflated_occupation`` is the M - M_k pair configuration that seeds
+    the deflated branch.  The point belongs to that deflated branch, not to
+    one state branch: every branch that deflates to it at level k shares
+    the point.
     """
 
     g_c: float
@@ -51,7 +52,6 @@ class CriticalPoint:
     e_noncluster: np.ndarray
     chi: np.ndarray
     energy: float
-    occupation_label: OccupationMap
     deflated_occupation: OccupationMap
     noncluster_origin: tuple[int, ...]
 
@@ -168,7 +168,7 @@ def _det_at(walker, problem, k, m_k, g):
     return scaled_determinant(cluster_matrix(g, pn, m_k))
 
 
-def _build_point(problem, k, m_k, g_c, e_nc, branch_occ, deflated_occ,
+def _build_point(problem, k, m_k, g_c, e_nc, deflated_occ,
                  origins) -> CriticalPoint:
     pn = pn_coefficients(problem, k, e_nc, m_k - 1)
     chi = chi_ratios(g_c, pn, m_k)
@@ -176,8 +176,7 @@ def _build_point(problem, k, m_k, g_c, e_nc, branch_occ, deflated_occ,
     energy = m_k * eta2k + float(np.sum(e_nc.real))
     return CriticalPoint(
         g_c=float(g_c), k=k, m_k=m_k, e_noncluster=e_nc, chi=chi,
-        energy=energy, occupation_label=as_occupation(branch_occ),
-        deflated_occupation=as_occupation(deflated_occ),
+        energy=energy, deflated_occupation=as_occupation(deflated_occ),
         noncluster_origin=tuple(origins))
 
 
@@ -209,7 +208,9 @@ def scan_critical(problem: PairingProblem, k: int, g_range, branch=None, *,
 
     Walks the deflated branch over a uniform grid, brackets every sign
     change of the scaled determinant and finds each root by false position
-    in g along the branch (`_resolve_bracket`).  Cells where |det| dips
+    in g along the branch (`_resolve_bracket`).  The deflated branch is
+    `deflated_occ`, or else the one `branch` (default the ground state)
+    deflates to (`deflated_occupation`).  Cells where |det| dips
     sharply without a sign change are re-walked at 100x density to catch
     close root pairs.  A range across 0 is scanned as its two sides, each
     walked out from weak coupling.  Branch continuation failure truncates
@@ -246,11 +247,9 @@ def _scan_side(found, problem, k, g_range, branch, m_k, grid_points,
     near = g_lo if direction > 0 else g_hi
     if m_k is None:
         m_k = default_cluster_size(problem.levels[k])
-    branch_occ = as_occupation(branch) if branch is not None \
-        else ground_occupation(problem)
     if deflated_occ is None:
-        deflated_occ = deflated_occupation(problem, branch_occ, k, m_k,
-                                           direction)
+        occ = ground_occupation(problem) if branch is None else branch
+        deflated_occ = deflated_occupation(problem, occ, k, m_k, direction)
     span = abs(far - near)
     if span == 0.0:
         return
@@ -281,8 +280,8 @@ def _scan_side(found, problem, k, g_range, branch, m_k, grid_points,
     for g_a, g_b, det_a, det_b, e_a in brackets:
         try:
             found.append(_resolve_bracket(problem, k, m_k, g_a, g_b,
-                                         det_a, det_b, e_a, branch_occ,
-                                         deflated_occ, origin))
+                                         det_a, det_b, e_a, deflated_occ,
+                                         origin))
         except RichardsonError as err:
             # a deflated branch hopping at one of its own collapses can
             # flip the determinant sign with no zero in between
@@ -327,7 +326,7 @@ def _find_brackets(problem, k, m_k, gs, dets, states):
 
 
 def _resolve_bracket(problem, k, m_k, g_a, g_b, det_a, det_b, e_a,
-                    branch_occ, deflated_occ, origin):
+                    deflated_occ, origin):
     """Root of the scaled determinant in (g_a, g_b) along the deflated branch.
 
     Illinois false position (a bisection step whenever the secant point
@@ -357,6 +356,6 @@ def _resolve_bracket(problem, k, m_k, g_a, g_b, det_a, det_b, e_a,
                 f_lo *= 0.5
             kept = -1
     point = _build_point(problem, k, m_k, g_c, cell.advance_to(g_c),
-                         branch_occ, deflated_occ, origin)
+                         deflated_occ, origin)
     return _validate_point(point, problem)
 

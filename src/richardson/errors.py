@@ -14,15 +14,8 @@ class ProblemFormatError(RichardsonError):
 
 
 class SingularEvaluationError(RichardsonError):
-    """A residual or coefficient evaluation hit an exact pole.
-
-    ``indices`` holds the offending (kind, i, j) triples, where kind is
-    "level" for e_a == 2*eta_j collisions and "pair" for e_a == e_b.
-    """
-
-    def __init__(self, message, indices=()):
-        super().__init__(message)
-        self.indices = tuple(indices)
+    """A residual or coefficient evaluation hit an exact pole, which the
+    message names (as `solver.find_poles` triples for residuals)."""
 
 
 class ConsistencyError(RichardsonError):
@@ -56,8 +49,5 @@ class ContinuationError(RichardsonError):
 
 
 class OracleDimensionError(RichardsonError):
-    """Pair basis dimension exceeds the exact-diagonalization guard."""
-
-    def __init__(self, message, dimension):
-        super().__init__(message)
-        self.dimension = dimension
+    """Pair basis dimension exceeds the exact-diagonalization guard; the
+    message gives the dimension and the guard."""

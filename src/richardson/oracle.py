@@ -45,7 +45,7 @@ def checked_dimension(problem: PairingProblem) -> int:
     dim = basis_dimension(problem)
     if dim > DIMENSION_GUARD:
         raise OracleDimensionError(
-            f"pair basis dimension {dim} exceeds guard {DIMENSION_GUARD}", dim)
+            f"pair basis dimension {dim} exceeds guard {DIMENSION_GUARD}")
     return dim
 
 
@@ -99,6 +99,8 @@ def hamiltonian(problem: PairingProblem) -> np.ndarray:
     Built over all states at once, one source level jp at a time: the hop
     that moves a pair from level jp to level j has the value
     (2g sqrt((n_j + 1)(Omega_j/2 - n_j))) sqrt(n_jp (Omega_jp/2 - n_jp + 1)).
+    The basis is in lexicographic order, so a state's row is its
+    `_lex_ranks` rank.
     """
     states = _states(problem)
     dim, n_levels = states.shape
@@ -106,8 +108,6 @@ def hamiltonian(problem: PairingProblem) -> np.ndarray:
     g2 = 2.0 * problem.g
     h = np.zeros((dim, dim))
     h[np.diag_indices(dim)] = _diagonal(problem, states)
-    index = np.empty(dim, dtype=np.int64)
-    index[_lex_ranks(states, caps, problem.m_pairs)] = np.arange(dim)
     down = np.sqrt(states * (caps - states + 1))      # annihilate on jp
     up = np.sqrt((states + 1) * (caps - states))       # create on j
     others = np.arange(n_levels)
@@ -119,7 +119,7 @@ def hamiltonian(problem: PairingProblem) -> np.ndarray:
         hop = np.arange(src.size)
         target[hop, jp] -= 1
         target[hop, j] += 1
-        dst = index[_lex_ranks(target, caps, problem.m_pairs)]
+        dst = _lex_ranks(target, caps, problem.m_pairs)
         h[dst, src] += g2 * up[src, j] * down[src, jp]
     return h
 

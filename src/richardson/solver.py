@@ -79,7 +79,7 @@ def _raise_on_pole(e, eta2):
     hits = find_poles(e, eta2)
     if hits:
         raise SingularEvaluationError(
-            f"singular evaluation: exact pole(s) at {hits}", hits)
+            f"singular evaluation: exact pole(s) at {hits}")
 
 
 def symmetrize_conjugate(values):

@@ -731,3 +731,147 @@ def test_bad_coverage_file_is_one_error_line(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: ") and cov_file.name in err[0]
+
+
+@pytest.mark.parametrize("key", ["problem", "prob"])
+def test_config_supplies_a_required_option(tmp_path, capsys, key):
+    # a config entry is a flag, so it satisfies a required option, and an
+    # abbreviation names the option as it would on the command line
+    prob_file = tmp_path / "n2.json"
+    prob_file.write_text(rs.save_problem(rs.build_lattice_model(2, 2)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: str(prob_file)}))
+    assert run_cli(["--config", str(cfg), "verify", "--points", "3"]) == 0
+    assert "samples checked: 12" in capsys.readouterr().out
+
+
+def test_config_unknown_key_is_an_unrecognized_flag(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"outt": "x.json"}))
+    assert run_cli(["--config", str(cfg), "lattice", "--n", "2",
+                    "--pairs", "2"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: unrecognized arguments: --outt=x.json"]
+
+
+@pytest.mark.parametrize("spec, reason", [
+    ("2,x,1", "invalid literal for int() with base 10: 'x'"),
+    ("2,2", "occupation has 2 entries for 3 levels"),
+    ("5,0,0", "counts[0]=5 exceeds level capacity 2"),
+])
+@pytest.mark.parametrize("command", ["critical", "sweep"])
+@pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
+def test_bad_branch_names_the_option(tmp_path, capsys, monkeypatch, spec,
+                                     reason, command, from_config):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the branch was checked")
+
+    monkeypatch.setattr(continuation, "sweep", no_work)
+    monkeypatch.setattr(critical, "scan_critical", no_work)
+    prob_file = _toy3_file(tmp_path)
+    argv = [command, "--problem", str(prob_file), "--out",
+            str(tmp_path / "out")]
+    argv += (["--g-min", "-0.6", "--g-max", "0"] if command == "critical"
+             else ["--g-target", "-0.5"])
+    if from_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"branch": spec}))
+        argv = ["--config", str(cfg)] + argv
+    else:
+        argv += ["--branch", spec]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --branch {spec}: {reason}"]
+
+
+def test_branch_counts_name_the_records_of_that_branch(tmp_path, capsys,
+                                                       monkeypatch):
+    prob_file = _toy3_file(tmp_path)
+    branch = rs.OccupationMap((2, 1, 1))
+    assert run_cli(["critical", "--problem", str(prob_file), "--branch",
+                    "2,1,1", "--g-min", "-0.6", "--g-max", "0"]) == 0
+    rec_file = cli.records_path(prob_file, branch)
+    recs = json.loads(rec_file.read_text())
+    assert len(recs) == 2
+    assert all(r["occupation"] == [2, 1, 1] for r in recs)
+    capsys.readouterr()
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the records cover the sweep")
+
+    monkeypatch.setattr(critical, "scan_critical", no_scan)
+    assert run_cli(["sweep", "--problem", str(prob_file), "--branch",
+                    "2 1 1", "--g-target", "-0.5", "--out",
+                    str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert f"loaded 2 critical point(s) from {rec_file}" in out
+    assert "status: completed   crossings: j=1 g_c=-0.243532" in out
+    assert (tmp_path / f"toy3_{cli.branch_tag(branch)}_neg.csv").exists()
+
+
+def test_truncated_sweep_prints_notes_and_exits_4(tmp_path, capsys,
+                                                  monkeypatch):
+    # any energy change exceeds a zero multiple of the trend
+    monkeypatch.setattr(continuation, "ENERGY_JUMP_FACTOR", 0.0)
+    prob_file = tmp_path / "n2.json"
+    prob_file.write_text(rs.save_problem(rs.build_lattice_model(2, 2)))
+    assert run_cli(["sweep", "--problem", str(prob_file), "--g-target",
+                    "-0.4", "--out", str(tmp_path)]) == 4
+    out = capsys.readouterr().out.splitlines()
+    assert "status: truncated   crossings: none" in out
+    assert out[-1].startswith("note: energy jump at g=")
+    assert len(list(tmp_path.glob("*_neg.csv"))) == 1
+
+
+def test_sweep_step_is_the_first_step(tmp_path, capsys):
+    prob_file = tmp_path / "n2.json"
+    prob_file.write_text(rs.save_problem(rs.build_lattice_model(2, 2)))
+    for step in ("2.5e-4", None):
+        for f in tmp_path.glob("*.csv"):
+            f.unlink()
+        argv = ["sweep", "--problem", str(prob_file), "--g-target", "-0.4",
+                "--out", str(tmp_path)]
+        assert run_cli(argv + ["--step", step] * bool(step)) == 0
+        rows = next(tmp_path.glob("*_neg.csv")).read_text().splitlines()
+        g0, g1 = (float(row.split(",")[0]) for row in rows[1:3])
+        want = float(step) if step else \
+            continuation.SweepOptions().step_init
+        assert g0 - g1 == pytest.approx(want, abs=1e-12)
+
+
+def test_verify_skips_every_point_of_a_sign_whose_scan_failed(
+        tmp_path, capsys, monkeypatch):
+    real = continuation.auto_scan_points
+
+    def failing_pos(problem, branch, g_target, *args, **kwargs):
+        if g_target > 0:
+            raise ContinuationError("scan stalled")
+        return real(problem, branch, g_target, *args, **kwargs)
+
+    monkeypatch.setattr(continuation, "auto_scan_points", failing_pos)
+    prob_file = tmp_path / "n2.json"
+    prob_file.write_text(rs.save_problem(rs.build_lattice_model(2, 2)))
+    assert run_cli(["verify", "--problem", str(prob_file),
+                    "--points", "5"]) == 4
+    out = capsys.readouterr().out.splitlines()
+    # each of the 4 branches at each positive grid point
+    skipped = [ln.split(" at g=")[1] for ln in out
+               if ln.endswith(": skipped (scan stalled)")]
+    assert sorted(skipped) == ["0.1: skipped (scan stalled)"] * 4 \
+        + ["0.2: skipped (scan stalled)"] * 4
+    assert "samples checked: 12" in out
+
+
+@pytest.mark.parametrize("excitations, note", [
+    ("0", "note: 1 of 4 oracle states covered; raise --excitations for more"),
+    ("1", None),
+])
+def test_verify_notes_the_oracle_states_it_left_out(tmp_path, capsys,
+                                                    excitations, note):
+    prob_file = tmp_path / "n2.json"
+    prob_file.write_text(rs.save_problem(rs.build_lattice_model(2, 2)))
+    assert run_cli(["verify", "--problem", str(prob_file), "--points", "3",
+                    "--excitations", excitations]) == 0
+    notes = [ln for ln in capsys.readouterr().out.splitlines()
+             if ln.startswith("note: ")]
+    assert notes == ([note] if note else [])

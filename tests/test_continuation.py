@@ -394,9 +394,8 @@ def test_shared_auto_scan_points_scan_each_key_once(monkeypatch):
         got = continuation.auto_scan_points(p, b, g, 5e-3, scans)
         assert len(got) == len(want)
         for q, w in zip(got, want):
-            assert q.occupation_label == w.occupation_label == b
             for f in dataclasses.fields(q):
                 assert np.array_equal(getattr(q, f.name), getattr(w, f.name))
     assert len(calls) == len(set(calls)) == len(scans) == 8
-    # more points handed out than scanned: some were relabeled copies
+    # more points handed out than scanned: branches shared some
     assert sum(map(len, scans.values())) < sum(map(len, fresh.values()))

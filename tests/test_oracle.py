@@ -136,3 +136,12 @@ def test_g_zero_spectrum_is_eigvalsh_bitwise(name):
     p = SMALL_PROBLEMS[name].with_g(0.0)
     want = np.linalg.eigvalsh(_loop_hamiltonian(p))
     assert oracle.exact_spectrum(p).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", [*SMALL_PROBLEMS, "lat6m6"])
+def test_basis_row_is_its_lex_rank(name):
+    # `hamiltonian` indexes H's rows by `_lex_ranks` directly
+    p = SMALL_PROBLEMS.get(name) or rs.build_lattice_model(6, 6)
+    states = oracle._states(p)
+    ranks = oracle._lex_ranks(states, p.capacities(), p.m_pairs)
+    assert np.array_equal(ranks, np.arange(len(states)))

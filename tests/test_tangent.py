@@ -74,7 +74,6 @@ def test_tangent_solution_order_independent(lattice6, table3):
     pt_perm = CriticalPoint(
         g_c=pt.g_c, k=pt.k, m_k=pt.m_k,
         e_noncluster=pt.e_noncluster[perm], chi=pt.chi, energy=pt.energy,
-        occupation_label=pt.occupation_label,
         deflated_occupation=pt.deflated_occupation,
         noncluster_origin=tuple(pt.noncluster_origin[i] for i in perm))
     tan_perm = rs.solve_tangent(pt_perm, lattice6)
