@@ -68,7 +68,7 @@ def pn_coefficients(problem: PairingProblem, k: int, e_noncluster,
         raise SingularEvaluationError(
             f"non-cluster energy equals 2*eta_{k} exactly")
     vals = kern.pn_sums(eta2, problem.d_array(), k, e_nc, n_max)
-    bad = np.max(np.abs(vals.imag), initial=0.0)
+    bad = np.maximum.reduce(np.abs(vals.imag), initial=0.0)
     if bad > IMAG_TOL:
         raise ConsistencyError(
             f"P_n imaginary residue {bad:.3e} exceeds {IMAG_TOL}")

@@ -335,7 +335,7 @@ def sweep(problem: PairingProblem, branch, g_target: float,
                         min_step=STEP_MIN, name="sweep")
         origin = landed.origin
         samples.append(sample(float(np.max(np.abs(
-            kern.residuals(walker.e, walker.g, eta2, d))))))
+            kern.residuals(walker.e, walker.g, eta2, d)[0])))))
         slope_est = None
     else:
         stop = walk(g_target, abs(g_target))

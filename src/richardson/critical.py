@@ -83,14 +83,14 @@ def deflated_residuals(g: float, e_noncluster, problem: PairingProblem,
     if e.size == 0:
         return e
     return kern.residuals(e, g, problem.eta2_array(),
-                          deflated_d_array(problem, k, m_k))
+                          deflated_d_array(problem, k, m_k))[0]
 
 
 def deflated_jacobian(g: float, e_noncluster, problem: PairingProblem,
                       k: int, m_k: int) -> np.ndarray:
     e = np.asarray(e_noncluster, dtype=np.complex128)
-    return kern.jacobian(e, g, problem.eta2_array(),
-                         deflated_d_array(problem, k, m_k))
+    return kern.jacobian_at(e, g, problem.eta2_array(),
+                            deflated_d_array(problem, k, m_k))
 
 
 def critical_residuals(g: float, e_noncluster, problem: PairingProblem,

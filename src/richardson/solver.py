@@ -125,44 +125,51 @@ def newton_core(e0, g, eta2, d, *, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
     """Damped Newton on the array-level system; returns (values, converged,
     iterations, residual_norm).  Never raises on non-convergence.
 
-    Exact poles in the starting point raise SingularEvaluationError; a
-    damped trial that lands on one has a non-finite residual and is
-    rejected like any other.  A non-finite Newton step (an escaped iterate
-    overflowing the Jacobian) ends the iteration.
+    Each iterate costs one residual pass: the accepted trial's residual
+    pass (`_kernels.residuals`) also yields the arrays its Jacobian is
+    built from.  Exact poles in the starting point raise
+    SingularEvaluationError; an exact pole always makes the residual
+    non-finite, so the start is scanned for poles (`find_poles`) only when
+    its residual is not finite.  A damped trial that lands on a pole has a
+    non-finite residual and is rejected like any other.  A non-finite
+    Newton step (an escaped iterate overflowing the Jacobian) ends the
+    iteration.
 
     step_cap bounds the infinity norm of a single Newton step; useful for
     restarts near critical points, where an early ill-conditioned Jacobian
     can throw the iterate out of every basin.
     """
     e = symmetrize_conjugate(e0)
-    _raise_on_pole(e, eta2)
     if e.shape[0] == 0:
         return e, True, 0, 0.0
-    r = kern.residuals(e, g, eta2, d)
-    rn = float(np.max(np.abs(r)))
     iters = 0
-    # escaped iterates overflow the Jacobian, wild trials the residuals
+    # poles and escaped iterates overflow the residuals and the Jacobian,
+    # wild trials the residuals
     with np.errstate(all="ignore"):
+        r, diff_lvl, inv = kern.residuals(e, g, eta2, d)
+        rn = float(np.maximum.reduce(np.abs(r)))
+        if not math.isfinite(rn):
+            _raise_on_pole(e, eta2)
         while rn > tol and iters < max_iter:
-            jac = kern.jacobian(e, g, eta2, d)
+            jac = kern.jacobian(g, d, diff_lvl, inv)
             try:
                 step = np.linalg.solve(jac, -r)
             except np.linalg.LinAlgError:
                 break
             iters += 1
-            if not np.all(np.isfinite(step)):
+            if not np.isfinite(step).all():
                 break
             lam = 1.0
             if step_cap is not None:
-                sn = float(np.max(np.abs(step)))
+                sn = float(np.maximum.reduce(np.abs(step)))
                 if sn > step_cap:
                     lam = step_cap / sn
             for _ in range(NEWTON_MAX_HALVINGS + 1):
                 trial = symmetrize_conjugate(e + lam * step)
-                rt = kern.residuals(trial, g, eta2, d)
-                rtn = float(np.max(np.abs(rt)))
+                rt, diff_t, inv_t = kern.residuals(trial, g, eta2, d)
+                rtn = float(np.maximum.reduce(np.abs(rt)))
                 if math.isfinite(rtn) and (rtn < rn or rtn <= tol):
-                    e, r, rn = trial, rt, rtn
+                    e, r, rn, diff_lvl, inv = trial, rt, rtn, diff_t, inv_t
                     break
                 lam *= 0.5
             else:
@@ -260,14 +267,14 @@ def residuals(e: PairEnergies, problem: PairingProblem) -> np.ndarray:
     """Residual vector of the Richardson equations at problem.g."""
     eta2 = problem.eta2_array()
     _raise_on_pole(e.values, eta2)
-    return kern.residuals(e.values, problem.g, eta2, problem.d_array())
+    return kern.residuals(e.values, problem.g, eta2, problem.d_array())[0]
 
 
 def jacobian(e: PairEnergies, problem: PairingProblem) -> np.ndarray:
     """M x M analytic Jacobian d(residual_a)/d(e_b) at problem.g."""
     eta2 = problem.eta2_array()
     _raise_on_pole(e.values, eta2)
-    return kern.jacobian(e.values, problem.g, eta2, problem.d_array())
+    return kern.jacobian_at(e.values, problem.g, eta2, problem.d_array())
 
 
 def newton_solve(initial: PairEnergies, problem: PairingProblem, *,

@@ -190,7 +190,7 @@ def _second_derivative(point, problem, system, ds1, de, a):
     if e.size:
         # deflated rows: 2 J e'/g + g d^2H[e', e'], H = (residual - 1)/g
         lvl = deflated_d_array(problem, k, m_k) / (eta2 - e[:, None]) ** 3
-        pair = (de[:, None] - de[None, :]) ** 2 * kern._inv_offdiag(e, 3)
+        pair = (de[:, None] - de[None, :]) ** 2 * kern._inv_offdiag(e) ** 3
         hess = g * (-8.0 * de ** 2 * lvl.sum(axis=1) + 8.0 * pair.sum(axis=1))
         # backreaction -4g sum_n S_n/(2 eta_k - e_b)^(n+1) with S_n = S_1 u_n
         pw = inv[:, None] ** np.arange(1, rows + 2)

@@ -327,6 +327,30 @@ def test_critical_all_levels(tmp_path, capsys):
     assert "-0.535231" in out     # level-2 collapse
 
 
+def test_critical_all_levels_matches_the_benchmark_reference(tmp_path,
+                                                             capsys):
+    # the README walkthrough's 29 records, against the benchmark's
+    # reference file; a round-off change in the kernels moves the level-5
+    # records with g > 0 (notes/decisions.md, "Round-off and the level-5
+    # records")
+    reference = Path(__file__).resolve().parents[1] / "perfbench" \
+        / "reference.json"
+    want = json.loads(reference.read_text())["cli-lat6"]["records"]
+    prob_file = tmp_path / "lat6.json"
+    prob_file.write_text(rs.save_problem(rs.build_lattice_model(6, 18)))
+    assert run_cli(["critical", "--problem", str(prob_file), "--level",
+                    "all", "--g-min", "-0.2", "--g-max", "0.7"]) == 0
+    files = list(tmp_path.glob("lat6_critical_*.json"))
+    assert len(files) == 1
+    got = json.loads(files[0].read_text())
+    assert len(got) == len(want) == 29
+    for rec, ref in zip(got, want):
+        assert rec["level_index"] == ref["level_index"]
+        for key in ("g_c", "energy"):
+            assert abs(rec[key] - ref[key]) \
+                <= 1e-10 * max(1.0, abs(ref[key])), (ref["level_index"], key)
+
+
 def test_sweep_stride_thins_csv(tmp_path, capsys):
     prob_file = tmp_path / "n2.json"
     prob_file.write_text(rs.save_problem(rs.build_lattice_model(2, 2)))

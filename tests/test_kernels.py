@@ -1,0 +1,162 @@
+"""The kernels give the same floats, bit for bit, as the straightforward
+forms below, which are kept verbatim as the reference: the critical records
+move when the summation order of the residual changes (see
+notes/decisions.md, "Round-off and the level-5 records")."""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from richardson import _kernels as kern
+
+# ---------------------------------------------------------------------------
+# reference kernels (the straightforward forms, one pass each)
+# ---------------------------------------------------------------------------
+
+
+def _inv_offdiag_ref(e, power):
+    """1/(e_a - e_b)**power with a zeroed diagonal (no inf arithmetic)."""
+    diff = e[:, None] - e[None, :]
+    diff.flat[::e.shape[0] + 1] = 1.0
+    inv = 1.0 / diff
+    inv.flat[::e.shape[0] + 1] = 0.0
+    return inv ** power
+
+
+def _residuals_ref(e, g, eta2, d):
+    """Richardson residuals 1 - 4g sum_j d_j/(2eta_j - e_a) + 4g sum_b 1/(e_a - e_b)."""
+    diff_lvl = eta2[None, :] - e[:, None]
+    lvl = (d[None, :] / diff_lvl).sum(axis=1)
+    pair = _inv_offdiag_ref(e, 1).sum(axis=1)
+    return 1.0 - 4.0 * g * lvl + 4.0 * g * pair
+
+
+def _jacobian_ref(e, g, eta2, d):
+    """Analytic Jacobian of the residuals with respect to the pair energies."""
+    diff_lvl = eta2[None, :] - e[:, None]
+    inv2 = _inv_offdiag_ref(e, 2)
+    jac = 4.0 * g * inv2
+    diag = -4.0 * g * (d[None, :] / (diff_lvl * diff_lvl)).sum(axis=1) \
+        - 4.0 * g * inv2.sum(axis=1)
+    jac.flat[::e.shape[0] + 1] = diag
+    return jac
+
+
+def _pn_sums_ref(eta2, d, k, e_noncluster, n_max):
+    """P_n = sum_{j!=k} d_j/(2eta_k-2eta_j)^(n+1) + sum_b 1/(2eta_k-e_b)^(n+1).
+
+    Returns the complex values P_0..P_{n_max}; callers take the real part
+    and assert the imaginary residue.
+    """
+    dl = eta2[k] - eta2
+    dl = np.delete(dl, k)
+    dj = np.delete(d, k)
+    de = eta2[k] - np.asarray(e_noncluster, dtype=np.complex128)
+    out = np.empty(n_max + 1, dtype=np.complex128)
+    lvl_term = dj / dl
+    nc_term = 1.0 / de
+    for n in range(n_max + 1):
+        out[n] = lvl_term.sum() + nc_term.sum()
+        lvl_term = lvl_term / dl
+        nc_term = nc_term / de
+    return out
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and np.array_equal(got.view(np.uint64), want.view(np.uint64)))
+
+
+# ---------------------------------------------------------------------------
+# inputs: levels, then energies that may sit on a level or pair pole, or be
+# inf or NaN
+# ---------------------------------------------------------------------------
+
+_finite = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
+_special = st.sampled_from([np.inf, -np.inf, np.nan])
+
+
+@st.composite
+def _levels(draw):
+    eta2 = draw(st.lists(_finite, min_size=1, max_size=9, unique=True))
+    d = draw(st.lists(st.floats(-12.0, 1.0, allow_nan=False),
+                      min_size=len(eta2), max_size=len(eta2)))
+    return np.array(eta2), np.array(d)
+
+
+@st.composite
+def _energies(draw, eta2, max_size=20):
+    n = draw(st.integers(0, max_size))
+    out = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(
+            ["real", "complex", "level", "pair", "special"]))
+        if kind == "real":
+            out.append(complex(draw(_finite)))
+        elif kind == "complex":
+            out.append(complex(draw(_finite), draw(_finite)))
+        elif kind == "level":             # exact level pole
+            out.append(complex(draw(st.sampled_from(list(eta2)))))
+        elif kind == "pair" and out:      # exact pair pole
+            out.append(draw(st.sampled_from(out)))
+        else:
+            out.append(complex(draw(st.one_of(_special, _finite)),
+                               draw(st.one_of(_special, _finite))))
+    return np.array(out, dtype=np.complex128)
+
+
+@st.composite
+def _systems(draw):
+    eta2, d = draw(_levels())
+    return draw(_energies(eta2)), draw(_finite), eta2, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+def test_residuals_and_jacobian_bit_identical_to_reference(system):
+    e, g, eta2, d = system
+    with np.errstate(all="ignore"):
+        r, diff_lvl, inv = kern.residuals(e, g, eta2, d)
+        jac = kern.jacobian(g, d, diff_lvl, inv)
+        assert _same_bits(r, _residuals_ref(e, g, eta2, d))
+        assert _same_bits(jac, _jacobian_ref(e, g, eta2, d))
+        assert _same_bits(kern.jacobian_at(e, g, eta2, d), jac)
+        # tangent's second-derivative rows cube the pair inverses
+        assert _same_bits(kern._inv_offdiag(e) ** 3, _inv_offdiag_ref(e, 3))
+
+
+@st.composite
+def _pn_cases(draw):
+    eta2, d = draw(_levels())
+    k = draw(st.integers(0, len(eta2) - 1))
+    return (eta2, d, k, draw(_energies(eta2)), draw(st.integers(0, 35)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pn_cases())
+# P_4's level sum is -NaN (inf - inf after an overflow) and its non-cluster
+# sum +NaN: the sum keeps the level sum's NaN, as the scalar form does
+@example((np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 0.5, -1.32202977e-85,
+                    -5.68735452e-219]),
+          np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, -1.0]), 0,
+          np.array([complex(np.inf, np.nan)]), 4))
+def test_pn_sums_bit_identical_to_reference(case):
+    with np.errstate(all="ignore"):
+        assert _same_bits(kern.pn_sums(*case), _pn_sums_ref(*case))
+
+
+def test_pn_sums_bit_identical_on_random_clusters():
+    # the shapes the tangent and the scan ask for: up to 9 levels, up to
+    # 20 conjugate-closed non-cluster energies, n_max up to 3 M_k - 1
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        nlev = int(rng.integers(1, 10))
+        eta2 = np.sort(rng.uniform(-10, 10, nlev))
+        d = -rng.integers(1, 12, nlev) / 2.0
+        nb = int(rng.integers(0, 11))
+        half = rng.normal(size=nb) + 1j * rng.normal(size=nb)
+        e_nc = np.concatenate([half, half.conj()]) * 4.0
+        case = (eta2, d, int(rng.integers(nlev)), e_nc,
+                int(rng.integers(0, 33)))
+        assert _same_bits(kern.pn_sums(*case), _pn_sums_ref(*case))

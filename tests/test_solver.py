@@ -213,8 +213,8 @@ def test_residuals_nonfinite_at_exact_poles():
     d = np.array([-0.5, -1.0, -1.5])
     with np.errstate(all="ignore"):
         level = kern.residuals(np.array([0.0, 1 + 0.5j, 1 - 0.5j]), -0.2,
-                               eta2, d)
-        pair = kern.residuals(np.array([0.7, 0.7, -1.0]), -0.2, eta2, d)
+                               eta2, d)[0]
+        pair = kern.residuals(np.array([0.7, 0.7, -1.0]), -0.2, eta2, d)[0]
     assert not np.isfinite(level[0]) and np.all(np.isfinite(level[1:]))
     assert not np.any(np.isfinite(pair[:2])) and np.isfinite(pair[2])
 
@@ -335,11 +335,50 @@ def test_newton_core_restores_error_state(monkeypatch):
             _, got_ok, got_iters, _ = call()
             assert (got_ok, got_iters) == (ok, iters)
             assert np.geterr() == before
-        with pytest.raises(SingularEvaluationError):
-            newton_core([2.0], -0.1, *one)     # entry pole, before the loop
-        assert np.geterr() == before
+        # entry level and pair poles: the entry residual divides by zero
+        # without raising FloatingPointError, and its non-finite value
+        # triggers the scan
+        for e0 in ([2.0], [1.0, 1.0]):
+            with pytest.raises(SingularEvaluationError):
+                newton_core(e0, -0.1, *one)
+            assert np.geterr() == before
     assert before == {"divide": "raise", "over": "warn", "under": "print",
                       "invalid": "log"}
+
+
+def test_newton_core_scans_for_poles_only_on_a_non_finite_start(
+        monkeypatch):
+    def no_scan(e, eta2):
+        raise AssertionError("find_poles called on a finite start")
+
+    monkeypatch.setattr(solver, "find_poles", no_scan)
+    p = rs.build_lattice_model(4, 4)
+    eta2, d = p.eta2_array(), p.d_array()
+    seed = np.array(
+        rs.init_weak_coupling(p, rs.ground_occupation(p), -1e-3).values)
+    assert newton_core(seed, -1e-3, eta2, d)[1]
+    # a start one ulp off a level pole
+    near = seed.copy()
+    near[0] = np.nextafter(eta2[0], np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        newton_core(near, -0.1, eta2, d, max_iter=3)
+    # secant-seeded solves along a walk
+    walker = Walker(eta2, d, -1e-3, seed, min_step=1e-6, name="test")
+    walker.advance_to(-0.05)
+
+
+@pytest.mark.parametrize("e0, eta2, hit", [
+    ([2.0, 1.0 + 0.5j, 1.0 - 0.5j], [2.0, 5.0], "[('level', 0, 0)]"),
+    ([0.7, 0.7, -1.0], [2.0, 5.0], "[('pair', 0, 1)]"),
+    ([2.0, 2.0], [2.0, 5.0], "[('level', 0, 0), ('level', 1, 0), "
+                             "('pair', 0, 1)]"),
+])
+def test_entry_pole_message_names_every_pole(e0, eta2, hit):
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        with pytest.raises(SingularEvaluationError) as err:
+            newton_core(e0, -0.2, np.array(eta2), np.array([-0.5, -1.0]))
+    assert str(err.value) == f"singular evaluation: exact pole(s) at {hit}"
 
 
 def test_walker_lands_on_target_both_ways(lattice6, ground6):
