@@ -16,7 +16,7 @@ from .critical import (CriticalPoint, critical_residuals, deflated_occupation,
 from .model import (Level, OccupationMap, PairingProblem, build_lattice_model,
                     excited_occupations, ground_occupation, load_problem,
                     merge_levels, save_problem)
-from .oracle import exact_spectrum, pair_basis
+from .oracle import exact_spectrum, ground_energy, pair_basis
 from .solver import (PairEnergies, SolveReport, init_weak_coupling, jacobian,
                      newton_solve, residuals, total_energy)
 from .tangent import (TangentData, assemble_derivative_system, linear_guess,
@@ -36,6 +36,6 @@ __all__ = [
     "solve_tangent",
     "SweepOptions", "SweepPath", "SweepSample", "restart_solve",
     "sample_figure_data", "sweep",
-    "exact_spectrum", "pair_basis",
+    "exact_spectrum", "ground_energy", "pair_basis",
     "backend_name",
 ]

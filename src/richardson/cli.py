@@ -391,7 +391,11 @@ def cmd_verify(args):
         landed = {occ: e[g] for occ, e in energies.items() if e[g] is not None}
         if not landed:
             continue
-        spectrum = oracle.exact_spectrum(problem.with_g(g))
+        # the ground branch alone needs only the lowest eigenvalue
+        if landed.keys() == {branches[0]}:
+            spectrum = np.array([oracle.ground_energy(problem.with_g(g))])
+        else:
+            spectrum = oracle.exact_spectrum(problem.with_g(g))
         nearest = {}
         for occ, energy in landed.items():
             nearest[occ] = int(np.argmin(np.abs(spectrum - energy)))

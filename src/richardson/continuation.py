@@ -256,8 +256,9 @@ def sweep(problem: PairingProblem, branch, g_target: float,
                 registered.append(p)
     r_c = opts.crossing_radius
 
-    g_init = weak_coupling_g(problem)
-    g0 = direction * min(abs(g_init), abs(g_target) / 2.0)
+    # below weak_coupling_g the residuals' round-off can exceed Newton's
+    # tolerance, so a nearer target is reached by walking back in from it
+    g0 = direction * weak_coupling_g(problem)
     walker, origin, rn = Walker.weak_start(eta2, d, occ.counts, g0,
                                            min_step=STEP_MIN, name="sweep")
 
@@ -271,13 +272,15 @@ def sweep(problem: PairingProblem, branch, g_target: float,
     slope_est = None
 
     def walk(g_to, reach):
-        """Step toward g_to until |g| >= reach, one sample per accepted
-        step; returns why the walk had to stop short, or None."""
+        """Step toward g_to until |g| >= reach, or in to |g_target| from
+        a start beyond it, one sample per accepted step; returns why the
+        walk had to stop short, or None."""
         nonlocal step, slope_est
-        while abs(walker.g) < reach:
+        while abs(walker.g) < reach or abs(walker.g) > abs(g_target):
             g = walker.g
             try:
-                step, iters, rn = walker.step_toward(g_to, direction * step)
+                step, iters, rn = walker.step_toward(
+                    g_to, math.copysign(step, g_to - g))
             except ContinuationError as err:
                 # forming, unregistered collapse is the usual culprit
                 cands = collapse_candidates(walker.e, problem)

@@ -51,3 +51,8 @@ class ContinuationError(RichardsonError):
 class OracleDimensionError(RichardsonError):
     """Pair basis dimension exceeds the exact-diagonalization guard; the
     message gives the dimension and the guard."""
+
+
+class OracleConvergenceError(RichardsonError):
+    """Lanczos in `oracle.ground_energy` met neither its stopping rule nor
+    the full basis within its step cap."""

@@ -15,10 +15,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import OracleDimensionError
+from .errors import OracleConvergenceError, OracleDimensionError
 from .model import PairingProblem, excited_occupations
 
 DIMENSION_GUARD = 20000
+# `ground_energy`: stop when the Ritz residual bound is below this times
+# max(1, |E|); give up after this many Lanczos steps
+LANCZOS_TOL = 1e-13
+LANCZOS_MAX_STEPS = 300
 
 
 def pair_basis(problem: PairingProblem) -> list[tuple[int, ...]]:
@@ -93,8 +97,9 @@ def _lex_ranks(states: np.ndarray, caps, m_pairs: int) -> np.ndarray:
     return rank
 
 
-def hamiltonian(problem: PairingProblem) -> np.ndarray:
-    """Dense symmetric pairing Hamiltonian in the seniority-0 pair basis.
+def _hops(problem: PairingProblem):
+    """H in coordinate form: (diag, dst, src, val), its diagonal and one
+    entry H[dst, src] = val for every hop, no (dst, src) twice.
 
     Built over all states at once, one source level jp at a time: the hop
     that moves a pair from level jp to level j has the value
@@ -103,14 +108,13 @@ def hamiltonian(problem: PairingProblem) -> np.ndarray:
     `_lex_ranks` rank.
     """
     states = _states(problem)
-    dim, n_levels = states.shape
+    n_levels = states.shape[1]
     caps = np.array(problem.capacities(), dtype=np.int64)
     g2 = 2.0 * problem.g
-    h = np.zeros((dim, dim))
-    h[np.diag_indices(dim)] = _diagonal(problem, states)
     down = np.sqrt(states * (caps - states + 1))      # annihilate on jp
     up = np.sqrt((states + 1) * (caps - states))       # create on j
     others = np.arange(n_levels)
+    dsts, srcs, vals = [], [], []
     for jp in range(n_levels):
         # every hop from level jp: (state, level j that takes the pair)
         src, j = np.nonzero((states[:, jp:jp + 1] > 0) & (states < caps)
@@ -119,8 +123,20 @@ def hamiltonian(problem: PairingProblem) -> np.ndarray:
         hop = np.arange(src.size)
         target[hop, jp] -= 1
         target[hop, j] += 1
-        dst = _lex_ranks(target, caps, problem.m_pairs)
-        h[dst, src] += g2 * up[src, j] * down[src, jp]
+        dsts.append(_lex_ranks(target, caps, problem.m_pairs))
+        srcs.append(src)
+        vals.append(g2 * up[src, j] * down[src, jp])
+    return (_diagonal(problem, states), np.concatenate(dsts),
+            np.concatenate(srcs), np.concatenate(vals))
+
+
+def hamiltonian(problem: PairingProblem) -> np.ndarray:
+    """Dense symmetric pairing Hamiltonian in the seniority-0 pair basis,
+    scattered from `_hops`."""
+    diag, dst, src, val = _hops(problem)
+    h = np.zeros((diag.size, diag.size))
+    h[np.diag_indices(diag.size)] = diag
+    h[dst, src] += val
     return h
 
 
@@ -133,3 +149,42 @@ def exact_spectrum(problem: PairingProblem) -> np.ndarray:
     if problem.g == 0.0:
         return np.sort(_diagonal(problem, _states(problem)))
     return np.linalg.eigvalsh(hamiltonian(problem))
+
+
+def ground_energy(problem: PairingProblem) -> float:
+    """Lowest eigenvalue of the seniority-0 pairing Hamiltonian.
+
+    Lanczos with full reorthogonalization on H applied from `_hops`, so no
+    dense matrix is built.  The start vector comes from a fixed seed, so
+    the result repeats bit for bit.  It stops once the lowest Ritz value's
+    residual bound beta_k |s_k0| is at most LANCZOS_TOL max(1, |theta_0|),
+    or once the Krylov space spans the basis, where the Ritz value is
+    exact; after LANCZOS_MAX_STEPS steps without either it raises
+    OracleConvergenceError.  At g = 0 it is the smallest diagonal entry.
+    """
+    if problem.g == 0.0:
+        return float(np.min(_diagonal(problem, _states(problem))))
+    diag, dst, src, val = _hops(problem)
+    dim = diag.size
+    steps = min(dim, LANCZOS_MAX_STEPS)
+    basis = np.empty((steps, dim))
+    q = np.random.default_rng(0).standard_normal(dim)
+    q /= np.linalg.norm(q)
+    alpha, beta = [], []
+    for k in range(steps):
+        basis[k] = q
+        w = diag * q + np.bincount(dst, weights=val * q[src], minlength=dim)
+        alpha.append(float(q @ w))
+        for _ in range(2):      # classical Gram-Schmidt, twice
+            w -= basis[:k + 1].T @ (basis[:k + 1] @ w)
+        b = float(np.linalg.norm(w))
+        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1)
+                                  + np.diag(beta, -1))
+        if b * abs(s[-1, 0]) <= LANCZOS_TOL * max(1.0, abs(theta[0])) \
+                or k + 1 == dim:
+            return float(theta[0])
+        beta.append(b)
+        q = w / b
+    raise OracleConvergenceError(
+        f"Lanczos did not converge in {steps} steps on dimension {dim} "
+        f"(residual bound {b * abs(s[-1, 0]):.2e})")

@@ -119,12 +119,14 @@ def test_sweep_zero_target_usage_error(tmp_path, capsys):
 
 
 def test_sweep_continuation_failure_exit_code(tmp_path, capsys):
-    # at |g| = 5e-5 the weak-coupling start of the 4x4 lattice does not
-    # converge: exit 4 with one error line, no traceback
-    prob_file = tmp_path / "lat4.json"
-    prob_file.write_text(rs.save_problem(rs.build_lattice_model(4, 4)))
+    # with levels near 2 eta = 2000 the residuals' round-off at the
+    # weak-coupling start (g = 1e-3) is above Newton's tolerance: exit 4
+    # with one error line, no traceback
+    prob_file = tmp_path / "far.json"
+    prob_file.write_text(rs.save_problem(rs.PairingProblem(
+        (rs.Level(1000.0, 4), rs.Level(1001.0, 4)), 2)))
     assert run_cli(["sweep", "--problem", str(prob_file),
-                    "--g-target", "1e-4", "--out", str(tmp_path)]) == 4
+                    "--g-target", "0.1", "--out", str(tmp_path)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: sweep could not converge")
     assert "Traceback" not in err
@@ -241,6 +243,60 @@ def test_verify_exits_4_when_branches_share_an_eigenvalue(
 def test_shared_eigenvalues_count_against_the_group_size(nearest, shared):
     spectrum = np.array([1.0, 2.0, 2.0 + 5e-10, 3.0])
     assert cli._shared_eigenvalues(spectrum, nearest) == shared
+
+
+def test_ground_only_verify_builds_no_dense_hamiltonian(tmp_path, capsys,
+                                                         monkeypatch):
+    def dense(problem):
+        raise AssertionError("dense oracle used for the ground branch")
+
+    monkeypatch.setattr(rs.oracle, "hamiltonian", dense)
+    monkeypatch.setattr(rs.oracle, "exact_spectrum", dense)
+    prob_file = tmp_path / "n2.json"
+    prob_file.write_text(rs.save_problem(rs.build_lattice_model(2, 2)))
+    assert run_cli(["verify", "--problem", str(prob_file), "--points", "5",
+                    "--excitations", "0"]) == 0
+    assert "samples checked: 5" in capsys.readouterr().out
+
+
+def test_verify_with_excited_branches_keeps_the_dense_spectrum(
+        tmp_path, capsys, monkeypatch):
+    def lanczos(problem):
+        raise AssertionError("Lanczos used with excited branches")
+
+    monkeypatch.setattr(rs.oracle, "ground_energy", lanczos)
+    prob_file = tmp_path / "n2.json"
+    prob_file.write_text(rs.save_problem(rs.build_lattice_model(2, 2)))
+    assert run_cli(["verify", "--problem", str(prob_file), "--points", "3",
+                    "--excitations", "1"]) == 0
+    assert "samples checked: 12" in capsys.readouterr().out
+
+
+def test_ground_only_verify_exits_4_off_the_lowest_eigenvalue(
+        tmp_path, capsys, monkeypatch):
+    real = rs.oracle.ground_energy
+    monkeypatch.setattr(rs.oracle, "ground_energy",
+                        lambda problem: real(problem) + 1e-6)
+    prob_file = tmp_path / "n2.json"
+    prob_file.write_text(rs.save_problem(rs.build_lattice_model(2, 2)))
+    assert run_cli(["verify", "--problem", str(prob_file), "--points", "3",
+                    "--excitations", "0"]) == 4
+    out = capsys.readouterr().out
+    assert "branch (1, 1, 0) at g=-0.2: deviation 1e-06 exceeds 1e-08" in out
+    assert "samples checked: 3" in out
+
+
+def test_verify_ground_branch_at_dimension_2004(tmp_path, capsys):
+    # the benchmark's 6x6 M=6 verify job
+    prob_file = tmp_path / "lat6m6.json"
+    prob_file.write_text(rs.save_problem(rs.build_lattice_model(6, 6)))
+    assert run_cli(["verify", "--problem", str(prob_file), "--points", "3",
+                    "--excitations", "0", "--g-min", "-0.198",
+                    "--g-max", "0.198"]) == 0
+    out = capsys.readouterr().out
+    assert "samples checked: 3" in out
+    dev_line = [ln for ln in out.splitlines() if "max deviation" in ln][0]
+    assert float(dev_line.split()[-1]) <= 1e-8
 
 
 def test_verify_guard_exit(tmp_path, capsys):

@@ -32,6 +32,19 @@ def test_sweep_requires_nonzero_target(lattice6, ground6):
         continuation.sweep(lattice6, ground6, 0.0)
 
 
+@pytest.mark.parametrize("g_target", [-1e-4, 1e-3, -1e-3])
+def test_sweep_to_a_target_inside_the_weak_start(g_target):
+    # |g_target| < 2 weak_coupling_g = 4e-3: the sweep starts at
+    # weak_coupling_g and walks back in to the target
+    p = rs.build_lattice_model(4, 4)
+    path = continuation.sweep(p, rs.ground_occupation(p), g_target)
+    assert path.status == "completed"
+    assert abs(path.samples[0].g) == rs.solver.weak_coupling_g(p)
+    assert path.samples[-1].g == g_target
+    want = oracle.ground_energy(p.with_g(g_target))
+    assert abs(path.samples[-1].energy - want) < 1e-9
+
+
 def test_sweep_deterministic():
     p = rs.build_lattice_model(2, 2)
     occ = rs.ground_occupation(p)

@@ -3,7 +3,7 @@ import pytest
 
 import richardson as rs
 from richardson import oracle
-from richardson.errors import OracleDimensionError
+from richardson.errors import OracleConvergenceError, OracleDimensionError
 
 
 def test_g_zero_limit():
@@ -145,3 +145,61 @@ def test_basis_row_is_its_lex_rank(name):
     states = oracle._states(p)
     ranks = oracle._lex_ranks(states, p.capacities(), p.m_pairs)
     assert np.array_equal(ranks, np.arange(len(states)))
+
+
+def _agrees_with_eigvalsh(p):
+    want = np.linalg.eigvalsh(oracle.hamiltonian(p))[0]
+    return abs(oracle.ground_energy(p) - want) <= 1e-10 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("g", [-0.17, 0.0, 0.3])
+@pytest.mark.parametrize("name", SMALL_PROBLEMS)
+def test_ground_energy_is_the_lowest_eigenvalue(name, g):
+    assert _agrees_with_eigvalsh(SMALL_PROBLEMS[name].with_g(g))
+
+
+@pytest.mark.parametrize("g", [-0.3, -0.198, -0.05, 0.0, 0.05, 0.198, 0.3])
+def test_ground_energy_is_the_lowest_eigenvalue_at_dimension_2004(g):
+    assert _agrees_with_eigvalsh(rs.build_lattice_model(6, 6).with_g(g))
+
+
+def test_ground_energy_is_exact_once_krylov_spans_the_basis(monkeypatch):
+    # with no stopping rule, Lanczos runs until its space is the whole
+    # 41-state basis, below the step cap
+    p = SMALL_PROBLEMS["lat4"].with_g(0.3)
+    assert oracle.basis_dimension(p) < oracle.LANCZOS_MAX_STEPS
+    monkeypatch.setattr(oracle, "LANCZOS_TOL", 0.0)
+    assert _agrees_with_eigvalsh(p)
+
+
+def test_ground_energy_of_a_one_state_basis():
+    p = rs.PairingProblem((rs.Level(0.0, 2), rs.Level(1.0, 2)), 2, g=0.3)
+    assert oracle.basis_dimension(p) == 1
+    assert oracle.ground_energy(p) == oracle.hamiltonian(p)[0, 0]
+
+
+def test_ground_energy_repeats_bit_for_bit():
+    p = rs.build_lattice_model(6, 6).with_g(0.198)
+    assert oracle.ground_energy(p) == oracle.ground_energy(p)
+
+
+def test_ground_energy_raises_past_its_step_cap(monkeypatch):
+    monkeypatch.setattr(oracle, "LANCZOS_MAX_STEPS", 3)
+    with pytest.raises(OracleConvergenceError, match="in 3 steps"):
+        oracle.ground_energy(SMALL_PROBLEMS["lat4"].with_g(0.3))
+
+
+def test_ground_energy_guards_before_enumerating(monkeypatch):
+    def no_basis(problem):
+        raise AssertionError("pair basis enumerated past the guard")
+
+    monkeypatch.setattr(oracle, "pair_basis", no_basis)
+    with pytest.raises(OracleDimensionError):
+        oracle.ground_energy(rs.build_lattice_model(6, 18).with_g(-0.1))
+
+
+def test_ground_energy_seniority_restriction():
+    p = rs.PairingProblem((rs.Level(0.0, 4, nu=2), rs.Level(1.0, 4)), 2,
+                          g=-0.1)
+    with pytest.raises(ValueError):
+        oracle.ground_energy(p)
