@@ -7,6 +7,11 @@ The nonlinear system solved here is, for each of the M pair energies e_a,
 Solutions of this real-coefficient system come in complex-conjugate pairs;
 the solver re-imposes that structure after every Newton step, which both
 prevents drift and keeps the iteration on the physical branch.
+
+Newton is damped: a trial step is halved until the residual norm drops.
+A solve gives up, unconverged, when the halvings run out or when 12
+iterations in a row each needed more than 8 halvings (a crawl, in which
+the residual barely moves).
 """
 
 from __future__ import annotations
@@ -25,6 +30,10 @@ from .model import PairingProblem, as_occupation
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 200
 NEWTON_MAX_HALVINGS = 30
+# a crawling iteration accepts its trial only after more than this many
+# halvings; this many crawling iterations in a row end the solve
+NEWTON_CRAWL_HALVINGS = 8
+NEWTON_MAX_CRAWL = 12
 IMAG_TOL = 1e-9
 
 
@@ -90,9 +99,13 @@ def symmetrize_conjugate(values):
     its conjugate, self-matches by their real part.  Python complex abs is
     numpy's scalar hypot, except that it raises OverflowError where numpy
     gives inf (overflow) or NaN (a NaN part while errno holds a stale
-    ERANGE); a self-distance cannot overflow.
+    ERANGE); a self-distance cannot overflow.  All-real input skips the
+    greedy: every self-distance is 0 or NaN, which no distance beats.
     """
-    vals = np.asarray(values, dtype=np.complex128).tolist()
+    arr = np.asarray(values, dtype=np.complex128)
+    if not arr.imag.any():
+        return arr.real.astype(np.complex128)
+    vals = arr.tolist()
     conj = [v.conjugate() for v in vals]
     todo = list(range(len(vals)))
     while todo:
@@ -133,7 +146,10 @@ def newton_core(e0, g, eta2, d, *, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
     its residual is not finite.  A damped trial that lands on a pole has a
     non-finite residual and is rejected like any other.  A non-finite
     Newton step (an escaped iterate overflowing the Jacobian) ends the
-    iteration.
+    iteration.  So does a crawl: NEWTON_MAX_CRAWL iterations in a row whose
+    accepted trial needed more than NEWTON_CRAWL_HALVINGS halvings.  The
+    halvings are counted, not the damping factor, so a small step_cap
+    alone does not make an iteration crawl.
 
     step_cap bounds the infinity norm of a single Newton step; useful for
     restarts near critical points, where an early ill-conditioned Jacobian
@@ -150,6 +166,7 @@ def newton_core(e0, g, eta2, d, *, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
         rn = float(np.maximum.reduce(np.abs(r)))
         if not math.isfinite(rn):
             _raise_on_pole(e, eta2)
+        crawl = 0
         while rn > tol and iters < max_iter:
             jac = kern.jacobian(g, d, diff_lvl, inv)
             try:
@@ -164,7 +181,7 @@ def newton_core(e0, g, eta2, d, *, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
                 sn = float(np.maximum.reduce(np.abs(step)))
                 if sn > step_cap:
                     lam = step_cap / sn
-            for _ in range(NEWTON_MAX_HALVINGS + 1):
+            for halvings in range(NEWTON_MAX_HALVINGS + 1):
                 trial = symmetrize_conjugate(e + lam * step)
                 rt, diff_t, inv_t = kern.residuals(trial, g, eta2, d)
                 rtn = float(np.maximum.reduce(np.abs(rt)))
@@ -173,6 +190,9 @@ def newton_core(e0, g, eta2, d, *, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
                     break
                 lam *= 0.5
             else:
+                break
+            crawl = crawl + 1 if halvings > NEWTON_CRAWL_HALVINGS else 0
+            if crawl == NEWTON_MAX_CRAWL:
                 break
     return e, rn <= tol, iters, rn
 

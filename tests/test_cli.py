@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import richardson as rs
+from richardson import _kernels as kern
 from richardson import cli, continuation, critical
 from richardson.errors import ContinuationError, DegenerateTangentError
 
@@ -297,6 +298,35 @@ def test_verify_ground_branch_at_dimension_2004(tmp_path, capsys):
     assert "samples checked: 3" in out
     dev_line = [ln for ln in out.splitlines() if "max deviation" in ln][0]
     assert float(dev_line.split()[-1]) <= 1e-8
+
+
+def test_verify_lat4_matches_the_benchmark_text(tmp_path, capsys,
+                                                monkeypatch):
+    # the benchmark's 4x4 M=4 verify job: its output must not change, and
+    # its deflated walks that stall at -0.2003 must not crawl
+    calls = []
+    residuals = kern.residuals
+
+    def counting(*args):
+        calls.append(None)
+        return residuals(*args)
+
+    monkeypatch.setattr(kern, "residuals", counting)
+    prob_file = tmp_path / "lat4.json"
+    prob_file.write_text(rs.save_problem(rs.build_lattice_model(4, 4)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")    # as on the command line
+        assert run_cli(["verify", "--problem", str(prob_file), "--points",
+                        "5", "--g-min", "-0.198", "--g-max", "0.198"]) == 0
+    captured = capsys.readouterr()
+    # the lines the command line prints for the warnings recorded here
+    err = captured.err + "".join(
+        cli._warning_line(w.message, w.category, w.filename, w.lineno)
+        for w in caught)
+    data = Path(__file__).resolve().parent / "data"
+    assert captured.out == (data / "verify_lat4_stdout.txt").read_text()
+    assert err == (data / "verify_lat4_stderr.txt").read_text()
+    assert len(calls) <= 80_000
 
 
 def test_verify_guard_exit(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import richardson as rs
 from richardson import _kernels as kern
-from richardson import solver
+from richardson import continuation, solver
 from richardson.errors import (ConsistencyError, ContinuationError,
                                InitializationError, SingularEvaluationError)
 from richardson.solver import (Walker, _single_level_roots, newton_core,
@@ -297,6 +297,14 @@ def _symmetrize_inputs(draw):
 @given(_symmetrize_inputs())
 # an overflowing distance leaves errno at ERANGE for the NaN self-distance
 @example([0j, complex(0, math.nan), complex(1.5e308, 1.5e308)])
+# all-real inputs, which skip the greedy
+@example([])
+@example([complex(0.5, -0.0), complex(-1.0, -0.0), complex(2.0, 0.0)])
+@example([complex(math.nan, 0.0), complex(math.inf, -0.0),
+          complex(-math.inf, 0.0), complex(0.3, 0.0)])
+@example([complex(0.3, 0.0), complex(0.3, -0.0), complex(0.3, 0.0),
+          complex(-0.1, 0.0), complex(-0.1, 0.0), complex(math.nan, 0.0),
+          complex(math.nan, 0.0)])
 def test_symmetrize_conjugate_bit_identical_to_numpy_loop(vals):
     with np.errstate(all="ignore"):   # the reference warns on inf and NaN
         want = _symmetrize_reference(vals)
@@ -453,3 +461,247 @@ def test_walker_on_the_empty_system(monkeypatch):
     for g_to in (0.4, -0.2):
         assert walker.advance_to(g_to).shape == (0,)
         assert walker.g == g_to
+
+
+def _newton_core_reference(e0, g, eta2, d, *, tol=solver.NEWTON_TOL,
+                           max_iter=solver.NEWTON_MAX_ITER, step_cap=None):
+    """newton_core before the crawl limit, verbatim but for module names."""
+    e = symmetrize_conjugate(e0)
+    if e.shape[0] == 0:
+        return e, True, 0, 0.0
+    iters = 0
+    # poles and escaped iterates overflow the residuals and the Jacobian,
+    # wild trials the residuals
+    with np.errstate(all="ignore"):
+        r, diff_lvl, inv = kern.residuals(e, g, eta2, d)
+        rn = float(np.maximum.reduce(np.abs(r)))
+        if not math.isfinite(rn):
+            solver._raise_on_pole(e, eta2)
+        while rn > tol and iters < max_iter:
+            jac = kern.jacobian(g, d, diff_lvl, inv)
+            try:
+                step = np.linalg.solve(jac, -r)
+            except np.linalg.LinAlgError:
+                break
+            iters += 1
+            if not np.isfinite(step).all():
+                break
+            lam = 1.0
+            if step_cap is not None:
+                sn = float(np.maximum.reduce(np.abs(step)))
+                if sn > step_cap:
+                    lam = step_cap / sn
+            for _ in range(solver.NEWTON_MAX_HALVINGS + 1):
+                trial = symmetrize_conjugate(e + lam * step)
+                rt, diff_t, inv_t = kern.residuals(trial, g, eta2, d)
+                rtn = float(np.maximum.reduce(np.abs(rt)))
+                if math.isfinite(rtn) and (rtn < rn or rtn <= tol):
+                    e, r, rn, diff_lvl, inv = trial, rt, rtn, diff_t, inv_t
+                    break
+                lam *= 0.5
+            else:
+                break
+    return e, rn <= tol, iters, rn
+
+
+def _same_bits(got, want):
+    """Two newton_core results agree bit for bit."""
+    (e, ok, iters, rn), (e_w, ok_w, iters_w, rn_w) = got, want
+    return ((ok, iters) == (ok_w, iters_w)
+            and np.array_equal(e.view(np.uint64), e_w.view(np.uint64))
+            and np.float64(rn).view(np.uint64)
+            == np.float64(rn_w).view(np.uint64))
+
+
+def _with_halvings(monkeypatch, core, *args, **kwargs):
+    """core(*args, **kwargs) and the halvings each of its Newton iterations
+    made before a trial was accepted (or the halvings ran out)."""
+    passes = []
+    residuals, jacobian = kern.residuals, kern.jacobian
+
+    def counting_residuals(*a):
+        if passes:                  # the start's pass belongs to no iteration
+            passes[-1] += 1
+        return residuals(*a)
+
+    def counting_jacobian(*a):
+        passes.append(0)
+        return jacobian(*a)
+
+    with monkeypatch.context() as m:
+        m.setattr(kern, "residuals", counting_residuals)
+        m.setattr(kern, "jacobian", counting_jacobian)
+        out = core(*args, **kwargs)
+    return out, [n - 1 for n in passes]
+
+
+def _longest_crawl(halvings):
+    run = longest = 0
+    for h in halvings:
+        run = run + 1 if h > solver.NEWTON_CRAWL_HALVINGS else 0
+        longest = max(longest, run)
+    return longest
+
+
+class _Found(Exception):
+    pass
+
+
+def _first_solve(monkeypatch, run, pick):
+    """The arguments (e0, g, eta2, d, kwargs) of the first Newton solve of
+    run() that pick(arguments, result) accepts; run stops there."""
+    found = []
+
+    def recording(e0, g, eta2, d, **kwargs):
+        out = newton_core(e0, g, eta2, d, **kwargs)
+        args = (np.array(e0), g, eta2, d, kwargs)
+        if pick(args, out):
+            found.append(args)
+            raise _Found
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "newton_core", recording)
+        m.setattr(continuation, "newton_core", recording)
+        with pytest.raises(_Found):
+            run()
+    return found[0]
+
+
+@pytest.mark.parametrize("case", ["toy3 hop", "sweep to -0.45"])
+def test_slow_converged_solves_are_bit_identical(monkeypatch, toy_3lvl,
+                                                 case):
+    # the converged solves of the test suite with the longest crawls: the
+    # toy3 scan's hop at -0.0822 (5 crawling iterations, as in 10 other
+    # tests) and a solve of test_point_beyond_target_is_not_crossed (9)
+    if case == "toy3 hop":
+        g_hop, iters, crawl = -0.08219942960143088, 10, 5
+
+        def run():
+            rs.scan_critical(toy_3lvl, 0, (-0.6, 0.0))
+    else:
+        g_hop, iters, crawl = -0.42870879821637403, 26, 9
+        p = rs.PairingProblem((rs.Level(0.0, 2), rs.Level(1.0, 2),
+                               rs.Level(2.5, 2)), 2)
+
+        def run():
+            continuation.sweep(p, rs.ground_occupation(p), -0.45)
+    e0, g, eta2, d, kwargs = _first_solve(
+        monkeypatch, run,
+        lambda args, out: args[1] == g_hop and out[2] == iters)
+    want, halvings = _with_halvings(monkeypatch, _newton_core_reference,
+                                    e0, g, eta2, d, **kwargs)
+    assert want[1] and _longest_crawl(halvings) == crawl
+    assert _same_bits(newton_core(e0, g, eta2, d, **kwargs), want)
+
+
+def test_crawling_solve_stops_after_12_crawling_iterations(monkeypatch):
+    # the 4x4 M=4 level-4 deflated walk of the benchmark's verify job
+    # stalls near g = -0.2003; its first solve that the reference would
+    # have taken further
+    lat4 = rs.build_lattice_model(4, 4)
+    e0, g, eta2, d, kwargs = _first_solve(
+        monkeypatch,
+        lambda: rs.scan_critical(lat4, 4, (-0.208, 0.0),
+                                 deflated_occ=(1, 1, 0, 0, 0)),
+        lambda args, out: _newton_core_reference(
+            *args[:4], **args[4])[2] > out[2])
+    assert kwargs == {"max_iter": 60} and -0.2006 < g < -0.2003
+    got, halvings = _with_halvings(monkeypatch, newton_core,
+                                   e0, g, eta2, d, **kwargs)
+    # two plain iterations, then 12 that each accept a trial only after
+    # more than 8 halvings
+    assert not got[1] and got[2] == 14
+    assert [h > solver.NEWTON_CRAWL_HALVINGS for h in halvings] \
+        == [False] * 2 + [True] * solver.NEWTON_MAX_CRAWL
+    # the same iterates as the reference up to the stop; the reference
+    # crawls on until its iteration budget runs out
+    assert _same_bits(got, _newton_core_reference(e0, g, eta2, d,
+                                                  max_iter=14))
+    want, halvings = _with_halvings(monkeypatch, _newton_core_reference,
+                                    e0, g, eta2, d, **kwargs)
+    assert not want[1] and want[2] == 60 and _longest_crawl(halvings) > 50
+
+
+def test_a_small_step_cap_alone_is_no_crawl():
+    # one pair, e = 1.8 at g = -0.1: from 1.84 the capped steps of 1e-4
+    # are below 2^-8 of the Newton step for over 80 iterations, but each
+    # is accepted without a halving
+    one = (np.array([2.0]), np.array([-0.5]))
+    got = newton_core([1.84], -0.1, *one, step_cap=1e-4, max_iter=500)
+    assert got[1] and got[2] > 300
+    assert _same_bits(got, _newton_core_reference(
+        [1.84], -0.1, *one, step_cap=1e-4, max_iter=500))
+
+
+_ETA2 = st.lists(st.integers(-8, 8), min_size=1, max_size=3,
+                 unique=True).map(lambda js: np.array(sorted(js)) / 2.0)
+_START = st.builds(complex, st.floats(-6, 6), st.floats(-2, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ETA2.flatmap(lambda eta2: st.tuples(
+           st.just(eta2),
+           st.lists(st.sampled_from([-0.5, -1.0, -1.5]),
+                    min_size=len(eta2), max_size=len(eta2)).map(np.array),
+           st.lists(_START, min_size=1, max_size=4).map(np.array),
+           st.floats(-0.6, 0.6),
+           st.sampled_from([None, 1e-3, 0.05]))))
+def test_newton_stops_on_the_reference_iterates(args):
+    # from any start, the crawl limit only cuts the reference's iteration
+    # short: same bits as the reference run for as many iterations
+    eta2, d, e0, g, step_cap = args
+    try:
+        got = newton_core(e0, g, eta2, d, step_cap=step_cap)
+    except SingularEvaluationError:
+        return
+    want = _newton_core_reference(e0, g, eta2, d, step_cap=step_cap,
+                                  max_iter=got[2])
+    assert _same_bits(got, want)
+
+
+@st.composite
+def _walk_steps(draw):
+    """A small problem's branch walked by the reference Newton toward g_to,
+    and the coupling of its next step."""
+    etas = draw(st.lists(st.integers(-4, 4), min_size=2, max_size=3,
+                         unique=True))
+    levels = tuple(rs.Level(j / 2.0, draw(st.sampled_from([2, 4, 6])))
+                   for j in sorted(etas))
+    counts = [draw(st.integers(0, min(2, lv.pair_capacity)))
+              for lv in levels]
+    counts[0] = max(counts[0], 1 - sum(counts))
+    p = rs.PairingProblem(levels, sum(counts))
+    g_to = draw(st.floats(0.01, 0.6)) * draw(st.sampled_from([-1, 1]))
+    frac = draw(st.sampled_from([1.0, 0.5, 0.1, 0.01]))
+    return p, tuple(counts), g_to, frac
+
+
+@settings(max_examples=60, deadline=None)
+@given(_walk_steps())
+def test_newton_matches_the_reference_wherever_it_converges(args):
+    # Newton's solves in the program are continuation steps: the walker's
+    # state, or its secant prediction, at the next coupling.  Wherever the
+    # reference converges from such a seed, both agree bit for bit.
+    p, counts, g_to, frac = args
+    eta2, d = p.eta2_array(), p.d_array()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "newton_core", _newton_core_reference)
+        walker, _, _ = Walker.weak_start(
+            eta2, d, counts, math.copysign(solver.weak_coupling_g(p), g_to),
+            min_step=1e-7, name="walk")
+        try:
+            walker.advance_to(g_to)
+        except ContinuationError:
+            pass                # the walk stalled: step from where it stands
+    g_next = walker.g + frac * (g_to - walker.g) if walker.g != g_to \
+        else 1.01 * g_to
+    seeds = [walker.e]
+    if walker.prev is not None and walker.prev[0] != walker.g:
+        slope = (walker.e - walker.prev[1]) / (walker.g - walker.prev[0])
+        seeds.append(walker.e + slope * (g_next - walker.g))
+    for seed in seeds:
+        want = _newton_core_reference(seed, g_next, eta2, d, max_iter=60)
+        if want[1]:
+            assert _same_bits(newton_core(seed, g_next, eta2, d,
+                                          max_iter=60), want)
