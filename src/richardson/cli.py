@@ -74,9 +74,9 @@ def atomic_write(path, text):
 
 
 def max_threads():
-    """1: `critical` scans its levels in order on the calling thread.  Read
-    only by `perfbench/worker.py`; ROADMAP direction 1 deletes both."""
-    return 1
+    """The size of the process pool that runs scans side by side at most
+    (`critical.scan_workers`); `perfbench/worker.py` prints it."""
+    return critical.scan_workers()
 
 
 def load_problem_file(path) -> model.PairingProblem:
@@ -228,11 +228,11 @@ def cmd_critical(args):
     default_out = records_path(args.problem, branch)
     out = args.out or default_out
     output_dir(Path(out).parent)
+    requests = [critical.ScanRequest(k, g_range, branch, args.mk, args.grid)
+                for k in levels]
     points, covered = [], []
-    for k in levels:
-        found = critical.scan_critical(problem, k, g_range, branch,
-                                       m_k=args.mk, grid_points=args.grid)
-        points += found
+    for k, found in zip(levels, critical.run_scans(problem, requests)):
+        points += found.report()
         if not found.issues:
             covered.append(k + 1)
     points.sort(key=lambda p: p.g_c)
@@ -325,6 +325,13 @@ def cmd_sweep(args):
     return 0
 
 
+def _sign_grids(grid):
+    """The nonzero points of the grid, one list per sign of g, in the order
+    the grid meets the signs."""
+    return [[g for g in grid if g * sign > 0]
+            for sign in dict.fromkeys(np.sign(grid[grid != 0.0]))]
+
+
 def _verify_branch(problem, occ, grid, scans):
     """{g: energy} of the branch at each grid point, None where its sweep
     was skipped or truncated: the unperturbed energy at g = 0, else the end
@@ -335,8 +342,7 @@ def _verify_branch(problem, occ, grid, scans):
                       for lv, c in zip(problem.levels, occ.counts))
     out = {g: unperturbed if g == 0.0 else None for g in grid}
     opts = continuation.SweepOptions(auto_scan=False)
-    for sign in dict.fromkeys(np.sign(grid[grid != 0.0])):
-        gs = [g for g in grid if g * sign > 0]
+    for gs in _sign_grids(grid):
         try:
             points = continuation.auto_scan_points(
                 problem, occ, max(gs, key=abs), opts.crossing_radius, scans)
@@ -380,8 +386,17 @@ def cmd_verify(args):
     dim = oracle.checked_dimension(problem)   # guards before any sweep
     print(f"oracle dimension: {dim}; checking {len(branches)} branch(es) "
           f"on {len(grid)} couplings")
-    # scans of one deflated branch, reused by every branch of this command
-    scans = {}
+    # every scan that the branches' sweeps register, run side by side
+    # before any sweep; a scan's issues and error surface where a branch
+    # first reads it, and every branch that shares it reuses it
+    requests = {}
+    radius = continuation.SweepOptions().crossing_radius
+    for occ in branches:
+        for gs in _sign_grids(grid):
+            requests.update(continuation.auto_scan_requests(
+                problem, occ, max(gs, key=abs), radius))
+    scans = dict(zip(requests, critical.run_scans(problem,
+                                                  list(requests.values()))))
     energies = {occ: _verify_branch(problem, occ, grid, scans)
                 for occ in branches}
     worst = 0.0

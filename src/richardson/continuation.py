@@ -23,8 +23,8 @@ import numpy as np
 
 from . import _kernels as kern
 from .cluster import default_cluster_size, detect_cluster, power_sums
-from .critical import (CriticalPoint, critical_levels, deflated_occupation,
-                       scan_critical)
+from .critical import (CriticalPoint, ScanRequest, critical_levels,
+                       deflated_occupation, run_scans)
 from .errors import ConsistencyError, ContinuationError
 from .model import PairingProblem, as_occupation
 from .solver import (PairEnergies, Walker, newton_core, restart_step_cap,
@@ -172,33 +172,47 @@ def auto_scan_range(g_target: float, crossing_radius: float):
     return (0.0, outer) if direction > 0 else (outer, 0.0)
 
 
-def auto_scan_points(problem: PairingProblem, branch, g_target: float,
-                     crossing_radius: float,
-                     scans: dict | None = None) -> list[CriticalPoint]:
-    """What the auto-scan of a sweep to g_target registers: every level of
-    `critical_levels` scanned over `auto_scan_range`, in order of |g_c|.
-
-    A scan depends only on the level (which fixes M_k), the deflated
-    occupation and the range.  Given a dict `scans`, each scan is looked up
-    there by that key first and stored there after, so branches that share
-    a deflated branch share its scan and its points.  The caller owns the
-    dict and so decides how long a scan is reused.
-    """
+def auto_scan_requests(problem: PairingProblem, branch, g_target: float,
+                       crossing_radius: float) -> dict:
+    """The scans of the auto-scan of a sweep to g_target, one per level of
+    `critical_levels` over `auto_scan_range`, in level order:
+    {(k, deflated occupation counts, range): ScanRequest}.  A scan depends
+    only on that key: the level fixes M_k."""
     occ = as_occupation(branch)
     rng = auto_scan_range(g_target, crossing_radius)
     direction = 1 if g_target > 0 else -1
-    points = []
+    requests = {}
     for k in critical_levels(problem, occ):
         deflated = deflated_occupation(
             problem, occ, k, default_cluster_size(problem.levels[k]),
             direction)
-        key = (k, deflated.counts, rng)
-        found = None if scans is None else scans.get(key)
-        if found is None:
-            found = scan_critical(problem, k, rng, deflated_occ=deflated)
-            if scans is not None:
-                scans[key] = found
-        points += found
+        requests[(k, deflated.counts, rng)] = ScanRequest(
+            k, rng, deflated_occ=deflated)
+    return requests
+
+
+def auto_scan_points(problem: PairingProblem, branch, g_target: float,
+                     crossing_radius: float,
+                     scans: dict | None = None) -> list[CriticalPoint]:
+    """What the auto-scan of a sweep to g_target registers: the points of
+    `auto_scan_requests`, in order of |g_c|.
+
+    The scans not yet in the dict `scans` (keyed as `auto_scan_requests`)
+    run together through `run_scans` and are stored there, so branches
+    that share a deflated branch share its scan and its points.  Each
+    scan's issues are then warned, and its error raised, from here in
+    level order (`ScanResult.report`).  The caller owns the dict and so
+    decides how long a scan is reused.
+    """
+    requests = auto_scan_requests(problem, branch, g_target,
+                                  crossing_radius)
+    scans = {} if scans is None else scans
+    todo = [key for key in requests if key not in scans]
+    scans.update(zip(todo, run_scans(problem,
+                                     [requests[key] for key in todo])))
+    points = []
+    for key in requests:
+        points += scans[key].report()
     return sorted(points, key=lambda p: abs(p.g_c))
 
 

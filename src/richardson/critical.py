@@ -12,12 +12,16 @@ brackets sign changes of the row-norm-scaled determinant.  Each bracket is
 then resolved by false position in g along the same branch, walked on
 from the bracket's stored state: every iterate is a converged branch
 state, and only the one-dimensional determinant root is left to find.
+`run_scans` runs a batch of scans, their sides of g = 0 in worker
+processes.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +66,11 @@ class CriticalPoint:
         chi = np.array(self.chi, dtype=float)
         chi.setflags(write=False)
         object.__setattr__(self, "chi", chi)
+
+    def __reduce__(self):
+        # through the constructor, so that a point back from a scan worker
+        # has read-only arrays again
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 def deflated_d_array(problem: PairingProblem, k: int, m_k: int) -> np.ndarray:
@@ -194,11 +203,42 @@ def _validate_point(point, problem):
 class ScanResult(list):
     """The critical points of one scan, in order of g_c.  ``issues`` holds
     the text of each truncation or skipped bracket, in the order the scan
-    met them; each was also warned as a TruncatedScanWarning."""
+    met them.  ``error`` is the exception that stopped the scan, or None;
+    a stopped scan keeps the issues met before it and no points.
+    `report` warns the issues and raises the error."""
 
-    def __init__(self, points=(), issues=()):
+    def __init__(self, points=(), issues=(), error=None):
         super().__init__(points)
         self.issues = list(issues)
+        self.error = error
+        self._reported = False
+
+    def report(self, stacklevel=1):
+        """Warn each issue as a TruncatedScanWarning from the line that
+        called this method (`stacklevel` counts as for `warnings.warn`),
+        then raise ``error`` if it is set; returns self.  A scan that ran
+        to its end warns on the first call only.  A stopped one warns and
+        raises on every call, as running the scan again would."""
+        if self.error is not None or not self._reported:
+            for text in self.issues:
+                warnings.warn(text, TruncatedScanWarning,
+                              stacklevel=stacklevel + 1)
+        self._reported = True
+        if self.error is not None:
+            raise self.error
+        return self
+
+
+class ScanRequest(NamedTuple):
+    """One scan for `run_scans`: the arguments of `scan_critical` after
+    the problem."""
+
+    k: int
+    g_range: tuple[float, float]
+    branch: OccupationMap | None = None
+    m_k: int | None = None
+    grid_points: int | None = None
+    deflated_occ: OccupationMap | None = None
 
 
 def scan_critical(problem: PairingProblem, k: int, g_range, branch=None, *,
@@ -213,34 +253,99 @@ def scan_critical(problem: PairingProblem, k: int, g_range, branch=None, *,
     deflates to (`deflated_occupation`).  Cells where |det| dips
     sharply without a sign change are re-walked at 100x density to catch
     close root pairs.  A range across 0 is scanned as its two sides, each
-    walked out from weak coupling.  Branch continuation failure truncates
-    a side, and a bracket that does not hold a validated root is skipped;
-    either lands in the result's ``issues`` and is warned from the
-    caller's line as a TruncatedScanWarning.  A warnings filter such as
+    walked out from weak coupling, side by side as `run_scans` runs them.
+    Branch continuation failure truncates a side, and a bracket that does
+    not hold a validated root is skipped; either lands in the result's
+    ``issues`` and is warned from the caller's line as a
+    TruncatedScanWarning.  A warnings filter such as
     ``warnings.simplefilter("error", TruncatedScanWarning)`` turns every
     skip and truncation into an error; filters do not change ``issues``.
     """
+    [found] = run_scans(problem, [ScanRequest(k, g_range, branch, m_k,
+                                              grid_points, deflated_occ)])
+    return found.report(stacklevel=2)
+
+
+def scan_workers() -> int:
+    """Processes that `run_scans` may spread its sides over: one per CPU
+    this process may run on, or 1 where the platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_scans(problem: PairingProblem, requests) -> list[ScanResult]:
+    """One ScanResult per `ScanRequest`, in request order, as
+    `scan_critical` would return it; nothing is warned or raised until
+    the caller reads each result through `ScanResult.report`.
+
+    Each request is split into its sides of g = 0.  The sides share no
+    state, so they run side by side in a fork-context process pool of
+    `scan_workers` processes, at most one per side; with one worker they
+    run in this process.  A side runs the same arithmetic wherever it runs,
+    so its points are the same bits.  A side that raises stops its scan
+    as it would stop `scan_critical`: the scan keeps the issues met
+    before the error, and its later side counts for nothing.
+    """
+    requests = list(requests)
+    split = [_sides(req.g_range) for req in requests]
+    outcomes = iter(_run_sides([
+        (problem, req.k, side, req.branch, req.m_k, req.grid_points,
+         req.deflated_occ)
+        for req, sides in zip(requests, split) for side in sides]))
+    results = []
+    for sides in split:
+        found = ScanResult()
+        for part in [next(outcomes) for _ in sides]:
+            if found.error is None:
+                found += part
+                found.issues += part.issues
+                found.error = part.error
+        if found.error is not None:
+            found.clear()
+        found.sort(key=lambda p: p.g_c)
+        results.append(found)
+    return results
+
+
+def _sides(g_range):
+    """The parts of g_range on each side of 0, negative side first."""
     g_lo, g_hi = sorted(g_range)
-    sides = [(g_lo, 0.0), (0.0, g_hi)] if g_lo < 0 < g_hi else [(g_lo, g_hi)]
+    return [(g_lo, 0.0), (0.0, g_hi)] if g_lo < 0 < g_hi else [(g_lo, g_hi)]
+
+
+def _run_sides(sides):
+    """`_run_side` of each side, in order."""
+    workers = min(scan_workers(), len(sides))
+    if workers <= 1:
+        return list(map(_run_side, sides))
+    # imported here: the pool modules cost about 15 ms and 1.3 MB, which a
+    # one-sided scan or a one-CPU run never needs
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(_run_side, sides))
+
+
+def _run_side(side) -> ScanResult:
+    """The scan of one side of 0.  An exception is returned as the
+    result's ``error``, with the points and issues met before it, so that
+    the caller raises it where scanning one side after another would."""
     found = ScanResult()
-    for near_far in sides:
-        _scan_side(found, problem, k, near_far, branch, m_k, grid_points,
-                   deflated_occ)
-    found.sort(key=lambda p: p.g_c)
+    try:
+        _scan_side(found, *side)
+    except Exception as err:
+        found.error = err
     return found
-
-
-def _report(found, text):
-    """Add an issue to `found` and warn it from the line that called
-    `scan_critical`, three frames above this one."""
-    found.issues.append(text)
-    warnings.warn(text, TruncatedScanWarning, stacklevel=4)
 
 
 def _scan_side(found, problem, k, g_range, branch, m_k, grid_points,
                deflated_occ):
-    """`scan_critical` over a range on one side of 0, adding its points
-    and issues to `found`."""
+    """The scan of a range on one side of 0, adding its points and issues
+    to `found`."""
     g_lo, g_hi = g_range
     direction = 1 if g_hi > 0 else -1
     far = g_hi if direction > 0 else g_lo
@@ -271,7 +376,7 @@ def _scan_side(found, problem, k, g_range, branch, m_k, grid_points,
             stops.append(g)
             states.append(walker.e)
     except ContinuationError as err:
-        _report(found, f"scan truncated: {err}")
+        found.issues.append(f"scan truncated: {err}")
     if len(stops) < 2:
         return
 
@@ -285,9 +390,9 @@ def _scan_side(found, problem, k, g_range, branch, m_k, grid_points,
         except RichardsonError as err:
             # a deflated branch hopping at one of its own collapses can
             # flip the determinant sign with no zero in between
-            _report(found, f"skipping spurious bracket: root in "
-                           f"({g_a:.8g}, {g_b:.8g}) for level {k} could not "
-                           f"be resolved: {err}")
+            found.issues.append(
+                f"skipping spurious bracket: root in ({g_a:.8g}, {g_b:.8g}) "
+                f"for level {k} could not be resolved: {err}")
 
 
 def _sign_cells(gs, dets, states):

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -303,12 +304,14 @@ def test_verify_ground_branch_at_dimension_2004(tmp_path, capsys):
 def test_verify_lat4_matches_the_benchmark_text(tmp_path, capsys,
                                                 monkeypatch):
     # the benchmark's 4x4 M=4 verify job: its output must not change, and
-    # its deflated walks that stall at -0.2003 must not crawl
-    calls = []
+    # its deflated walks that stall at -0.2003 must not crawl.  The count
+    # is shared memory, so the scan workers' calls count too.
+    calls = multiprocessing.Value("q", 0)
     residuals = kern.residuals
 
     def counting(*args):
-        calls.append(None)
+        with calls.get_lock():
+            calls.value += 1
         return residuals(*args)
 
     monkeypatch.setattr(kern, "residuals", counting)
@@ -326,7 +329,7 @@ def test_verify_lat4_matches_the_benchmark_text(tmp_path, capsys,
     data = Path(__file__).resolve().parent / "data"
     assert captured.out == (data / "verify_lat4_stdout.txt").read_text()
     assert err == (data / "verify_lat4_stderr.txt").read_text()
-    assert len(calls) <= 80_000
+    assert calls.value <= 80_000
 
 
 def test_verify_guard_exit(tmp_path, capsys):
@@ -456,13 +459,13 @@ def test_critical_all_scans_only_levels_that_can_collapse(tmp_path, capsys,
     # 4x4 lattice, M = 4: M_k = 2, 5, 7 on the occupied levels, so only
     # j = 1 can hold a cluster
     scanned = []
-    scan = critical.scan_critical
+    run = critical.run_scans
 
-    def recording(problem, k, *args, **kwargs):
-        scanned.append(k)
-        return scan(problem, k, *args, **kwargs)
+    def recording(problem, requests):
+        scanned.extend(r.k for r in requests)
+        return run(problem, requests)
 
-    monkeypatch.setattr(critical, "scan_critical", recording)
+    monkeypatch.setattr(critical, "run_scans", recording)
     prob_file = tmp_path / "lat4.json"
     prob_file.write_text(rs.save_problem(rs.build_lattice_model(4, 4)))
     assert run_cli(["critical", "--problem", str(prob_file), "--level", "all",
@@ -526,7 +529,7 @@ def test_output_location_is_checked_before_any_work(tmp_path, capsys,
         raise AssertionError("ran before the output location was checked")
 
     monkeypatch.setattr(continuation, "sweep", no_work)
-    monkeypatch.setattr(critical, "scan_critical", no_work)
+    monkeypatch.setattr(critical, "run_scans", no_work)
     assert run_cli(_out_under_a_file(tmp_path, command)) == 2
 
 
@@ -552,7 +555,7 @@ def test_non_positive_option_is_rejected_before_any_work(
     def no_work(*args, **kwargs):
         raise AssertionError("ran before the options were checked")
 
-    for mod, attr in ((continuation, "sweep"), (critical, "scan_critical"),
+    for mod, attr in ((continuation, "sweep"), (critical, "run_scans"),
                       (rs.oracle, "checked_dimension")):
         monkeypatch.setattr(mod, attr, no_work)
     prob_file = tmp_path / "n2.json"
@@ -623,7 +626,7 @@ def test_bad_level_argument_is_rejected_before_any_work(
         raise AssertionError("ran before the level arguments were checked")
 
     monkeypatch.setattr(continuation, "sweep", no_work)
-    monkeypatch.setattr(critical, "scan_critical", no_work)
+    monkeypatch.setattr(critical, "run_scans", no_work)
     problem = rs.PairingProblem(levels, 2) if levels \
         else rs.build_lattice_model(4, 4)
     prob_file = tmp_path / "prob.json"
@@ -645,19 +648,16 @@ def test_bad_level_argument_is_rejected_before_any_work(
 
 
 def _warn_on_level(monkeypatch, level):
-    """Make `critical.scan_critical` report one issue for 0-based `level`."""
-    scan = critical.scan_critical
+    """Make `critical.run_scans` report one issue for 0-based `level`."""
+    run = critical.run_scans
 
-    def warning(problem, k, *args, **kwargs):
-        issues = []
-        if k == level:   # from the caller's line, as `scan_critical` warns
-            issues.append(f"scan truncated: test stall at level {k}")
-            warnings.warn(issues[0], critical.TruncatedScanWarning,
-                          stacklevel=2)
-        found = scan(problem, k, *args, **kwargs)
-        return critical.ScanResult(found, found.issues + issues)
+    def warning(problem, requests):
+        return [critical.ScanResult(found, found.issues + (
+                    [f"scan truncated: test stall at level {req.k}"]
+                    if req.k == level else []), found.error)
+                for req, found in zip(requests, run(problem, requests))]
 
-    monkeypatch.setattr(critical, "scan_critical", warning)
+    monkeypatch.setattr(critical, "run_scans", warning)
 
 
 def test_warnings_print_as_one_line(tmp_path):
@@ -666,12 +666,11 @@ def test_warnings_print_as_one_line(tmp_path):
         import sys, warnings
         from richardson import cli, critical
 
-        def truncated(*args, **kwargs):
-            warnings.warn("scan truncated: test stall",
-                          critical.TruncatedScanWarning)
-            return critical.ScanResult([], ["scan truncated: test stall"])
+        def truncated(problem, requests):
+            return [critical.ScanResult([], ["scan truncated: test stall"])
+                    for _ in requests]
 
-        critical.scan_critical = truncated
+        critical.run_scans = truncated
         before = warnings.formatwarning
         code = cli.main(sys.argv[1:])
         assert warnings.formatwarning is before, "formatwarning not restored"
@@ -723,8 +722,8 @@ def _no_scan(monkeypatch):
     def no_scan(*args, **kwargs):
         raise AssertionError("sweep scanned")
 
-    monkeypatch.setattr(critical, "scan_critical", no_scan)
-    monkeypatch.setattr(continuation, "scan_critical", no_scan)
+    monkeypatch.setattr(critical, "run_scans", no_scan)
+    monkeypatch.setattr(continuation, "run_scans", no_scan)
 
 
 def _toy_critical(tmp_path, options=(), g_min="-0.52"):
@@ -877,7 +876,7 @@ def test_bad_branch_names_the_option(tmp_path, capsys, monkeypatch, spec,
         raise AssertionError("ran before the branch was checked")
 
     monkeypatch.setattr(continuation, "sweep", no_work)
-    monkeypatch.setattr(critical, "scan_critical", no_work)
+    monkeypatch.setattr(critical, "run_scans", no_work)
     prob_file = _toy3_file(tmp_path)
     argv = [command, "--problem", str(prob_file), "--out",
             str(tmp_path / "out")]
@@ -909,7 +908,7 @@ def test_branch_counts_name_the_records_of_that_branch(tmp_path, capsys,
     def no_scan(*args, **kwargs):
         raise AssertionError("the records cover the sweep")
 
-    monkeypatch.setattr(critical, "scan_critical", no_scan)
+    monkeypatch.setattr(continuation, "run_scans", no_scan)
     assert run_cli(["sweep", "--problem", str(prob_file), "--branch",
                     "2 1 1", "--g-target", "-0.5", "--out",
                     str(tmp_path)]) == 0

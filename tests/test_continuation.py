@@ -395,13 +395,14 @@ def test_shared_auto_scan_points_scan_each_key_once(monkeypatch):
     fresh = {(b, g): continuation.auto_scan_points(p, b, g, 5e-3)
              for b in rs.excited_occupations(p, 2) for g in (-0.6, 0.6)}
     calls = []
-    real = continuation.scan_critical
+    real = continuation.run_scans
 
-    def counted(problem, k, g_range, branch=None, **kwargs):
-        calls.append((k, kwargs["deflated_occ"].counts, g_range))
-        return real(problem, k, g_range, branch, **kwargs)
+    def counted(problem, requests):
+        calls.extend((r.k, r.deflated_occ.counts, r.g_range)
+                     for r in requests)
+        return real(problem, requests)
 
-    monkeypatch.setattr(continuation, "scan_critical", counted)
+    monkeypatch.setattr(continuation, "run_scans", counted)
     scans = {}
     for (b, g), want in fresh.items():
         got = continuation.auto_scan_points(p, b, g, 5e-3, scans)

@@ -1,0 +1,236 @@
+"""Scans run side by side in worker processes give what one process gives.
+
+`critical.run_scans` spreads the sides of g = 0 of its requests over a
+fork-context process pool of `critical.scan_workers()` processes.  These
+tests set that count to force the pool (2, even on a one-CPU host) or the
+in-process path (1), and compare the two.
+"""
+
+import multiprocessing
+import os
+import pickle
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import richardson as rs
+from richardson import cli, critical
+from richardson.critical import ScanRequest, TruncatedScanWarning
+from richardson.errors import ConsistencyError, ContinuationError
+
+
+def _workers(monkeypatch, n):
+    monkeypatch.setattr(critical, "scan_workers", lambda: n)
+
+
+def _bits(value):
+    """The bytes of a field, so that equal bits compare equal, NaN too."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.view(np.uint64).tolist()
+    if isinstance(value, float):
+        return np.float64(value).view(np.uint64).item()
+    return value
+
+
+def _fields(point):
+    return {name: _bits(getattr(point, name))
+            for name in critical.CriticalPoint.__dataclass_fields__}
+
+
+def _assert_read_only(point):
+    assert not point.e_noncluster.flags.writeable
+    assert not point.chi.flags.writeable
+
+
+def test_a_pickled_point_keeps_its_bits_and_read_only_arrays(toy_3lvl):
+    [point] = rs.scan_critical(toy_3lvl, 0, (-0.6, 0.0))
+    back = pickle.loads(pickle.dumps(point))
+    assert type(back) is critical.CriticalPoint
+    assert _fields(back) == _fields(point)
+    _assert_read_only(back)
+
+
+def test_pooled_scans_are_bit_identical_to_in_process_scans(monkeypatch):
+    # every level of the 4x4 lattice: level 0 finds a point, levels 1-3
+    # cannot supply their cluster (ValueError), level 4 stalls at g < 0
+    problem = rs.build_lattice_model(4, 4)
+    requests = [ScanRequest(k, (-0.3, 0.3))
+                for k in range(problem.n_levels)]
+    parent = os.getpid()
+    in_workers = multiprocessing.Value("q", 0)
+    scan_side = critical._scan_side
+
+    def counted(*args):
+        if os.getpid() != parent:
+            with in_workers.get_lock():
+                in_workers.value += 1
+        return scan_side(*args)
+
+    monkeypatch.setattr(critical, "_scan_side", counted)
+    _workers(monkeypatch, 1)
+    alone = critical.run_scans(problem, requests)
+    assert in_workers.value == 0
+    _workers(monkeypatch, 2)
+    pooled = critical.run_scans(problem, requests)
+    assert in_workers.value == 2 * len(requests)
+
+    assert [len(r) for r in pooled] == [len(r) for r in alone] \
+        == [1, 0, 0, 0, 1]
+    for a, b in zip(alone, pooled):
+        assert [_fields(p) for p in b] == [_fields(p) for p in a]
+        for p in b:
+            _assert_read_only(p)
+        assert b.issues == a.issues
+        assert type(b.error) is type(a.error)
+        assert str(b.error) == str(a.error)
+    assert pooled[4].issues[0].startswith(
+        "scan truncated: deflated branch (level 4, M_k=2) stalled near")
+    assert isinstance(pooled[1].error, ValueError)
+
+
+def _stall_both_sides(monkeypatch):
+    det_at = critical._det_at
+
+    def stalling(walker, problem, k, m_k, g):
+        if g < -0.5 or g > 0.2:
+            raise ContinuationError(f"test stall at g={g:.6g}")
+        return det_at(walker, problem, k, m_k, g)
+
+    monkeypatch.setattr(critical, "_det_at", stalling)
+
+
+def test_pooled_warnings_point_at_the_caller(toy_3lvl, monkeypatch):
+    _stall_both_sides(monkeypatch)
+    _workers(monkeypatch, 2)
+    with pytest.warns(TruncatedScanWarning) as seen:
+        found = rs.scan_critical(toy_3lvl, 0, (-0.6, 0.3), grid_points=60)
+    assert len(found.issues) == 2
+    assert [str(w.message) for w in seen] == found.issues
+    assert [w.filename for w in seen] == [__file__] * 2
+
+    [pending] = critical.run_scans(
+        toy_3lvl, [ScanRequest(0, (-0.6, 0.3), grid_points=60)])
+    with pytest.warns(TruncatedScanWarning) as seen:
+        assert [_fields(p) for p in pending.report()] == \
+            [_fields(p) for p in found]
+    assert [w.filename for w in seen] == [__file__] * 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pending.report()        # a scan that ran to its end warns once
+
+
+def _toy_file(tmp_path):
+    """Two levels that can collapse; four cheap sides over (-0.3, 0.3)."""
+    prob_file = tmp_path / "toy.json"
+    prob_file.write_text(rs.save_problem(rs.PairingProblem(
+        (rs.Level(0.0, 6), rs.Level(1.0, 2)), 4)))
+    return prob_file
+
+
+def _fail_above(monkeypatch, g_fail):
+    det_at = critical._det_at
+
+    def failing(walker, problem, k, m_k, g):
+        if g > g_fail:
+            raise ConsistencyError(f"test failure at level {k}, g={g:.6g}")
+        return det_at(walker, problem, k, m_k, g)
+
+    monkeypatch.setattr(critical, "_det_at", failing)
+
+
+def _critical_run(tmp_path, capsys, monkeypatch, workers):
+    out = tmp_path / str(workers)
+    out.mkdir()
+    _workers(monkeypatch, workers)
+    code = cli.main(["critical", "--problem", str(_toy_file(out)),
+                     "--g-min", "-0.3", "--g-max", "0.3"])
+    assert multiprocessing.active_children() == []
+    return code, capsys.readouterr(), sorted(f.name for f in out.iterdir())
+
+
+def test_a_raising_worker_gives_the_exit_code_and_error_line(
+        tmp_path, capsys, monkeypatch):
+    _fail_above(monkeypatch, 0.1)
+    alone = _critical_run(tmp_path, capsys, monkeypatch, 1)
+    pooled = _critical_run(tmp_path, capsys, monkeypatch, 2)
+    assert alone[0] == pooled[0] == cli.EXIT_TRUNCATED
+    assert pooled[1].err == alone[1].err
+    assert pooled[1].err.startswith("error: test failure at level 0, g=0.1")
+    assert pooled[1].out == alone[1].out == ""
+    assert pooled[2] == alone[2] == ["toy.json"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_error_stops_its_scan_as_one_process_would(monkeypatch, workers):
+    # level 0: the g < 0 side finds g_c = -0.25, the g > 0 side fails;
+    # level 1: the g < 0 side fails, and the g > 0 side stalls where one
+    # process would never have walked
+    det_at = critical._det_at
+
+    def failing(walker, problem, k, m_k, g):
+        if (k == 0 and g > 0.1) or (k == 1 and g < -0.29):
+            raise ConsistencyError(f"test failure at level {k}")
+        if k == 1 and g > 0.1:
+            raise ContinuationError("test stall")
+        return det_at(walker, problem, k, m_k, g)
+
+    monkeypatch.setattr(critical, "_det_at", failing)
+    _workers(monkeypatch, workers)
+    problem = rs.PairingProblem((rs.Level(0.0, 6), rs.Level(1.0, 2)), 4)
+    results = critical.run_scans(problem, [
+        ScanRequest(0, (-0.3, 0.3)), ScanRequest(1, (-0.3, 0.3)),
+        ScanRequest(1, (0.0, 0.3)), ScanRequest(0, (-0.3, 0.0))])
+    for k, found in enumerate(results[:2]):
+        assert str(found.error) == f"test failure at level {k}"
+        assert found == [] and found.issues == []
+        with pytest.raises(ConsistencyError):
+            found.report()
+    assert results[2].issues == ["scan truncated: test stall"]
+    assert [p.k for p in results[3]] == [0]
+
+
+def test_no_worker_outlives_critical_or_verify(tmp_path, capsys, monkeypatch):
+    _workers(monkeypatch, 2)
+    prob_file = _toy_file(tmp_path)
+    assert cli.main(["critical", "--problem", str(prob_file), "--g-min",
+                     "-0.3", "--g-max", "0.3"]) == 0
+    assert multiprocessing.active_children() == []
+    verify = ["verify", "--problem", str(prob_file), "--points", "3",
+              "--g-min", "-0.3", "--g-max", "0.3"]
+    assert cli.main(verify) == 0
+    assert multiprocessing.active_children() == []
+    _fail_above(monkeypatch, 0.1)
+    assert cli.main(verify) == cli.EXIT_TRUNCATED
+    assert "skipped (test failure" in capsys.readouterr().out
+    assert multiprocessing.active_children() == []
+
+
+def test_a_one_sided_scan_never_forks(toy_3lvl, monkeypatch):
+    def no_fork():
+        raise AssertionError("a one-sided scan forked")
+
+    _workers(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert len(rs.scan_critical(toy_3lvl, 0, (-0.6, 0.0))) == 1
+
+
+def test_max_threads_is_the_scan_pool_size():
+    assert cli.max_threads() == critical.scan_workers() \
+        == len(os.sched_getaffinity(0))
+
+
+def test_importing_the_package_loads_no_pool_module():
+    src = str(Path(critical.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    program = ("import sys, richardson, richardson.cli\n"
+               "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+               "('multiprocessing', 'concurrent')))\n")
+    run = subprocess.run([sys.executable, "-c", program], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
