@@ -3,10 +3,16 @@
 All kernels work on plain arrays: ``e`` complex128 pair energies,
 ``eta2 = 2*eta_j`` and ``d`` the effective degeneracies.  `residuals`
 returns, with the residual vector, the level differences
-``eta2 - e[:, None]`` and the zero-diagonal pair inverses 1/(e_a - e_b) it
-computed; `jacobian` builds the Jacobian at the same ``e`` from those two
-arrays, so the damped Newton in `solver` pays one residual pass per
-iterate.  Callers outside Newton take `jacobian_at`.
+``eta2 - e[..., None]`` and the zero-diagonal pair inverses 1/(e_a - e_b)
+it computed; `jacobian` builds the Jacobian at the same ``e`` from those
+two arrays, so the damped Newton in `solver` reuses its accepted trial's
+residual pass.  Callers outside Newton take `jacobian_at`.
+
+`residuals` also takes a stack of energy vectors, ``e`` of shape
+(..., M): each row runs the same elementwise operations and the same
+contiguous last-axis reductions as a 1-D call, so it gives the same bits
+(but for which NaN an add of two NaNs keeps, which numpy's loops choose by
+array length), and Newton tests a whole damping ladder in one pass.
 
 Pole checking is done by the callers.  At an exact level pole or pair
 coincidence the residuals come out non-finite (with numpy's divide
@@ -24,24 +30,29 @@ import numpy as np
 
 
 def _inv_offdiag(e):
-    """1/(e_a - e_b) with a zeroed diagonal (no inf arithmetic)."""
-    diff = e[:, None] - e[None, :]
-    diff.ravel()[::e.shape[0] + 1] = 1.0
+    """1/(e_a - e_b) with a zeroed diagonal (no inf arithmetic), for e of
+    shape (..., M); the flat view keeps the leading axes, so M = 0 works."""
+    n = e.shape[-1]
+    diff = e[..., :, None] - e[..., None, :]
+    flat = e.shape[:-1] + (n * n,)
+    diff.reshape(flat)[..., ::n + 1] = 1.0
     inv = 1.0 / diff
-    inv.ravel()[::e.shape[0] + 1] = 0.0
+    inv.reshape(flat)[..., ::n + 1] = 0.0
     return inv
 
 
 def residuals(e, g, eta2, d):
     """Richardson residuals 1 - 4g sum_j d_j/(2eta_j - e_a) + 4g sum_b 1/(e_a - e_b).
 
-    Returns (residuals, diff_lvl, inv): diff_lvl = eta2 - e[:, None] and
+    Returns (residuals, diff_lvl, inv): diff_lvl = eta2 - e[..., None] and
     inv the zero-diagonal 1/(e_a - e_b), the inputs of `jacobian` at e.
+    Leading axes of e are batch axes: row i of each output is the 1-D
+    call at e[i].
     """
-    diff_lvl = eta2 - e[:, None]
+    diff_lvl = eta2 - e[..., None]
     inv = _inv_offdiag(e)
-    lvl = np.add.reduce(d / diff_lvl, axis=1)
-    pair = np.add.reduce(inv, axis=1)
+    lvl = np.add.reduce(d / diff_lvl, axis=-1)
+    pair = np.add.reduce(inv, axis=-1)
     return 1.0 - 4.0 * g * lvl + 4.0 * g * pair, diff_lvl, inv
 
 

@@ -9,9 +9,11 @@ the solver re-imposes that structure after every Newton step, which both
 prevents drift and keeps the iteration on the physical branch.
 
 Newton is damped: a trial step is halved until the residual norm drops.
-A solve gives up, unconverged, when the halvings run out or when 12
-iterations in a row each needed more than 8 halvings (a crawl, in which
-the residual barely moves).
+The full step costs one residual pass.  When it fails, a complex trial
+pays one pass per halving; a real one tests all its halvings in one
+batched pass.  A solve gives up, unconverged, when the halvings run out
+or when 12 iterations in a row each needed more than 8 halvings (a crawl,
+in which the residual barely moves).
 """
 
 from __future__ import annotations
@@ -138,10 +140,12 @@ def newton_core(e0, g, eta2, d, *, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
     """Damped Newton on the array-level system; returns (values, converged,
     iterations, residual_norm).  Never raises on non-convergence.
 
-    Each iterate costs one residual pass: the accepted trial's residual
-    pass (`_kernels.residuals`) also yields the arrays its Jacobian is
-    built from.  Exact poles in the starting point raise
-    SingularEvaluationError; an exact pole always makes the residual
+    The accepted trial's residual pass (`_kernels.residuals`) also yields
+    the arrays its Jacobian is built from.  The damping ladder costs one
+    pass for the full step, then one per halving of a complex trial, or
+    one batched pass for all the halvings of a real one; both accept the
+    same trial (`_damped_trial`).  Exact poles in the starting point
+    raise SingularEvaluationError; an exact pole always makes the residual
     non-finite, so the start is scanned for poles (`find_poles`) only when
     its residual is not finite.  A damped trial that lands on a pole has a
     non-finite residual and is rejected like any other.  A non-finite
@@ -181,20 +185,50 @@ def newton_core(e0, g, eta2, d, *, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
                 sn = float(np.maximum.reduce(np.abs(step)))
                 if sn > step_cap:
                     lam = step_cap / sn
-            for halvings in range(NEWTON_MAX_HALVINGS + 1):
-                trial = symmetrize_conjugate(e + lam * step)
-                rt, diff_t, inv_t = kern.residuals(trial, g, eta2, d)
-                rtn = float(np.maximum.reduce(np.abs(rt)))
-                if math.isfinite(rtn) and (rtn < rn or rtn <= tol):
-                    e, r, rn, diff_lvl, inv = trial, rt, rtn, diff_t, inv_t
-                    break
-                lam *= 0.5
-            else:
+            accepted = _damped_trial(e, step, lam, rn, tol, g, eta2, d)
+            if accepted is None:
                 break
+            halvings, e, r, rn, diff_lvl, inv = accepted
             crawl = crawl + 1 if halvings > NEWTON_CRAWL_HALVINGS else 0
             if crawl == NEWTON_MAX_CRAWL:
                 break
     return e, rn <= tol, iters, rn
+
+
+def _damped_trial(e, step, lam, rn, tol, g, eta2, d):
+    """The first trial e + lam 2^-h step, h = 0..NEWTON_MAX_HALVINGS, whose
+    residual norm passes the damping test, as (h, trial, residuals, norm,
+    diff_lvl, inv); None when no rung passes.
+
+    Rung 0, and each later rung of a complex trial, costs one residual
+    pass.  When e and step are real, every trial is real and
+    `symmetrize_conjugate` would only keep its real part, so rungs 1..
+    NEWTON_MAX_HALVINGS are tested in one batched pass.  Their damping
+    factors come from repeated halving, as the per-rung loop makes them,
+    and each row of the batch has the bits of its own pass.
+    """
+    for h in range(NEWTON_MAX_HALVINGS + 1):
+        if h == 1 and not (e.imag.any() or step.imag.any()):
+            lams = np.full(NEWTON_MAX_HALVINGS, 0.5)
+            lams[0] = lam
+            np.multiply.accumulate(lams, out=lams)
+            trials = (e + lams[:, None] * step).real.astype(np.complex128)
+            rt, diff_t, inv_t = kern.residuals(trials, g, eta2, d)
+            rtn = np.maximum.reduce(np.abs(rt), axis=1)
+            passed = np.flatnonzero(np.isfinite(rtn)
+                                    & ((rtn < rn) | (rtn <= tol)))
+            if passed.size == 0:
+                return None
+            i = int(passed[0])
+            return (i + 1, trials[i], rt[i], float(rtn[i]), diff_t[i],
+                    inv_t[i])
+        trial = symmetrize_conjugate(e + lam * step)
+        rt, diff_t, inv_t = kern.residuals(trial, g, eta2, d)
+        rtn = float(np.maximum.reduce(np.abs(rt)))
+        if math.isfinite(rtn) and (rtn < rn or rtn <= tol):
+            return h, trial, rt, rtn, diff_t, inv_t
+        lam *= 0.5
+    return None
 
 
 class Walker:

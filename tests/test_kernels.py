@@ -68,6 +68,16 @@ def _same_bits(got, want):
             and np.array_equal(got.view(np.uint64), want.view(np.uint64)))
 
 
+def _same_bits_or_nan(got, want):
+    """`_same_bits`, except that parts NaN in both may differ in their bits."""
+    got, want = np.asarray(got), np.asarray(want)
+    if got.dtype != want.dtype or got.shape != want.shape:
+        return False
+    got, want = got.view(np.float64), want.view(np.float64)
+    return bool(np.all((got.view(np.uint64) == want.view(np.uint64))
+                       | (np.isnan(got) & np.isnan(want))))
+
+
 # ---------------------------------------------------------------------------
 # inputs: levels, then energies that may sit on a level or pair pole, or be
 # inf or NaN
@@ -86,8 +96,8 @@ def _levels(draw):
 
 
 @st.composite
-def _energies(draw, eta2, max_size=20):
-    n = draw(st.integers(0, max_size))
+def _energies(draw, eta2, min_size=0, max_size=20):
+    n = draw(st.integers(min_size, max_size))
     out = []
     for _ in range(n):
         kind = draw(st.sampled_from(
@@ -124,6 +134,45 @@ def test_residuals_and_jacobian_bit_identical_to_reference(system):
         assert _same_bits(kern.jacobian_at(e, g, eta2, d), jac)
         # tangent's second-derivative rows cube the pair inverses
         assert _same_bits(kern._inv_offdiag(e) ** 3, _inv_offdiag_ref(e, 3))
+
+
+@st.composite
+def _stacks(draw):
+    """B = 1..31 energy vectors of one length M = 0..12, stacked (B, M)."""
+    eta2, d = draw(_levels())
+    m = draw(st.integers(0, 12))
+    rows = draw(st.lists(_energies(eta2, m, m), min_size=1, max_size=31))
+    return np.stack(rows), draw(_finite), eta2, d
+
+
+_ONE_LEVEL = (np.array([1.0]), np.array([-0.5]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stacks())
+@example((np.empty((3, 0), dtype=np.complex128), 0.5, *_ONE_LEVEL))
+# M = 1, with a row on the level pole
+@example((np.array([[1.0 + 0j], [0.3 + 0j], [complex(-0.0, 0.0)]]), -0.2,
+          *_ONE_LEVEL))
+# a pair coincidence, and the same energies real and complex
+@example((np.array([[0.3, 0.3, -1.0], [0.3, -0.2j, -1.0],
+                    [0.3, complex(-0.0, -0.0), -1.0]]), 0.7, *_ONE_LEVEL))
+def test_batched_residual_rows_bit_identical_to_single_calls(stack):
+    # where an add meets two NaNs, numpy keeps one or the other depending
+    # on the array's length (its SIMD and scalar loops differ), so a row
+    # with an inf or NaN energy may differ in NaN bits alone; Newton keeps
+    # no non-finite row
+    es, g, eta2, d = stack
+    with np.errstate(all="ignore"):
+        r, diff_lvl, inv = kern.residuals(es, g, eta2, d)
+        for i, e in enumerate(es):
+            want = kern.residuals(e, g, eta2, d)
+            want += (kern.jacobian(g, d, *want[1:]),)
+            got = (r[i], diff_lvl[i], inv[i],
+                   kern.jacobian(g, d, diff_lvl[i], inv[i]))
+            same = _same_bits if np.isfinite(e).all() else _same_bits_or_nan
+            for row, one in zip(got, want):
+                assert same(row, one)
 
 
 @st.composite

@@ -320,8 +320,8 @@ def test_newton_core_restores_error_state(monkeypatch):
         rs.init_weak_coupling(p, rs.ground_occupation(p), -1e-3).values)
     escaped[-1] = 1e160
 
-    def no_halving(e0):
-        monkeypatch.setattr(solver, "NEWTON_MAX_HALVINGS", 0)
+    def halvings(n, e0):
+        monkeypatch.setattr(solver, "NEWTON_MAX_HALVINGS", n)
         return newton_core(e0, -0.1, *one)
 
     exits = [
@@ -334,7 +334,9 @@ def test_newton_core_restores_error_state(monkeypatch):
          (False, 1)),
         # the full step from 2 - 0.39 overshoots to 2 - 0.0195 and no
         # halving is allowed
-        (lambda: no_halving([1.61]), (False, 1)),
+        (lambda: halvings(0, [1.61]), (False, 1)),
+        # with one halving allowed, the halved step passes (a batch of one)
+        (lambda: halvings(1, [1.61]), (True, 4)),
     ]
     state = dict(divide="raise", over="warn", under="print", invalid="log")
     with np.errstate(**state):
@@ -515,24 +517,46 @@ def _same_bits(got, want):
 
 def _with_halvings(monkeypatch, core, *args, **kwargs):
     """core(*args, **kwargs) and the halvings each of its Newton iterations
-    made before a trial was accepted (or the halvings ran out)."""
-    passes = []
+    made before a trial was accepted (or the halvings ran out).
+
+    Each Jacobian starts an iteration.  Its trials are the rows of the
+    residual passes it makes, one per pass or a batch of them at once, in
+    order; the accepted one is the first whose residual norm passes the
+    damping test against the iterate's norm, and its index is the count
+    of halvings.  An iteration that accepts none counts its trials less
+    one, as one that ran out of halvings."""
+    tol = kwargs.get("tol", solver.NEWTON_TOL)
+    norms = []          # the start's norm, then one list per iteration
     residuals, jacobian = kern.residuals, kern.jacobian
 
     def counting_residuals(*a):
-        if passes:                  # the start's pass belongs to no iteration
-            passes[-1] += 1
-        return residuals(*a)
+        out = residuals(*a)
+        rtn = np.maximum.reduce(np.abs(out[0]), axis=-1)
+        if norms:           # the start's pass belongs to no iteration
+            norms[-1].extend(np.atleast_1d(rtn).tolist())
+        else:
+            norms.append(float(rtn))
+        return out
 
     def counting_jacobian(*a):
-        passes.append(0)
+        norms.append([])
         return jacobian(*a)
 
     with monkeypatch.context() as m:
         m.setattr(kern, "residuals", counting_residuals)
         m.setattr(kern, "jacobian", counting_jacobian)
         out = core(*args, **kwargs)
-    return out, [n - 1 for n in passes]
+    halvings = []
+    rn = norms[0] if norms else None
+    for trials in norms[1:]:
+        passed = [h for h, rtn in enumerate(trials)
+                  if math.isfinite(rtn) and (rtn < rn or rtn <= tol)]
+        if passed:
+            halvings.append(passed[0])
+            rn = trials[passed[0]]
+        else:
+            halvings.append(len(trials) - 1)
+    return out, halvings
 
 
 def _longest_crawl(halvings):
@@ -623,6 +647,30 @@ def test_crawling_solve_stops_after_12_crawling_iterations(monkeypatch):
     assert not want[1] and want[2] == 60 and _longest_crawl(halvings) > 50
 
 
+def test_the_lat4_stall_costs_a_fixed_number_of_residual_passes(
+        monkeypatch):
+    # the scan that the benchmark's 4x4 verify job runs for this branch:
+    # its real crawling iterations test their damping ladders in batches
+    # (49 999 passes with one pass per rung)
+    lat4 = rs.build_lattice_model(4, 4)
+    g_range = continuation.auto_scan_range(
+        -0.198, continuation.SweepOptions().crossing_radius)
+    passes = []
+    residuals = kern.residuals
+
+    def counting_residuals(*a):
+        passes.append(a[0].ndim)
+        return residuals(*a)
+
+    monkeypatch.setattr(kern, "residuals", counting_residuals)
+    with pytest.warns(rs.critical.TruncatedScanWarning,
+                      match=r"stalled near g=-0\.20034647 "
+                            r"\(residual 1\.44e-09\)"):
+        rs.scan_critical(lat4, 4, g_range, deflated_occ=(1, 1, 0, 0, 0))
+    assert g_range == (-0.20800000000000002, 0.0)
+    assert len(passes) == 15_897 and 2 in passes
+
+
 def test_a_small_step_cap_alone_is_no_crawl():
     # one pair, e = 1.8 at g = -0.1: from 1.84 the capped steps of 1e-4
     # are below 2^-8 of the Newton step for over 80 iterations, but each
@@ -637,16 +685,25 @@ def test_a_small_step_cap_alone_is_no_crawl():
 _ETA2 = st.lists(st.integers(-8, 8), min_size=1, max_size=3,
                  unique=True).map(lambda js: np.array(sorted(js)) / 2.0)
 _START = st.builds(complex, st.floats(-6, 6), st.floats(-2, 2))
+# imaginary part exactly 0: the iterates and steps stay real, and every
+# damping ladder past its first rung is tested in one batched pass
+_REAL_START = st.floats(-6, 6).map(complex)
+
+
+def _newton_cases(start):
+    """(eta2, d, e0, g, step_cap) on 1-3 levels with up to 4 pairs drawn
+    from `start`."""
+    return _ETA2.flatmap(lambda eta2: st.tuples(
+        st.just(eta2),
+        st.lists(st.sampled_from([-0.5, -1.0, -1.5]),
+                 min_size=len(eta2), max_size=len(eta2)).map(np.array),
+        st.lists(start, min_size=1, max_size=4).map(np.array),
+        st.floats(-0.6, 0.6),
+        st.sampled_from([None, 1e-3, 0.05])))
 
 
 @settings(max_examples=200, deadline=None)
-@given(_ETA2.flatmap(lambda eta2: st.tuples(
-           st.just(eta2),
-           st.lists(st.sampled_from([-0.5, -1.0, -1.5]),
-                    min_size=len(eta2), max_size=len(eta2)).map(np.array),
-           st.lists(_START, min_size=1, max_size=4).map(np.array),
-           st.floats(-0.6, 0.6),
-           st.sampled_from([None, 1e-3, 0.05]))))
+@given(_newton_cases(_START))
 def test_newton_stops_on_the_reference_iterates(args):
     # from any start, the crawl limit only cuts the reference's iteration
     # short: same bits as the reference run for as many iterations
@@ -658,6 +715,39 @@ def test_newton_stops_on_the_reference_iterates(args):
     want = _newton_core_reference(e0, g, eta2, d, step_cap=step_cap,
                                   max_iter=got[2])
     assert _same_bits(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_newton_cases(_REAL_START))
+def test_newton_from_real_starts_stops_on_the_reference_iterates(args):
+    # the batched ladder accepts the rung that the reference's per-rung
+    # loop accepts, with the same bits
+    eta2, d, e0, g, step_cap = args
+    try:
+        got = newton_core(e0, g, eta2, d, step_cap=step_cap)
+    except SingularEvaluationError:
+        return
+    assert not got[0].imag.any()
+    want = _newton_core_reference(e0, g, eta2, d, step_cap=step_cap,
+                                  max_iter=got[2])
+    assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("max_halvings", [0, 1, 2])
+def test_short_damping_ladders_match_the_reference(monkeypatch,
+                                                   max_halvings):
+    # the ladder's length is read at call time, by the batch as well
+    monkeypatch.setattr(solver, "NEWTON_MAX_HALVINGS", max_halvings)
+    rng = np.random.default_rng(max_halvings)
+    eta2, d = np.array([0.0, 1.0, 2.5]), np.array([-0.5, -1.0, -0.5])
+    for _ in range(200):
+        e0 = rng.uniform(-1, 4, int(rng.integers(1, 5)))
+        if rng.random() < 0.5:
+            e0 = e0 + 1j * rng.uniform(-1, 1, e0.shape)
+        g = float(rng.uniform(-0.6, 0.6))
+        got = newton_core(e0, g, eta2, d)
+        assert _same_bits(got, _newton_core_reference(e0, g, eta2, d,
+                                                      max_iter=got[2]))
 
 
 @st.composite
