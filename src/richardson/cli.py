@@ -74,8 +74,8 @@ def atomic_write(path, text):
 
 
 def max_threads():
-    """The size of the process pool that runs scans side by side at most
-    (`critical.scan_workers`); `perfbench/worker.py` prints it."""
+    """The size of the process pool that runs scan walks side by side at
+    most (`critical.scan_workers`); `perfbench/worker.py` prints it."""
     return critical.scan_workers()
 
 
@@ -228,13 +228,14 @@ def cmd_critical(args):
     default_out = records_path(args.problem, branch)
     out = args.out or default_out
     output_dir(Path(out).parent)
-    requests = [critical.ScanRequest(k, g_range, branch, args.mk, args.grid)
-                for k in levels]
-    points, covered = [], []
-    for k, found in zip(levels, critical.run_scans(problem, requests)):
+    requests = [req for k in levels for req in critical.scan_requests(
+        problem, k, g_range, branch, m_k=args.mk, grid_points=args.grid)]
+    points, troubled = [], set()
+    for req, found in zip(requests, critical.run_scans(problem, requests)):
         points += found.report()
-        if not found.issues:
-            covered.append(k + 1)
+        if found.issues:
+            troubled.add(req.k)
+    covered = [k + 1 for k in levels if k not in troubled]
     points.sort(key=lambda p: p.g_c)
 
     print("j    g_c          M_k  energy")
@@ -386,17 +387,15 @@ def cmd_verify(args):
     dim = oracle.checked_dimension(problem)   # guards before any sweep
     print(f"oracle dimension: {dim}; checking {len(branches)} branch(es) "
           f"on {len(grid)} couplings")
-    # every scan that the branches' sweeps register, run side by side
-    # before any sweep; a scan's issues and error surface where a branch
-    # first reads it, and every branch that shares it reuses it
-    requests = {}
+    # every distinct walk that the branches' sweeps register, run side by
+    # side before any sweep; a walk's issues and error surface where a
+    # branch first reads it, and every branch that shares it reuses it
     radius = continuation.SweepOptions().crossing_radius
-    for occ in branches:
-        for gs in _sign_grids(grid):
-            requests.update(continuation.auto_scan_requests(
-                problem, occ, max(gs, key=abs), radius))
-    scans = dict(zip(requests, critical.run_scans(problem,
-                                                  list(requests.values()))))
+    requests = list(dict.fromkeys(
+        req for occ in branches for gs in _sign_grids(grid)
+        for req in continuation.auto_scan_requests(
+            problem, occ, max(gs, key=abs), radius)))
+    scans = dict(zip(requests, critical.run_scans(problem, requests)))
     energies = {occ: _verify_branch(problem, occ, grid, scans)
                 for occ in branches}
     worst = 0.0

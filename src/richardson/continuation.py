@@ -24,7 +24,7 @@ import numpy as np
 from . import _kernels as kern
 from .cluster import default_cluster_size, detect_cluster, power_sums
 from .critical import (CriticalPoint, ScanRequest, critical_levels,
-                       deflated_occupation, run_scans)
+                       run_scans, scan_requests)
 from .errors import ConsistencyError, ContinuationError
 from .model import PairingProblem, as_occupation
 from .solver import (PairEnergies, Walker, newton_core, restart_step_cap,
@@ -173,22 +173,13 @@ def auto_scan_range(g_target: float, crossing_radius: float):
 
 
 def auto_scan_requests(problem: PairingProblem, branch, g_target: float,
-                       crossing_radius: float) -> dict:
-    """The scans of the auto-scan of a sweep to g_target, one per level of
-    `critical_levels` over `auto_scan_range`, in level order:
-    {(k, deflated occupation counts, range): ScanRequest}.  A scan depends
-    only on that key: the level fixes M_k."""
-    occ = as_occupation(branch)
+                       crossing_radius: float) -> list[ScanRequest]:
+    """The walks of the auto-scan of a sweep to g_target: the
+    `scan_requests` of each level of `critical_levels` over
+    `auto_scan_range`, in level order."""
     rng = auto_scan_range(g_target, crossing_radius)
-    direction = 1 if g_target > 0 else -1
-    requests = {}
-    for k in critical_levels(problem, occ):
-        deflated = deflated_occupation(
-            problem, occ, k, default_cluster_size(problem.levels[k]),
-            direction)
-        requests[(k, deflated.counts, rng)] = ScanRequest(
-            k, rng, deflated_occ=deflated)
-    return requests
+    return [req for k in critical_levels(problem, branch)
+            for req in scan_requests(problem, k, rng, branch)]
 
 
 def auto_scan_points(problem: PairingProblem, branch, g_target: float,
@@ -197,22 +188,21 @@ def auto_scan_points(problem: PairingProblem, branch, g_target: float,
     """What the auto-scan of a sweep to g_target registers: the points of
     `auto_scan_requests`, in order of |g_c|.
 
-    The scans not yet in the dict `scans` (keyed as `auto_scan_requests`)
-    run together through `run_scans` and are stored there, so branches
-    that share a deflated branch share its scan and its points.  Each
-    scan's issues are then warned, and its error raised, from here in
-    level order (`ScanResult.report`).  The caller owns the dict and so
-    decides how long a scan is reused.
+    The requests not yet in the dict `scans` ({ScanRequest: ScanResult})
+    run together through `run_scans` and are stored there.  Equal requests
+    are the same walk, so branches that share a deflated branch share its
+    walk and its points.  Each walk's issues are then warned, and its
+    error raised, from here in level order (`ScanResult.report`).  The
+    caller owns the dict and so decides how long a walk is reused.
     """
     requests = auto_scan_requests(problem, branch, g_target,
                                   crossing_radius)
     scans = {} if scans is None else scans
-    todo = [key for key in requests if key not in scans]
-    scans.update(zip(todo, run_scans(problem,
-                                     [requests[key] for key in todo])))
+    todo = [req for req in requests if req not in scans]
+    scans.update(zip(todo, run_scans(problem, todo)))
     points = []
-    for key in requests:
-        points += scans[key].report()
+    for req in requests:
+        points += scans[req].report()
     return sorted(points, key=lambda p: abs(p.g_c))
 
 

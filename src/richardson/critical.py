@@ -12,8 +12,10 @@ brackets sign changes of the row-norm-scaled determinant.  Each bracket is
 then resolved by false position in g along the same branch, walked on
 from the bracket's stored state: every iterate is a converged branch
 state, and only the one-dimensional determinant root is left to find.
-`run_scans` runs a batch of scans, their sides of g = 0 in worker
-processes.
+A scan walks each side of g = 0 it covers from weak coupling, and each
+walk is one `ScanRequest`: `scan_requests` decides its side, deflated
+branch, M_k and grid before any walk starts, and `run_scans` runs a batch
+of walks in worker processes.
 """
 
 from __future__ import annotations
@@ -201,11 +203,12 @@ def _validate_point(point, problem):
 
 
 class ScanResult(list):
-    """The critical points of one scan, in order of g_c.  ``issues`` holds
-    the text of each truncation or skipped bracket, in the order the scan
-    met them.  ``error`` is the exception that stopped the scan, or None;
-    a stopped scan keeps the issues met before it and no points.
-    `report` warns the issues and raises the error."""
+    """The critical points of one walk (`run_scans`) or of one scan
+    (`scan_critical`), in order of g_c.  ``issues`` holds the text of each
+    truncation or skipped bracket, in the order the scan met them.
+    ``error`` is the exception that stopped the scan, or None; a stopped
+    scan keeps the issues met before it and no points.  `report` warns the
+    issues and raises the error."""
 
     def __init__(self, points=(), issues=(), error=None):
         super().__init__(points)
@@ -230,15 +233,48 @@ class ScanResult(list):
 
 
 class ScanRequest(NamedTuple):
-    """One scan for `run_scans`: the arguments of `scan_critical` after
-    the problem."""
+    """One walk of a scan, every field resolved: the deflated branch
+    `deflated_occ` of level k with cluster size `m_k`, walked from weak
+    coupling over `grid_points` cells of g_range, which lies on one side of
+    g = 0.  `scan_requests` builds them; equal requests are the same walk."""
 
     k: int
     g_range: tuple[float, float]
-    branch: OccupationMap | None = None
-    m_k: int | None = None
-    grid_points: int | None = None
-    deflated_occ: OccupationMap | None = None
+    deflated_occ: OccupationMap
+    m_k: int
+    grid_points: int
+
+
+def scan_requests(problem: PairingProblem, k: int, g_range, branch=None, *,
+                  m_k=None, grid_points=None,
+                  deflated_occ=None) -> list[ScanRequest]:
+    """The walks of a scan of level k over g_range, one per side of g = 0,
+    negative side first.
+
+    M_k defaults to 1 - 2 d_k (`default_cluster_size`).  The deflated
+    branch is `deflated_occ`, or else the one `branch` (default the ground
+    state) deflates to on that side (`deflated_occupation`).  The grid
+    defaults to `DEFAULT_GRID_PER_UNIT` points per unit of the side's span,
+    at least 400.  A non-integer M_k, or a branch that cannot supply the
+    cluster, raises ValueError here, before any walk starts.
+    """
+    if m_k is None:
+        m_k = default_cluster_size(problem.levels[k])
+    branch = ground_occupation(problem) if branch is None else branch
+    g_lo, g_hi = sorted(g_range)
+    sides = [(g_lo, 0.0), (0.0, g_hi)] if g_lo < 0 < g_hi else [(g_lo, g_hi)]
+    requests = []
+    for lo, hi in sides:
+        occ = deflated_occ
+        if occ is None:
+            occ = deflated_occupation(problem, branch, k, m_k,
+                                      1 if hi > 0 else -1)
+        grid = grid_points
+        if grid is None:
+            grid = max(400, int(round((hi - lo) * DEFAULT_GRID_PER_UNIT)))
+        requests.append(ScanRequest(k, (lo, hi), as_occupation(occ), m_k,
+                                    grid))
+    return requests
 
 
 def scan_critical(problem: PairingProblem, k: int, g_range, branch=None, *,
@@ -246,28 +282,35 @@ def scan_critical(problem: PairingProblem, k: int, g_range, branch=None, *,
                   deflated_occ=None) -> ScanResult:
     """All critical couplings for level k with g in (g_lo, g_hi).
 
-    Walks the deflated branch over a uniform grid, brackets every sign
-    change of the scaled determinant and finds each root by false position
-    in g along the branch (`_resolve_bracket`).  The deflated branch is
-    `deflated_occ`, or else the one `branch` (default the ground state)
-    deflates to (`deflated_occupation`).  Cells where |det| dips
-    sharply without a sign change are re-walked at 100x density to catch
-    close root pairs.  A range across 0 is scanned as its two sides, each
-    walked out from weak coupling, side by side as `run_scans` runs them.
-    Branch continuation failure truncates a side, and a bracket that does
-    not hold a validated root is skipped; either lands in the result's
-    ``issues`` and is warned from the caller's line as a
-    TruncatedScanWarning.  A warnings filter such as
-    ``warnings.simplefilter("error", TruncatedScanWarning)`` turns every
-    skip and truncation into an error; filters do not change ``issues``.
+    Walks the deflated branch that `scan_requests` resolves over a uniform
+    grid, brackets every sign change of the scaled determinant and finds
+    each root by false position in g along the branch (`_resolve_bracket`).
+    Cells where |det| dips sharply without a sign change are re-walked at
+    100x density to catch close root pairs.  A range across 0 is scanned as
+    its two walks, each out from weak coupling, side by side as `run_scans`
+    runs them; a walk that raises stops the scan with the issues met before
+    it and no points, and the later walk counts for nothing.  Branch
+    continuation failure truncates a walk, and a bracket that does not hold
+    a validated root is skipped; either lands in the result's ``issues`` and
+    is warned from the caller's line as a TruncatedScanWarning.  A warnings
+    filter such as ``warnings.simplefilter("error", TruncatedScanWarning)``
+    turns every skip and truncation into an error; filters do not change
+    ``issues``.
     """
-    [found] = run_scans(problem, [ScanRequest(k, g_range, branch, m_k,
-                                              grid_points, deflated_occ)])
+    found = ScanResult()
+    for part in run_scans(problem, scan_requests(
+            problem, k, g_range, branch, m_k=m_k, grid_points=grid_points,
+            deflated_occ=deflated_occ)):
+        found += part
+        found.issues += part.issues
+        found.error = part.error
+        if found.error is not None:
+            break
     return found.report(stacklevel=2)
 
 
 def scan_workers() -> int:
-    """Processes that `run_scans` may spread its sides over: one per CPU
+    """Processes that `run_scans` may spread its walks over: one per CPU
     this process may run on, or 1 where the platform cannot fork."""
     if not hasattr(os, "fork"):
         return 1
@@ -277,89 +320,51 @@ def scan_workers() -> int:
 
 
 def run_scans(problem: PairingProblem, requests) -> list[ScanResult]:
-    """One ScanResult per `ScanRequest`, in request order, as
-    `scan_critical` would return it; nothing is warned or raised until
-    the caller reads each result through `ScanResult.report`.
+    """One ScanResult per `ScanRequest`, in request order: the walk that
+    the request names, run once.  Nothing is warned or raised until the
+    caller reads each result through `ScanResult.report`.
 
-    Each request is split into its sides of g = 0.  The sides share no
-    state, so they run side by side in a fork-context process pool of
-    `scan_workers` processes, at most one per side; with one worker they
-    run in this process.  A side runs the same arithmetic wherever it runs,
-    so its points are the same bits.  A side that raises stops its scan
-    as it would stop `scan_critical`: the scan keeps the issues met
-    before the error, and its later side counts for nothing.
+    The walks share no state, so they run side by side in a fork-context
+    process pool of `scan_workers` processes, at most one per request;
+    with one worker they run in this process.  A walk runs the same
+    arithmetic wherever it runs, so its points are the same bits.  A walk
+    that raises keeps the issues met before the error, and no points.
     """
-    requests = list(requests)
-    split = [_sides(req.g_range) for req in requests]
-    outcomes = iter(_run_sides([
-        (problem, req.k, side, req.branch, req.m_k, req.grid_points,
-         req.deflated_occ)
-        for req, sides in zip(requests, split) for side in sides]))
-    results = []
-    for sides in split:
-        found = ScanResult()
-        for part in [next(outcomes) for _ in sides]:
-            if found.error is None:
-                found += part
-                found.issues += part.issues
-                found.error = part.error
-        if found.error is not None:
-            found.clear()
-        found.sort(key=lambda p: p.g_c)
-        results.append(found)
-    return results
-
-
-def _sides(g_range):
-    """The parts of g_range on each side of 0, negative side first."""
-    g_lo, g_hi = sorted(g_range)
-    return [(g_lo, 0.0), (0.0, g_hi)] if g_lo < 0 < g_hi else [(g_lo, g_hi)]
-
-
-def _run_sides(sides):
-    """`_run_side` of each side, in order."""
-    workers = min(scan_workers(), len(sides))
+    jobs = [(problem, req) for req in requests]
+    workers = min(scan_workers(), len(jobs))
     if workers <= 1:
-        return list(map(_run_side, sides))
+        return list(map(_run_walk, jobs))
     # imported here: the pool modules cost about 15 ms and 1.3 MB, which a
-    # one-sided scan or a one-CPU run never needs
+    # one-walk scan or a one-CPU run never needs
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(_run_side, sides))
+        return list(pool.map(_run_walk, jobs))
 
 
-def _run_side(side) -> ScanResult:
-    """The scan of one side of 0.  An exception is returned as the
-    result's ``error``, with the points and issues met before it, so that
-    the caller raises it where scanning one side after another would."""
+def _run_walk(job) -> ScanResult:
+    """The walk of one (problem, request).  An exception is returned as
+    the result's ``error``, with the issues met before it, so that the
+    caller raises it where walking one request after another would."""
     found = ScanResult()
     try:
-        _scan_side(found, *side)
+        _scan_side(found, *job)
     except Exception as err:
         found.error = err
+        found.clear()
+    found.sort(key=lambda p: p.g_c)
     return found
 
 
-def _scan_side(found, problem, k, g_range, branch, m_k, grid_points,
-               deflated_occ):
-    """The scan of a range on one side of 0, adding its points and issues
-    to `found`."""
-    g_lo, g_hi = g_range
+def _scan_side(found, problem, request):
+    """The walk of `request`, adding its points and issues to `found`."""
+    k, (g_lo, g_hi), deflated_occ, m_k, grid_points = request
     direction = 1 if g_hi > 0 else -1
     far = g_hi if direction > 0 else g_lo
     near = g_lo if direction > 0 else g_hi
-    if m_k is None:
-        m_k = default_cluster_size(problem.levels[k])
-    if deflated_occ is None:
-        occ = ground_occupation(problem) if branch is None else branch
-        deflated_occ = deflated_occupation(problem, occ, k, m_k, direction)
-    span = abs(far - near)
-    if span == 0.0:
+    if far == near:
         return
-    if grid_points is None:
-        grid_points = max(400, int(round(span * DEFAULT_GRID_PER_UNIT)))
 
     g_init = weak_coupling_g(problem)
     start = direction * max(abs(near), abs(g_init))
@@ -369,7 +374,7 @@ def _scan_side(found, problem, k, g_range, branch, m_k, grid_points,
     try:
         walker, origin, _ = Walker.weak_start(
             problem.eta2_array(), deflated_d_array(problem, k, m_k),
-            as_occupation(deflated_occ).counts, direction * abs(g_init),
+            deflated_occ.counts, direction * abs(g_init),
             min_step=1e-7, name=_branch_name(k, m_k))
         for g in grid:
             dets.append(_det_at(walker, problem, k, m_k, g))

@@ -647,6 +647,36 @@ def test_bad_level_argument_is_rejected_before_any_work(
         [prob_file] + [tmp_path / "cfg.json"] * bool(config))
 
 
+@pytest.mark.parametrize("levels, options, message", [
+    ((), ["--level", "1", "--mk", "99"],
+     "branch occupation cannot supply the 99 cluster pairs"),
+    ((rs.Level(0.0, 2), rs.Level(1.0, 3)), ["--level", "2"],
+     "cluster condition M_k = 1 - 2 d_k = 2.5 is not a positive integer "
+     "for level Level(eta=1.0, omega=3, nu=0)"),
+], ids=["mk-99", "odd-omega"])
+def test_a_walk_that_cannot_start_fails_before_any_worker(
+        tmp_path, capsys, monkeypatch, levels, options, message):
+    # the real run_scans, with a pool of two, so that a request that got
+    # as far as a walk would fork or walk
+    def no_walk(*args):
+        raise AssertionError("a walk started")
+
+    def no_fork():
+        raise AssertionError("a scan worker started")
+
+    monkeypatch.setattr(critical, "_scan_side", no_walk)
+    monkeypatch.setattr(critical, "scan_workers", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    problem = rs.PairingProblem(levels, 2) if levels \
+        else rs.build_lattice_model(4, 4)
+    prob_file = tmp_path / "prob.json"
+    prob_file.write_text(rs.save_problem(problem))
+    assert run_cli(["critical", "--problem", str(prob_file), "--g-min",
+                    "-0.1", "--g-max", "0.1"] + options) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert [f for f in tmp_path.rglob("*") if f.is_file()] == [prob_file]
+
+
 def _warn_on_level(monkeypatch, level):
     """Make `critical.run_scans` report one issue for 0-based `level`."""
     run = critical.run_scans

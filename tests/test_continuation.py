@@ -6,6 +6,7 @@ import pytest
 import richardson as rs
 from richardson import continuation, oracle
 from richardson.continuation import SweepOptions, collapse_candidates
+from richardson.critical import ScanRequest
 from richardson.errors import ContinuationError
 
 from conftest import nearest_members
@@ -388,18 +389,23 @@ def test_a_sweep_from_a_wider_scan_ends_where_its_own_scan_does(
 
 
 def test_shared_auto_scan_points_scan_each_key_once(monkeypatch):
-    # the 22 (branch, sign, level) scans of this problem's 5 branches share
-    # 8 deflated branches; a key's points are reused by other branches
+    # the 22 (branch, sign, level) walks of this problem's 5 branches share
+    # 8 deflated branches; a walk's points are reused by other branches
     p = rs.PairingProblem((rs.Level(0.0, 4), rs.Level(1.0, 4),
                            rs.Level(2.5, 2)), 3)
     fresh = {(b, g): continuation.auto_scan_points(p, b, g, 5e-3)
              for b in rs.excited_occupations(p, 2) for g in (-0.6, 0.6)}
+    # (1, 2, 0) and (2, 1, 0) both deflate to the empty branch at level 0
+    rng = continuation.auto_scan_range(-0.6, 5e-3)
+    assert [continuation.auto_scan_requests(p, rs.OccupationMap(b), -0.6,
+                                            5e-3)[0]
+            for b in ((1, 2, 0), (2, 1, 0))] == [ScanRequest(
+                0, rng, rs.OccupationMap((0, 0, 0)), 3, 400)] * 2
     calls = []
     real = continuation.run_scans
 
     def counted(problem, requests):
-        calls.extend((r.k, r.deflated_occ.counts, r.g_range)
-                     for r in requests)
+        calls.extend(requests)
         return real(problem, requests)
 
     monkeypatch.setattr(continuation, "run_scans", counted)
@@ -411,5 +417,7 @@ def test_shared_auto_scan_points_scan_each_key_once(monkeypatch):
             for f in dataclasses.fields(q):
                 assert np.array_equal(getattr(q, f.name), getattr(w, f.name))
     assert len(calls) == len(set(calls)) == len(scans) == 8
+    assert set(scans) == set(calls)
+    assert all(type(req) is ScanRequest for req in scans)
     # more points handed out than scanned: branches shared some
     assert sum(map(len, scans.values())) < sum(map(len, fresh.values()))

@@ -1,6 +1,6 @@
 """Scans run side by side in worker processes give what one process gives.
 
-`critical.run_scans` spreads the sides of g = 0 of its requests over a
+`critical.run_scans` spreads its requests, one walk each, over a
 fork-context process pool of `critical.scan_workers()` processes.  These
 tests set that count to force the pool (2, even on a one-CPU host) or the
 in-process path (1), and compare the two.
@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 import richardson as rs
-from richardson import cli, critical
-from richardson.critical import ScanRequest, TruncatedScanWarning
+from richardson import cli, continuation, critical
+from richardson.critical import TruncatedScanWarning
 from richardson.errors import ConsistencyError, ContinuationError
 
 
@@ -55,11 +55,14 @@ def test_a_pickled_point_keeps_its_bits_and_read_only_arrays(toy_3lvl):
 
 
 def test_pooled_scans_are_bit_identical_to_in_process_scans(monkeypatch):
-    # every level of the 4x4 lattice: level 0 finds a point, levels 1-3
-    # cannot supply their cluster (ValueError), level 4 stalls at g < 0
+    # the 4x4 lattice: levels 1-3 cannot supply their cluster, level 0
+    # finds a point at g < 0, level 4 stalls at g < 0 and finds one at g > 0
     problem = rs.build_lattice_model(4, 4)
-    requests = [ScanRequest(k, (-0.3, 0.3))
-                for k in range(problem.n_levels)]
+    for k in (1, 2, 3):
+        with pytest.raises(ValueError, match="cannot supply"):
+            critical.scan_requests(problem, k, (-0.3, 0.3))
+    requests = [req for k in (0, 4)
+                for req in critical.scan_requests(problem, k, (-0.3, 0.3))]
     parent = os.getpid()
     in_workers = multiprocessing.Value("q", 0)
     scan_side = critical._scan_side
@@ -76,10 +79,10 @@ def test_pooled_scans_are_bit_identical_to_in_process_scans(monkeypatch):
     assert in_workers.value == 0
     _workers(monkeypatch, 2)
     pooled = critical.run_scans(problem, requests)
-    assert in_workers.value == 2 * len(requests)
+    assert in_workers.value == len(requests) == 4
 
     assert [len(r) for r in pooled] == [len(r) for r in alone] \
-        == [1, 0, 0, 0, 1]
+        == [1, 0, 0, 1]
     for a, b in zip(alone, pooled):
         assert [_fields(p) for p in b] == [_fields(p) for p in a]
         for p in b:
@@ -87,9 +90,8 @@ def test_pooled_scans_are_bit_identical_to_in_process_scans(monkeypatch):
         assert b.issues == a.issues
         assert type(b.error) is type(a.error)
         assert str(b.error) == str(a.error)
-    assert pooled[4].issues[0].startswith(
+    assert pooled[2].issues[0].startswith(
         "scan truncated: deflated branch (level 4, M_k=2) stalled near")
-    assert isinstance(pooled[1].error, ValueError)
 
 
 def _stall_both_sides(monkeypatch):
@@ -112,15 +114,16 @@ def test_pooled_warnings_point_at_the_caller(toy_3lvl, monkeypatch):
     assert [str(w.message) for w in seen] == found.issues
     assert [w.filename for w in seen] == [__file__] * 2
 
-    [pending] = critical.run_scans(
-        toy_3lvl, [ScanRequest(0, (-0.6, 0.3), grid_points=60)])
+    pending = critical.run_scans(toy_3lvl, critical.scan_requests(
+        toy_3lvl, 0, (-0.6, 0.3), grid_points=60))
     with pytest.warns(TruncatedScanWarning) as seen:
-        assert [_fields(p) for p in pending.report()] == \
+        assert [_fields(p) for walk in pending for p in walk.report()] == \
             [_fields(p) for p in found]
     assert [w.filename for w in seen] == [__file__] * 2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pending.report()        # a scan that ran to its end warns once
+        for walk in pending:
+            walk.report()       # a walk that ran to its end warns once
 
 
 def _toy_file(tmp_path):
@@ -181,16 +184,18 @@ def test_an_error_stops_its_scan_as_one_process_would(monkeypatch, workers):
     monkeypatch.setattr(critical, "_det_at", failing)
     _workers(monkeypatch, workers)
     problem = rs.PairingProblem((rs.Level(0.0, 6), rs.Level(1.0, 2)), 4)
-    results = critical.run_scans(problem, [
-        ScanRequest(0, (-0.3, 0.3)), ScanRequest(1, (-0.3, 0.3)),
-        ScanRequest(1, (0.0, 0.3)), ScanRequest(0, (-0.3, 0.0))])
-    for k, found in enumerate(results[:2]):
-        assert str(found.error) == f"test failure at level {k}"
-        assert found == [] and found.issues == []
-        with pytest.raises(ConsistencyError):
-            found.report()
-    assert results[2].issues == ["scan truncated: test stall"]
-    assert [p.k for p in results[3]] == [0]
+    for k in (0, 1):
+        # an issue of either walk would warn, and so raise, before the error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TruncatedScanWarning)
+            with pytest.raises(ConsistencyError,
+                               match=f"^test failure at level {k}$"):
+                critical.scan_critical(problem, k, (-0.3, 0.3))
+    with pytest.warns(TruncatedScanWarning):
+        assert critical.scan_critical(problem, 1, (0.0, 0.3)).issues == \
+            ["scan truncated: test stall"]
+    assert [p.k for p in critical.scan_critical(problem, 0,
+                                                (-0.3, 0.0))] == [0]
 
 
 def test_no_worker_outlives_critical_or_verify(tmp_path, capsys, monkeypatch):
@@ -207,6 +212,27 @@ def test_no_worker_outlives_critical_or_verify(tmp_path, capsys, monkeypatch):
     assert cli.main(verify) == cli.EXIT_TRUNCATED
     assert "skipped (test failure" in capsys.readouterr().out
     assert multiprocessing.active_children() == []
+
+
+def test_verify_walks_each_request_once(tmp_path, capsys, monkeypatch):
+    # five branches, whose 22 (branch, sign, level) walks are 8 requests
+    prob_file = tmp_path / "shared.json"
+    prob_file.write_text(rs.save_problem(rs.PairingProblem(
+        (rs.Level(0.0, 4), rs.Level(1.0, 4), rs.Level(2.5, 2)), 3)))
+    calls = []
+    real = critical.run_scans
+
+    def counted(problem, requests):
+        calls.extend(requests)
+        return real(problem, requests)
+
+    monkeypatch.setattr(critical, "run_scans", counted)
+    monkeypatch.setattr(continuation, "run_scans", counted)
+    assert cli.main(["verify", "--problem", str(prob_file), "--points", "3",
+                     "--g-min", "-0.1", "--g-max", "0.1",
+                     "--excitations", "2"]) == 0
+    assert "checking 5 branch(es)" in capsys.readouterr().out
+    assert len(calls) == len(set(calls)) == 8
 
 
 def test_a_one_sided_scan_never_forks(toy_3lvl, monkeypatch):
