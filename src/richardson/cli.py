@@ -4,11 +4,11 @@ Commands compose through files: `lattice` writes a problem file, `critical`
 writes critical-point records next to it, and `sweep` loads those records.
 Beside the default record file `critical` writes a coverage file,
 `<stem>_scanned_<tag>.json`: the sha1 of the problem and of the record
-file's text, the branch occupation, the scanned g range, the `--mk` and
-`--grid` overrides (null when not given) and the 1-based levels whose scan
-listed no issue (`critical.ScanResult.issues`, which no warnings filter
-changes).  `sweep` walks from the loaded records alone when that file
-matches both hashes, has no overrides, covers the auto-scan range
+file's text, the branch occupation, the scanned g range, the `--grid`
+override (null when not given) and the 1-based levels whose scan listed no
+issue (`critical.ScanResult.issues`, which no warnings filter changes).
+`sweep` walks from the loaded records alone when that file matches both
+hashes, has no override, covers the auto-scan range
 (0, g_target +- 2 r_c), r_c the crossing radius, and lists every level
 that can collapse (`critical.critical_levels`).  Otherwise it re-scans
 those levels over that range and drops a rescanned point within 1e-9 of a
@@ -195,7 +195,9 @@ def _scan_covers(cov_file, problem, branch, rec_text, g_range):
         return (doc["problem_sha1"] == _sha1(model.save_problem(problem))
                 and doc["records_sha1"] == _sha1(rec_text)
                 and doc["occupation"] == list(branch.counts)
-                and doc["mk"] is None and doc["grid"] is None
+                # "mk" was an M_k option once; its records may use an M_k
+                # other than 1 - 2 d_k, so they cover nothing
+                and doc.get("mk") is None and doc["grid"] is None
                 and g_lo <= g_range[0] and g_range[1] <= g_hi
                 and wanted <= set(doc["levels"]))
     except (KeyError, TypeError, ValueError) as err:
@@ -222,14 +224,14 @@ def cmd_critical(args):
     branch = parse_branch(args.branch, problem)
     g_range = (args.g_min, args.g_max)
     if args.level == "all":
-        levels = critical.critical_levels(problem, branch, args.mk)
+        levels = critical.critical_levels(problem, branch)
     else:
         levels = [level_index(problem, args.level, "--level")]
     default_out = records_path(args.problem, branch)
     out = args.out or default_out
     output_dir(Path(out).parent)
     requests = [req for k in levels for req in critical.scan_requests(
-        problem, k, g_range, branch, m_k=args.mk, grid_points=args.grid)]
+        problem, k, g_range, branch, grid_points=args.grid)]
     points, troubled = [], set()
     for req, found in zip(requests, critical.run_scans(problem, requests)):
         points += found.report()
@@ -252,7 +254,7 @@ def cmd_critical(args):
             "problem_sha1": _sha1(model.save_problem(problem)),
             "records_sha1": _sha1(text),
             "occupation": list(branch.counts),
-            "g_range": sorted(g_range), "mk": args.mk, "grid": args.grid,
+            "g_range": sorted(g_range), "grid": args.grid,
             "levels": covered}, indent=2) + "\n")
     print(f"wrote {out}")
     return 0
@@ -507,8 +509,6 @@ def build_parser():
     p.add_argument("--g-max", type=float, required=True)
     p.add_argument("--branch", default="ground",
                    help="'ground' or comma-separated occupation counts")
-    p.add_argument("--mk", type=_count(1), default=None,
-                   help="override the cluster size M_k")
     p.add_argument("--grid", type=_count(1), default=None,
                    help="scan grid points")
     p.add_argument("--out", help="critical-point record file")

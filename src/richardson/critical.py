@@ -149,15 +149,15 @@ def deflated_occupation(problem: PairingProblem, branch, k: int, m_k: int,
     return OccupationMap(tuple(counts))
 
 
-def critical_levels(problem: PairingProblem, branch, m_k=None) -> list[int]:
+def critical_levels(problem: PairingProblem, branch) -> list[int]:
     """Levels where the branch can have a critical point: the occupied
-    levels whose cluster size (M_k = 1 - 2 d_k, or m_k when given) is a
-    positive integer no larger than M.  No larger cluster can form, and a
-    non-integer M_k (odd Omega) names none."""
+    levels whose cluster size M_k = 1 - 2 d_k is a positive integer no
+    larger than M.  No larger cluster can form, and a non-integer M_k
+    (odd Omega - 2 nu) names none."""
     counts = as_occupation(branch).counts
-    sizes = [1.0 - 2.0 * lv.d if m_k is None else m_k for lv in problem.levels]
+    sizes = [1.0 - 2.0 * lv.d for lv in problem.levels]
     return [k for k, (count, size) in enumerate(zip(counts, sizes))
-            if count > 0 and float(size).is_integer()
+            if count > 0 and size.is_integer()
             and 1 <= size <= problem.m_pairs]
 
 
@@ -246,20 +246,18 @@ class ScanRequest(NamedTuple):
 
 
 def scan_requests(problem: PairingProblem, k: int, g_range, branch=None, *,
-                  m_k=None, grid_points=None,
-                  deflated_occ=None) -> list[ScanRequest]:
+                  grid_points=None, deflated_occ=None) -> list[ScanRequest]:
     """The walks of a scan of level k over g_range, one per side of g = 0,
     negative side first.
 
-    M_k defaults to 1 - 2 d_k (`default_cluster_size`).  The deflated
+    M_k is 1 - 2 d_k (`default_cluster_size`), always.  The deflated
     branch is `deflated_occ`, or else the one `branch` (default the ground
     state) deflates to on that side (`deflated_occupation`).  The grid
     defaults to `DEFAULT_GRID_PER_UNIT` points per unit of the side's span,
     at least 400.  A non-integer M_k, or a branch that cannot supply the
     cluster, raises ValueError here, before any walk starts.
     """
-    if m_k is None:
-        m_k = default_cluster_size(problem.levels[k])
+    m_k = default_cluster_size(problem.levels[k])
     branch = ground_occupation(problem) if branch is None else branch
     g_lo, g_hi = sorted(g_range)
     sides = [(g_lo, 0.0), (0.0, g_hi)] if g_lo < 0 < g_hi else [(g_lo, g_hi)]
@@ -278,8 +276,7 @@ def scan_requests(problem: PairingProblem, k: int, g_range, branch=None, *,
 
 
 def scan_critical(problem: PairingProblem, k: int, g_range, branch=None, *,
-                  m_k=None, grid_points=None,
-                  deflated_occ=None) -> ScanResult:
+                  grid_points=None, deflated_occ=None) -> ScanResult:
     """All critical couplings for level k with g in (g_lo, g_hi).
 
     Walks the deflated branch that `scan_requests` resolves over a uniform
@@ -299,7 +296,7 @@ def scan_critical(problem: PairingProblem, k: int, g_range, branch=None, *,
     """
     found = ScanResult()
     for part in run_scans(problem, scan_requests(
-            problem, k, g_range, branch, m_k=m_k, grid_points=grid_points,
+            problem, k, g_range, branch, grid_points=grid_points,
             deflated_occ=deflated_occ)):
         found += part
         found.issues += part.issues

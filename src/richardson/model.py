@@ -34,8 +34,8 @@ class Level:
             raise ValueError(f"omega must be a positive integer, got {self.omega}")
         if self.nu < 0 or self.nu != int(self.nu):
             raise ValueError(f"nu must be a non-negative integer, got {self.nu}")
-        if self.nu > self.omega:
-            raise ValueError(f"nu={self.nu} exceeds omega={self.omega}")
+        if 2 * self.nu > self.omega:
+            raise ValueError(f"nu={self.nu} exceeds omega/2={self.omega / 2}")
 
     @property
     def d(self) -> float:
@@ -44,8 +44,8 @@ class Level:
 
     @property
     def pair_capacity(self) -> int:
-        """Number of pairs the level can hold: (omega - nu) // 2."""
-        return (self.omega - self.nu) // 2
+        """Pairs the level can hold: floor(-2 d) = omega // 2 - nu."""
+        return self.omega // 2 - self.nu
 
 
 def merge_levels(levels, warn=True):

@@ -1,7 +1,11 @@
-"""Exact diagonalization of the pairing Hamiltonian in the seniority-0 basis.
+"""Exact diagonalization of the pairing Hamiltonian in its pair basis.
 
-Reference spectra for small instances.  The pairing coupling is fixed so
-that the one-pair spectrum coincides with the roots of
+Reference spectra for small instances.  A level of seniority nu enters
+only through d = nu/2 - Omega/4, as the seniority-0 level of its
+Omega - 2 nu unblocked states does; it holds their pairs, at most
+c_j = `Level.pair_capacity`, and the unpaired particles' constant energy
+is left out.  The pairing coupling is fixed so that the one-pair spectrum
+coincides with the roots of
 
     1 = 4g sum_j d_j / (2 eta_j - e),
 
@@ -26,7 +30,7 @@ LANCZOS_MAX_STEPS = 300
 
 
 def pair_basis(problem: PairingProblem) -> list[tuple[int, ...]]:
-    """All seniority-0 occupation vectors with sum M, lexicographic order."""
+    """All pair occupation vectors with sum M, lexicographic order."""
     return [occ.counts
             for occ in excited_occupations(problem, problem.m_pairs)]
 
@@ -42,10 +46,8 @@ def basis_dimension(problem: PairingProblem) -> int:
 
 
 def checked_dimension(problem: PairingProblem) -> int:
-    """basis_dimension(problem); raises ValueError for seniority > 0 and
-    OracleDimensionError above DIMENSION_GUARD, enumerating nothing."""
-    if any(lv.nu != 0 for lv in problem.levels):
-        raise ValueError("oracle handles seniority-0 problems only")
+    """basis_dimension(problem); raises OracleDimensionError above
+    DIMENSION_GUARD, enumerating nothing."""
     dim = basis_dimension(problem)
     if dim > DIMENSION_GUARD:
         raise OracleDimensionError(
@@ -62,7 +64,7 @@ def _states(problem: PairingProblem) -> np.ndarray:
 
 
 def _diagonal(problem: PairingProblem, states: np.ndarray) -> np.ndarray:
-    """H's diagonal: sum_j 2 eta_j n_j + 2g sum_j n_j (Omega_j/2 - n_j + 1),
+    """H's diagonal: sum_j 2 eta_j n_j + 2g sum_j n_j (c_j - n_j + 1),
     the first sum accumulated level by level."""
     eta2 = problem.eta2_array()
     caps = np.array(problem.capacities(), dtype=np.int64)
@@ -103,7 +105,7 @@ def _hops(problem: PairingProblem):
 
     Built over all states at once, one source level jp at a time: the hop
     that moves a pair from level jp to level j has the value
-    (2g sqrt((n_j + 1)(Omega_j/2 - n_j))) sqrt(n_jp (Omega_jp/2 - n_jp + 1)).
+    (2g sqrt((n_j + 1)(c_j - n_j))) sqrt(n_jp (c_jp - n_jp + 1)).
     The basis is in lexicographic order, so a state's row is its
     `_lex_ranks` rank.
     """
@@ -131,8 +133,7 @@ def _hops(problem: PairingProblem):
 
 
 def hamiltonian(problem: PairingProblem) -> np.ndarray:
-    """Dense symmetric pairing Hamiltonian in the seniority-0 pair basis,
-    scattered from `_hops`."""
+    """Dense symmetric pairing Hamiltonian in the pair basis, from `_hops`."""
     diag, dst, src, val = _hops(problem)
     h = np.zeros((diag.size, diag.size))
     h[np.diag_indices(diag.size)] = diag
@@ -141,7 +142,7 @@ def hamiltonian(problem: PairingProblem) -> np.ndarray:
 
 
 def exact_spectrum(problem: PairingProblem) -> np.ndarray:
-    """All eigenvalues of the seniority-0 pairing Hamiltonian, ascending.
+    """All eigenvalues of the pairing Hamiltonian, ascending.
 
     At g = 0 the Hamiltonian is diagonal, and its sorted diagonal is what
     `eigvalsh` returns for it, bit for bit, without the O(dim^3) solve.
@@ -152,7 +153,7 @@ def exact_spectrum(problem: PairingProblem) -> np.ndarray:
 
 
 def ground_energy(problem: PairingProblem) -> float:
-    """Lowest eigenvalue of the seniority-0 pairing Hamiltonian.
+    """Lowest eigenvalue of the pairing Hamiltonian.
 
     Lanczos with full reorthogonalization on H applied from `_hops`, so no
     dense matrix is built.  The start vector comes from a fixed seed, so

@@ -32,15 +32,16 @@ def ground6(lattice6):
     return rs.ground_occupation(lattice6)
 
 
-# Table 3 scan plan: 0-based level, scan range, cluster-size override.
+# Table 3 scan plan: (side, 0-based level) -> (scan range, M_k).  The scan
+# takes M_k = 1 - 2 d_k from the level; the column pins what it must be.
 TABLE3_SCANS = {
-    ("neg", 3): ((-0.05, 0.0), None),
-    ("neg", 2): ((-0.07, 0.0), None),
-    ("neg", 1): ((-0.10, 0.0), None),
+    ("neg", 3): ((-0.05, 0.0), 5),
+    ("neg", 2): ((-0.07, 0.0), 5),
+    ("neg", 1): ((-0.10, 0.0), 5),
     ("neg", 0): ((-0.15, 0.0), 2),
-    ("pos", 1): ((0.0, 0.20), None),
-    ("pos", 2): ((0.0, 0.30), None),
-    ("pos", 3): ((0.0, 0.65), None),
+    ("pos", 1): ((0.0, 0.20), 5),
+    ("pos", 2): ((0.0, 0.30), 5),
+    ("pos", 3): ((0.0, 0.65), 5),
     ("pos", 0): ((0.0, 0.70), 2),
 }
 
@@ -53,7 +54,8 @@ def table3(lattice6, ground6):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncatedScanWarning)
         for key, (rng, mk) in TABLE3_SCANS.items():
-            pts = rs.scan_critical(lattice6, key[1], rng, ground6, m_k=mk)
+            pts = rs.scan_critical(lattice6, key[1], rng, ground6)
+            assert all(p.m_k == mk for p in pts), key
             points[key] = min(pts, key=lambda p: abs(p.g_c)) if pts else None
     return {"points": points, "elapsed": time.time() - t0}
 
@@ -95,6 +97,21 @@ def toy_3lvl():
     """Three-level problem with non-trivial clusters at every level."""
     return rs.PairingProblem(
         (rs.Level(0.0, 4), rs.Level(1.0, 4), rs.Level(2.5, 2)), 4)
+
+
+@pytest.fixture(scope="session")
+def seniority_twins():
+    """A problem with two blocked levels, and its seniority-0 twin.
+
+    A level of seniority nu enters only through d = nu/2 - Omega/4, as the
+    level of its Omega - 2 nu unblocked states does: Omega = 8 with nu = 2
+    and Omega = 6 with nu = 1 are the twin's Omega = 4.
+    """
+    blocked = rs.PairingProblem((rs.Level(0.0, 8, nu=2), rs.Level(1.0, 4),
+                                 rs.Level(2.5, 6, nu=1)), 3)
+    twin = rs.PairingProblem((rs.Level(0.0, 4), rs.Level(1.0, 4),
+                              rs.Level(2.5, 4)), 3)
+    return blocked, twin
 
 
 def physical_state_at(problem, occupation, g, *, steps=40):

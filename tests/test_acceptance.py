@@ -105,7 +105,7 @@ def test_criterion_2_table3_ground_state(table3):
     elapsed = table3["elapsed"]
     if elapsed >= 60.0:
         failures.append(f"runtime {elapsed:.1f}s >= 60s")
-    detail = f"{elapsed:.1f}s; m_1=2 resolves the j=1 value"
+    detail = f"{elapsed:.1f}s; M_1 = 1 - 2 d_1 = 2 resolves the j=1 value"
     report(2, not failures, detail)
     assert not failures, (
         f"{failures}\nThe j=3 negative entry is checked against the "

@@ -340,9 +340,7 @@ def test_verify_guard_exit(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("problem, code, message", [
-    (rs.build_lattice_model(6, 18), 5, "pair basis dimension 54964 exceeds"),
-    (rs.PairingProblem((rs.Level(0.0, 4, nu=2), rs.Level(1.0, 4)), 2), 2,
-     "seniority-0 problems only")])
+    (rs.build_lattice_model(6, 18), 5, "pair basis dimension 54964 exceeds")])
 def test_verify_checks_oracle_before_any_sweep(tmp_path, capsys, monkeypatch,
                                                problem, code, message):
     def no_sweep(*args, **kwargs):
@@ -353,6 +351,19 @@ def test_verify_checks_oracle_before_any_sweep(tmp_path, capsys, monkeypatch,
     prob_file.write_text(rs.save_problem(problem))
     assert run_cli(["verify", "--problem", str(prob_file)]) == code
     assert message in capsys.readouterr().err
+
+
+def test_verify_checks_blocked_levels_as_their_twin(tmp_path, capsys,
+                                                    seniority_twins):
+    runs = []
+    for name, problem in zip(("blocked", "twin"), seniority_twins):
+        prob_file = tmp_path / f"{name}.json"
+        prob_file.write_text(rs.save_problem(problem))
+        code = run_cli(["verify", "--problem", str(prob_file), "--points",
+                        "5", "--g-min", "-0.3", "--g-max", "0.3"])
+        runs.append((code, capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and "samples checked: 20\n" in runs[0][1].out
 
 
 def test_config_file_defaults(tmp_path, capsys):
@@ -609,15 +620,12 @@ def test_config_null_keeps_the_default(tmp_path, capsys):
     ((), ["critical", "--level", "0"], "--level 0"),
     ((), ["critical", "--level", "abc"], "argument --level: "),
     ((), [{"level": "abc"}, "critical"], "argument --level: "),
-    ((), ["critical", "--level", "1", "--mk", "0"], "--mk"),
-    ((), ["critical", "--level", "1", "--mk", "-1"], "--mk"),
     ((), ["sweep", "--cluster-level", "0"], "--cluster-level 0"),
     ((), ["sweep", "--cluster-level", "99"], "--cluster-level 99"),
     ((rs.Level(0.0, 2), rs.Level(1.0, 3)), ["sweep", "--cluster-level", "2"],
      "M_k"),
-], ids=["level-99", "level-0", "level-abc", "config-level-abc", "mk-0",
-        "mk-negative", "cluster-level-0", "cluster-level-99",
-        "cluster-level-odd-omega"])
+], ids=["level-99", "level-0", "level-abc", "config-level-abc",
+        "cluster-level-0", "cluster-level-99", "cluster-level-odd-omega"])
 def test_bad_level_argument_is_rejected_before_any_work(
         tmp_path, capsys, monkeypatch, levels, options, name):
     # by default the 4x4 lattice with M = 4; a level with odd Omega has the
@@ -648,12 +656,13 @@ def test_bad_level_argument_is_rejected_before_any_work(
 
 
 @pytest.mark.parametrize("levels, options, message", [
-    ((), ["--level", "1", "--mk", "99"],
-     "branch occupation cannot supply the 99 cluster pairs"),
+    # level 3 of the 4x4 lattice has Omega = 12, so M_k = 7 > M = 4
+    ((), ["--level", "3"],
+     "branch occupation cannot supply the 7 cluster pairs"),
     ((rs.Level(0.0, 2), rs.Level(1.0, 3)), ["--level", "2"],
      "cluster condition M_k = 1 - 2 d_k = 2.5 is not a positive integer "
      "for level Level(eta=1.0, omega=3, nu=0)"),
-], ids=["mk-99", "odd-omega"])
+], ids=["cluster-above-m", "odd-omega"])
 def test_a_walk_that_cannot_start_fails_before_any_worker(
         tmp_path, capsys, monkeypatch, levels, options, message):
     # the real run_scans, with a pool of two, so that a request that got
@@ -775,7 +784,7 @@ def test_sweep_reuses_the_scan_of_critical(tmp_path, capsys, monkeypatch):
     prob_file, cov_file = _toy_critical(tmp_path)
     cov = json.loads(cov_file.read_text())
     assert cov["levels"] == [1, 2] and cov["g_range"] == [-0.52, 0.0]
-    assert cov["mk"] is None and cov["grid"] is None
+    assert "mk" not in cov and cov["grid"] is None
     capsys.readouterr()
     with monkeypatch.context() as patch:
         _no_scan(patch)
@@ -793,6 +802,17 @@ def test_sweep_reuses_the_scan_of_critical(tmp_path, capsys, monkeypatch):
         assert a.read_text() == b.read_text()
 
 
+def test_sweep_reuses_a_coverage_file_with_a_null_mk(tmp_path, capsys,
+                                                     monkeypatch):
+    # earlier versions wrote "mk": null for a run at M_k = 1 - 2 d_k
+    prob_file, cov_file = _toy_critical(tmp_path)
+    doc = json.loads(cov_file.read_text())
+    doc["mk"] = None
+    cov_file.write_text(json.dumps(doc))
+    _no_scan(monkeypatch)
+    assert _toy_sweep(prob_file, tmp_path) == 0
+
+
 def _edit_records(prob_file, cov_file):
     rec_file = cov_file.with_name(cov_file.name.replace("_scanned_",
                                                         "_critical_"))
@@ -805,10 +825,18 @@ def _edit_problem(prob_file, cov_file):
     prob_file.write_text(json.dumps(doc))
 
 
+def _set_mk(prob_file, cov_file):
+    # a coverage file as `critical` wrote it when M_k was an option: its
+    # records may hold points of another cluster size than 1 - 2 d_k
+    doc = json.loads(cov_file.read_text())
+    doc["mk"] = 4
+    cov_file.write_text(json.dumps(doc))
+
+
 @pytest.mark.parametrize("critical_options, g_min, edit, sweep_options", [
     ((), "-0.3", None, ()),
     (("--level", "1"), "-0.52", None, ()),
-    (("--mk", "4"), "-0.52", None, ()),
+    ((), "-0.52", _set_mk, ()),
     (("--grid", "500"), "-0.52", None, ()),
     ((), "-0.52", _edit_records, ()),
     ((), "-0.52", _edit_problem, ()),

@@ -421,3 +421,18 @@ def test_shared_auto_scan_points_scan_each_key_once(monkeypatch):
     assert all(type(req) is ScanRequest for req in scans)
     # more points handed out than scanned: branches shared some
     assert sum(map(len, scans.values())) < sum(map(len, fresh.values()))
+
+
+@pytest.mark.parametrize("target", [-0.5, 0.5])
+def test_blocked_levels_sweep_as_their_twin(seniority_twins, target):
+    # each blocked level holds Omega // 2 - nu pairs, as its twin does
+    blocked, twin = seniority_twins
+    assert rs.ground_occupation(blocked).counts == (2, 1, 0)
+    ends = []
+    for problem in seniority_twins:
+        path = continuation.sweep(problem, rs.ground_occupation(problem),
+                                  target)
+        assert path.status == "completed"
+        ends.append(path.samples[-1].energy)
+    assert np.float64(ends[0]).tobytes() == np.float64(ends[1]).tobytes()
+    assert abs(ends[1] - oracle.ground_energy(twin.with_g(target))) <= 1e-14

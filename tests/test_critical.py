@@ -6,7 +6,8 @@ import pytest
 
 import richardson as rs
 from richardson import continuation, critical, oracle
-from richardson.cluster import cluster_matrix, pn_coefficients
+from richardson.cluster import (cluster_matrix, default_cluster_size,
+                                pn_coefficients)
 from richardson.critical import TruncatedScanWarning, critical_levels
 from richardson.errors import ContinuationError
 from richardson.solver import newton_core
@@ -328,9 +329,34 @@ def test_critical_levels_need_an_integer_cluster_within_the_branch():
                            rs.Level(2.0, 8)), 3)
     assert critical_levels(p, (1, 1, 1)) == [0]
     assert critical_levels(p, (0, 1, 2)) == []
-    # an explicit cluster size replaces 1 - 2 d_k on every occupied level
-    assert critical_levels(p, (1, 0, 2), m_k=2) == [0, 2]
-    assert critical_levels(p, (1, 1, 1), m_k=4) == []
+
+
+def test_critical_levels_are_those_with_a_cluster_size_up_to_m():
+    # `critical_levels` and `default_cluster_size` compute M_k = 1 - 2 d_k
+    # apart; on random problems and branches they name the same levels
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        levels = []
+        for eta in range(int(rng.integers(1, 5))):
+            omega = int(rng.integers(1, 13))
+            levels.append(rs.Level(float(eta), omega,
+                                   int(rng.integers(0, omega // 2 + 1))))
+        caps = [lv.pair_capacity for lv in levels]
+        if sum(caps) == 0:
+            continue
+        counts = [int(rng.integers(0, c + 1)) for c in caps]
+        if sum(counts) == 0:
+            continue
+        p = rs.PairingProblem(levels, sum(counts))
+        wanted = []
+        for k, lv in enumerate(levels):
+            try:
+                size = default_cluster_size(lv)
+            except ValueError:
+                continue
+            if counts[k] > 0 and size <= p.m_pairs:
+                wanted.append(k)
+        assert critical_levels(p, counts) == wanted, (levels, counts)
 
 
 def _two_close_roots(walker, problem, k, m_k, g):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import richardson as rs
-from richardson.errors import CapacityError, ProblemFormatError
+from richardson.errors import (CapacityError, InitializationError,
+                               ProblemFormatError)
+from richardson.solver import _single_level_roots
 
 TABLE1 = [(-4, 2), (-3, 8), (-2, 8), (-1, 8), (0, 20),
           (1, 8), (2, 8), (3, 8), (4, 2)]
@@ -40,6 +43,21 @@ def test_effective_degeneracy():
         rs.Level(0.0, 0)
     with pytest.raises(ValueError):
         rs.Level(0.0, 2, nu=3)
+
+
+def test_pair_capacity_is_what_d_allows():
+    # the Richardson equations put at most floor(-2 d) pairs on a level:
+    # a lone level of even Omega - 2 nu solves with that many, not one more
+    for omega in range(1, 25):
+        for nu in range(omega // 2 + 1):
+            lv = rs.Level(0.0, omega, nu)
+            cap = lv.pair_capacity
+            assert cap == math.floor(-2.0 * lv.d), lv
+            if (omega - 2 * nu) % 2 or cap < 1:
+                continue
+            assert len(_single_level_roots(lv.d, cap)) == cap, lv
+            with pytest.raises(InitializationError):
+                _single_level_roots(lv.d, cap + 1)
 
 
 def test_ground_occupation_6x6(lattice6):

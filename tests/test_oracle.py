@@ -59,10 +59,12 @@ def test_dimension_guard():
         oracle.exact_spectrum(p)
 
 
-def test_seniority_restriction():
-    p = rs.PairingProblem((rs.Level(0.0, 4, nu=2), rs.Level(1.0, 4)), 2)
-    with pytest.raises(ValueError):
-        oracle.exact_spectrum(p)
+@pytest.mark.parametrize("g", [-0.3, 0.0, 0.2])
+def test_exact_spectrum_of_blocked_levels_is_the_twins(seniority_twins, g):
+    blocked, twin = (p.with_g(g) for p in seniority_twins)
+    assert oracle.pair_basis(blocked) == oracle.pair_basis(twin)
+    assert oracle.exact_spectrum(blocked).tobytes() == \
+        oracle.exact_spectrum(twin).tobytes()
 
 
 @pytest.mark.parametrize("n, pairs", [
@@ -198,8 +200,8 @@ def test_ground_energy_guards_before_enumerating(monkeypatch):
         oracle.ground_energy(rs.build_lattice_model(6, 18).with_g(-0.1))
 
 
-def test_ground_energy_seniority_restriction():
-    p = rs.PairingProblem((rs.Level(0.0, 4, nu=2), rs.Level(1.0, 4)), 2,
-                          g=-0.1)
-    with pytest.raises(ValueError):
-        oracle.ground_energy(p)
+@pytest.mark.parametrize("g", [-0.3, 0.0, 0.2])
+def test_ground_energy_of_blocked_levels_is_the_twins(seniority_twins, g):
+    blocked, twin = (p.with_g(g) for p in seniority_twins)
+    assert np.float64(oracle.ground_energy(blocked)).tobytes() == \
+        np.float64(oracle.ground_energy(twin)).tobytes()

@@ -198,6 +198,36 @@ def test_an_error_stops_its_scan_as_one_process_would(monkeypatch, workers):
                                                 (-0.3, 0.0))] == [0]
 
 
+def test_a_stopped_walk_holds_no_points(monkeypatch):
+    # 4x4 lattice, level 0, g < 0: the walk finds brackets at g_c = -0.3605
+    # and -0.2131, then stalls; the first bracket gives a point, the second
+    # raises, and the walk keeps its issue and error but not that point
+    problem = rs.build_lattice_model(4, 4)
+    det_at = critical._det_at
+    resolve = critical._resolve_bracket
+    resolved = []
+
+    def stalling(walker, problem, k, m_k, g):
+        if g < -0.5:
+            raise ContinuationError("test stall")
+        return det_at(walker, problem, k, m_k, g)
+
+    def second_fails(*args):
+        if resolved:
+            raise RuntimeError("test failure on the second bracket")
+        resolved.append(resolve(*args))
+        return resolved[-1]
+
+    monkeypatch.setattr(critical, "_det_at", stalling)
+    monkeypatch.setattr(critical, "_resolve_bracket", second_fails)
+    [found] = critical.run_scans(problem, critical.scan_requests(
+        problem, 0, (-0.6, 0.0)))
+    assert len(resolved) == 1
+    assert list(found) == []
+    assert isinstance(found.error, RuntimeError)
+    assert found.issues == ["scan truncated: test stall"]
+
+
 def test_no_worker_outlives_critical_or_verify(tmp_path, capsys, monkeypatch):
     _workers(monkeypatch, 2)
     prob_file = _toy_file(tmp_path)
