@@ -288,7 +288,13 @@ def cmd_sweep(args):
         rec_text, recs = _read_json(rec_file, list)
         try:
             points = [record_to_point(r) for r in recs]
-        except (KeyError, TypeError, ValueError) as err:
+            for p in points:    # each must be a point some scan can find
+                m_k = default_cluster_size(problem.levels[level_index(
+                    problem, p.k + 1, "level_index")])
+                if (p.m_k, p.chi.size, p.e_noncluster.size) != (
+                        m_k, m_k, problem.m_pairs - m_k):
+                    raise ValueError(f"level {p.k + 1} has M_k={m_k}")
+        except (KeyError, TypeError, ValueError, ProblemFormatError) as err:
             raise ProblemFormatError(f"{rec_file}: bad record: {err!r}")
         print(f"loaded {len(points)} critical point(s) from {rec_file}")
         cov_file = coverage_path(args.problem, branch)
@@ -409,9 +415,9 @@ def cmd_verify(args):
             continue
         # the ground branch alone needs only the lowest eigenvalue
         if landed.keys() == {branches[0]}:
-            spectrum = np.array([oracle.ground_energy(problem.with_g(g))])
+            spectrum = np.array([oracle.ground_energy(problem, g)])
         else:
-            spectrum = oracle.exact_spectrum(problem.with_g(g))
+            spectrum = oracle.exact_spectrum(problem, g)
         nearest = {}
         for occ, energy in landed.items():
             nearest[occ] = int(np.argmin(np.abs(spectrum - energy)))

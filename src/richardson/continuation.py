@@ -399,8 +399,6 @@ def sample_figure_data(path: SweepPath, problem: PairingProblem,
             + ("in_radius",)
         out = []
         for s in path.samples:
-            # the S_p curves track the M_k energies nearest 2 eta_k; the
-            # last column counts how many sit inside the membership radius
             order = np.argsort(np.abs(s.energies.values - eta2k))[:m_k]
             inside = len(detect_cluster(s.energies.values, problem, k))
             try:

@@ -10,7 +10,7 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,11 +74,10 @@ def merge_levels(levels, warn=True):
 
 @dataclass(frozen=True)
 class PairingProblem:
-    """Immutable problem definition: levels, pair count M and coupling g."""
+    """Levels and pair count M; the coupling g is an argument, not a field."""
 
     levels: tuple[Level, ...]
     m_pairs: int
-    g: float = 0.0
     label: str = ""
 
     def __post_init__(self):
@@ -120,9 +119,6 @@ class PairingProblem:
             return 1.0
         etas = [lv.eta for lv in self.levels]
         return (etas[-1] - etas[0]) / (len(etas) - 1)
-
-    def with_g(self, g: float) -> "PairingProblem":
-        return replace(self, g=g)
 
 
 @dataclass(frozen=True)
@@ -246,7 +242,7 @@ def excited_occupations(problem: PairingProblem,
 # ---------------------------------------------------------------------------
 
 def save_problem(problem: PairingProblem) -> str:
-    """Serialize a problem to the JSON problem-file format."""
+    """Serialize a problem to the JSON problem-file format (it holds no g)."""
     doc = {
         "levels": [
             {"eta": lv.eta, "omega": lv.omega, "nu": lv.nu}
@@ -256,8 +252,6 @@ def save_problem(problem: PairingProblem) -> str:
     }
     if problem.label:
         doc["label"] = problem.label
-    if problem.g:
-        doc["g"] = problem.g
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -294,9 +288,8 @@ def load_problem(text: str) -> PairingProblem:
     if not isinstance(pairs, int) or pairs < 1:
         raise ProblemFormatError("pairs: expected a positive integer")
     label = doc.get("label", "")
-    g = float(doc.get("g", 0.0))
     merged = merge_levels(levels)
     try:
-        return PairingProblem(merged, m_pairs=pairs, g=g, label=str(label))
+        return PairingProblem(merged, m_pairs=pairs, label=str(label))
     except (ValueError, CapacityError) as err:
         raise ProblemFormatError(str(err)) from err

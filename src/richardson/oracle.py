@@ -4,8 +4,8 @@ Reference spectra for small instances.  A level of seniority nu enters
 only through d = nu/2 - Omega/4, as the seniority-0 level of its
 Omega - 2 nu unblocked states does; it holds their pairs, at most
 c_j = `Level.pair_capacity`, and the unpaired particles' constant energy
-is left out.  The pairing coupling is fixed so that the one-pair spectrum
-coincides with the roots of
+is left out (odd Omega - 2 nu is refused).  The coupling g is fixed so
+that the one-pair spectrum coincides with the roots of
 
     1 = 4g sum_j d_j / (2 eta_j - e),
 
@@ -46,8 +46,11 @@ def basis_dimension(problem: PairingProblem) -> int:
 
 
 def checked_dimension(problem: PairingProblem) -> int:
-    """basis_dimension(problem); raises OracleDimensionError above
-    DIMENSION_GUARD, enumerating nothing."""
+    """basis_dimension(problem), enumerating nothing; raises ValueError on
+    odd Omega - 2 nu and OracleDimensionError above DIMENSION_GUARD."""
+    for lv in problem.levels:
+        if (free := lv.omega - 2 * lv.nu) % 2:
+            raise ValueError(f"oracle: {lv} has odd Omega - 2 nu = {free}")
     dim = basis_dimension(problem)
     if dim > DIMENSION_GUARD:
         raise OracleDimensionError(
@@ -63,7 +66,7 @@ def _states(problem: PairingProblem) -> np.ndarray:
         dim, problem.n_levels)
 
 
-def _diagonal(problem: PairingProblem, states: np.ndarray) -> np.ndarray:
+def _diagonal(problem: PairingProblem, g: float, states: np.ndarray):
     """H's diagonal: sum_j 2 eta_j n_j + 2g sum_j n_j (c_j - n_j + 1),
     the first sum accumulated level by level."""
     eta2 = problem.eta2_array()
@@ -71,7 +74,7 @@ def _diagonal(problem: PairingProblem, states: np.ndarray) -> np.ndarray:
     diag = np.zeros(states.shape[0])
     for j in range(states.shape[1]):
         diag += eta2[j] * states[:, j]
-    return diag + 2.0 * problem.g * (states * (caps - states + 1)).sum(axis=1)
+    return diag + 2.0 * g * (states * (caps - states + 1)).sum(axis=1)
 
 
 def _lex_ranks(states: np.ndarray, caps, m_pairs: int) -> np.ndarray:
@@ -99,8 +102,8 @@ def _lex_ranks(states: np.ndarray, caps, m_pairs: int) -> np.ndarray:
     return rank
 
 
-def _hops(problem: PairingProblem):
-    """H in coordinate form: (diag, dst, src, val), its diagonal and one
+def _hops(problem: PairingProblem, g: float):
+    """H(g) in coordinate form: (diag, dst, src, val), its diagonal and one
     entry H[dst, src] = val for every hop, no (dst, src) twice.
 
     Built over all states at once, one source level jp at a time: the hop
@@ -112,7 +115,7 @@ def _hops(problem: PairingProblem):
     states = _states(problem)
     n_levels = states.shape[1]
     caps = np.array(problem.capacities(), dtype=np.int64)
-    g2 = 2.0 * problem.g
+    g2 = 2.0 * g
     down = np.sqrt(states * (caps - states + 1))      # annihilate on jp
     up = np.sqrt((states + 1) * (caps - states))       # create on j
     others = np.arange(n_levels)
@@ -128,32 +131,32 @@ def _hops(problem: PairingProblem):
         dsts.append(_lex_ranks(target, caps, problem.m_pairs))
         srcs.append(src)
         vals.append(g2 * up[src, j] * down[src, jp])
-    return (_diagonal(problem, states), np.concatenate(dsts),
+    return (_diagonal(problem, g, states), np.concatenate(dsts),
             np.concatenate(srcs), np.concatenate(vals))
 
 
-def hamiltonian(problem: PairingProblem) -> np.ndarray:
-    """Dense symmetric pairing Hamiltonian in the pair basis, from `_hops`."""
-    diag, dst, src, val = _hops(problem)
+def hamiltonian(problem: PairingProblem, g: float) -> np.ndarray:
+    """Dense symmetric Hamiltonian H(g) in the pair basis, from `_hops`."""
+    diag, dst, src, val = _hops(problem, g)
     h = np.zeros((diag.size, diag.size))
     h[np.diag_indices(diag.size)] = diag
     h[dst, src] += val
     return h
 
 
-def exact_spectrum(problem: PairingProblem) -> np.ndarray:
-    """All eigenvalues of the pairing Hamiltonian, ascending.
+def exact_spectrum(problem: PairingProblem, g: float) -> np.ndarray:
+    """All eigenvalues of the pairing Hamiltonian at coupling g, ascending.
 
     At g = 0 the Hamiltonian is diagonal, and its sorted diagonal is what
     `eigvalsh` returns for it, bit for bit, without the O(dim^3) solve.
     """
-    if problem.g == 0.0:
-        return np.sort(_diagonal(problem, _states(problem)))
-    return np.linalg.eigvalsh(hamiltonian(problem))
+    if g == 0.0:
+        return np.sort(_diagonal(problem, g, _states(problem)))
+    return np.linalg.eigvalsh(hamiltonian(problem, g))
 
 
-def ground_energy(problem: PairingProblem) -> float:
-    """Lowest eigenvalue of the pairing Hamiltonian.
+def ground_energy(problem: PairingProblem, g: float) -> float:
+    """Lowest eigenvalue of the pairing Hamiltonian at coupling g.
 
     Lanczos with full reorthogonalization on H applied from `_hops`, so no
     dense matrix is built.  The start vector comes from a fixed seed, so
@@ -163,9 +166,9 @@ def ground_energy(problem: PairingProblem) -> float:
     exact; after LANCZOS_MAX_STEPS steps without either it raises
     OracleConvergenceError.  At g = 0 it is the smallest diagonal entry.
     """
-    if problem.g == 0.0:
-        return float(np.min(_diagonal(problem, _states(problem))))
-    diag, dst, src, val = _hops(problem)
+    if g == 0.0:
+        return float(np.min(_diagonal(problem, g, _states(problem))))
+    diag, dst, src, val = _hops(problem, g)
     dim = diag.size
     steps = min(dim, LANCZOS_MAX_STEPS)
     basis = np.empty((steps, dim))

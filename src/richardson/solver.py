@@ -318,33 +318,32 @@ class Walker:
 # ---------------------------------------------------------------------------
 
 def residuals(e: PairEnergies, problem: PairingProblem) -> np.ndarray:
-    """Residual vector of the Richardson equations at problem.g."""
+    """Residual vector of the Richardson equations at e.g."""
     eta2 = problem.eta2_array()
     _raise_on_pole(e.values, eta2)
-    return kern.residuals(e.values, problem.g, eta2, problem.d_array())[0]
+    return kern.residuals(e.values, e.g, eta2, problem.d_array())[0]
 
 
 def jacobian(e: PairEnergies, problem: PairingProblem) -> np.ndarray:
-    """M x M analytic Jacobian d(residual_a)/d(e_b) at problem.g."""
+    """M x M analytic Jacobian d(residual_a)/d(e_b) at e.g."""
     eta2 = problem.eta2_array()
     _raise_on_pole(e.values, eta2)
-    return kern.jacobian_at(e.values, problem.g, eta2, problem.d_array())
+    return kern.jacobian_at(e.values, e.g, eta2, problem.d_array())
 
 
-def newton_solve(initial: PairEnergies, problem: PairingProblem, *,
-                 tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
+def newton_solve(initial: PairEnergies, problem: PairingProblem, g: float,
+                 *, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
                  step_cap=None) -> SolveReport:
-    """Solve the Richardson equations at problem.g starting from `initial`.
+    """Solve the Richardson equations at g starting from `initial`.
 
     Damping halves the step until the residual norm decreases; conjugate
     symmetry is re-imposed after every step.  Non-convergence is reported,
-    not raised.
+    not raised; `initial.g` is not read.
     """
     vals, ok, iters, rn = newton_core(
-        initial.values, problem.g, problem.eta2_array(), problem.d_array(),
+        initial.values, g, problem.eta2_array(), problem.d_array(),
         tol=tol, max_iter=max_iter, step_cap=step_cap)
-    return SolveReport(ok, iters, rn,
-                       PairEnergies(vals, initial.origin, problem.g))
+    return SolveReport(ok, iters, rn, PairEnergies(vals, initial.origin, g))
 
 
 def restart_step_cap(problem: PairingProblem) -> float:

@@ -119,9 +119,9 @@ def physical_state_at(problem, occupation, g, *, steps=40):
     seed = rs.init_weak_coupling(problem, occupation,
                                  np.sign(g) * 1e-3 *
                                  problem.mean_level_spacing())
-    cur = rs.newton_solve(seed, problem.with_g(seed.g)).final
+    cur = rs.newton_solve(seed, problem, seed.g).final
     for gv in np.linspace(seed.g, g, steps)[1:]:
-        rep = rs.newton_solve(cur, problem.with_g(gv))
+        rep = rs.newton_solve(cur, problem, gv)
         assert rep.converged, f"continuation stalled at g={gv}"
         cur = rep.final
     return cur

@@ -185,7 +185,7 @@ def test_criterion_5_restart_quality(lattice6, table3, tangents6):
         tan = tangents6[key]
         for delta in (+1e-3, -1e-3):
             guess = rs.linear_guess(tan, delta)
-            rep = rs.newton_solve(guess, lattice6.with_g(pt.g_c + delta),
+            rep = rs.newton_solve(guess, lattice6, pt.g_c + delta,
                                   step_cap=cap)
             e_exp = continuation.expected_restart_energy(tan, delta)
             on_branch = abs(rs.total_energy(rep.final) - e_exp) < 0.3
@@ -240,7 +240,7 @@ def _sweep_energy_check(problem, branch, grid, points):
                                       auto_scan=False),
                                   critical_points=points)
         assert path.status == "completed", (g, path.diagnostics)
-        spec = oracle.exact_spectrum(problem.with_g(float(g)))
+        spec = oracle.exact_spectrum(problem, float(g))
         worst = max(worst, float(np.min(np.abs(spec -
                                                path.samples[-1].energy))))
     return worst

@@ -249,7 +249,7 @@ def test_shared_eigenvalues_count_against_the_group_size(nearest, shared):
 
 def test_ground_only_verify_builds_no_dense_hamiltonian(tmp_path, capsys,
                                                          monkeypatch):
-    def dense(problem):
+    def dense(problem, g):
         raise AssertionError("dense oracle used for the ground branch")
 
     monkeypatch.setattr(rs.oracle, "hamiltonian", dense)
@@ -263,7 +263,7 @@ def test_ground_only_verify_builds_no_dense_hamiltonian(tmp_path, capsys,
 
 def test_verify_with_excited_branches_keeps_the_dense_spectrum(
         tmp_path, capsys, monkeypatch):
-    def lanczos(problem):
+    def lanczos(problem, g):
         raise AssertionError("Lanczos used with excited branches")
 
     monkeypatch.setattr(rs.oracle, "ground_energy", lanczos)
@@ -278,7 +278,7 @@ def test_ground_only_verify_exits_4_off_the_lowest_eigenvalue(
         tmp_path, capsys, monkeypatch):
     real = rs.oracle.ground_energy
     monkeypatch.setattr(rs.oracle, "ground_energy",
-                        lambda problem: real(problem) + 1e-6)
+                        lambda problem, g: real(problem, g) + 1e-6)
     prob_file = tmp_path / "n2.json"
     prob_file.write_text(rs.save_problem(rs.build_lattice_model(2, 2)))
     assert run_cli(["verify", "--problem", str(prob_file), "--points", "3",
@@ -340,7 +340,10 @@ def test_verify_guard_exit(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("problem, code, message", [
-    (rs.build_lattice_model(6, 18), 5, "pair basis dimension 54964 exceeds")])
+    (rs.build_lattice_model(6, 18), 5, "pair basis dimension 54964 exceeds"),
+    # -2d = 1.5 in the equations, but the oracle's basis holds whole pairs
+    (rs.PairingProblem((rs.Level(0.0, 3), rs.Level(1.0, 2)), 1), 2,
+     "error: oracle: Level(eta=0.0, omega=3, nu=0) has odd Omega - 2 nu = 3")])
 def test_verify_checks_oracle_before_any_sweep(tmp_path, capsys, monkeypatch,
                                                problem, code, message):
     def no_sweep(*args, **kwargs):
@@ -778,6 +781,38 @@ def _toy_critical(tmp_path, options=(), g_min="-0.52"):
 def _toy_sweep(prob_file, out, options=()):
     return run_cli(["sweep", "--problem", str(prob_file), "--g-target",
                     "-0.5", "--out", str(out), *options])
+
+
+@pytest.fixture(scope="module")
+def lat4_records(tmp_path_factory):
+    """(problem text, records) of `critical` on 4x4 M=4 over (-0.5, 0)."""
+    prob_file = tmp_path_factory.mktemp("lat4") / "lat4.json"
+    problem = rs.build_lattice_model(4, 4)
+    prob_file.write_text(rs.save_problem(problem))
+    assert run_cli(["critical", "--problem", str(prob_file),
+                    "--g-min", "-0.5", "--g-max", "0"]) == 0
+    rec_file = cli.records_path(prob_file, rs.ground_occupation(problem))
+    return prob_file.read_text(), json.loads(rec_file.read_text())
+
+
+@pytest.mark.parametrize("key, value", [
+    ("level_index", 99), ("m_k", 1), ("level_index", 2)],
+    ids=["no-such-level", "m_k-not-1-2d", "level-of-another-m_k"])
+def test_sweep_refuses_a_record_that_no_scan_finds(tmp_path, capsys,
+                                                   lat4_records, key, value):
+    text, recs = lat4_records
+    prob_file = tmp_path / "lat4.json"
+    prob_file.write_text(text)
+    edited = [dict(recs[0], **{key: value})] + recs[1:]
+    cli.records_path(prob_file, rs.ground_occupation(
+        rs.load_problem(text))).write_text(json.dumps(edited))
+    capsys.readouterr()
+    assert run_cli(["sweep", "--problem", str(prob_file), "--g-target",
+                    "-0.5", "--out", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "bad record" in err[0]
+    assert list(tmp_path.rglob("*.csv")) == []
 
 
 def test_sweep_reuses_the_scan_of_critical(tmp_path, capsys, monkeypatch):

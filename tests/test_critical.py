@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -73,10 +74,27 @@ def test_toy_points_match_oracle_eigenvalues(toy_3lvl):
     found = 0
     for k, rng in ((0, (-0.6, 0.0)), (1, (-0.6, 0.0)), (2, (0.0, 0.6))):
         for pt in rs.scan_critical(toy_3lvl, k, rng):
-            spec = oracle.exact_spectrum(toy_3lvl.with_g(pt.g_c))
+            spec = oracle.exact_spectrum(toy_3lvl, pt.g_c)
             assert np.min(np.abs(spec - pt.energy)) < 1e-6
             found += 1
     assert found >= 3
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "over (-0.51, 0) the deflated walk (level 0, M_k=3) stalls near "
+    "g = -0.0821 and the scan finds nothing; ROADMAP direction 2 (one "
+    "walker that cannot leave its branch) and direction 5 (scans walk "
+    "with adaptive steps) are to make a scan's points independent of "
+    "its range"))
+def test_a_scans_points_do_not_depend_on_its_range(toy_3lvl):
+    branch = rs.OccupationMap((2, 1, 1))
+    wide = rs.scan_critical(toy_3lvl, 0, (-0.6, 0.0), branch)
+    assert len(wide) == 1 and wide.issues == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncatedScanWarning)
+        narrow = rs.scan_critical(toy_3lvl, 0, (-0.51, 0.0), branch)
+    assert [pt.g_c for pt in narrow] == pytest.approx([wide[0].g_c],
+                                                     abs=1e-9)
 
 
 def test_point_invariants(toy_3lvl):

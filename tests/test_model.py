@@ -113,7 +113,7 @@ def test_excited_occupations_one(lattice6):
 
 
 def test_save_load_roundtrip(lattice6):
-    p = lattice6.with_g(-0.07)
+    p = lattice6
     text = rs.save_problem(p)
     back = rs.load_problem(text)
     assert back == p

@@ -8,7 +8,7 @@ from richardson.errors import OracleConvergenceError, OracleDimensionError
 
 def test_g_zero_limit():
     p = rs.build_lattice_model(2, 2)
-    spec = oracle.exact_spectrum(p)
+    spec = oracle.exact_spectrum(p, 0.0)
     eta2 = p.eta2_array()
     expected = sorted(sum(e * c for e, c in zip(eta2, state))
                       for state in oracle.pair_basis(p))
@@ -18,18 +18,18 @@ def test_g_zero_limit():
 def test_one_pair_two_levels_quadratic():
     # eta = {0, 1}, omega = {2, 2}: eigenvalues solve e^2 - (2+4g)e + 4g = 0
     for g in (-0.2, 0.13, 0.4):
-        p = rs.PairingProblem((rs.Level(0.0, 2), rs.Level(1.0, 2)), 1, g=g)
-        spec = oracle.exact_spectrum(p)
+        p = rs.PairingProblem((rs.Level(0.0, 2), rs.Level(1.0, 2)), 1)
+        spec = oracle.exact_spectrum(p, g)
         roots = np.sort(np.roots([1.0, -(2 + 4 * g), 4 * g]))
         assert np.allclose(spec, roots, atol=1e-12)
 
 
 def test_hermiticity_and_dimension():
-    p = rs.build_lattice_model(2, 3).with_g(-0.17)
-    h = oracle.hamiltonian(p)
+    p = rs.build_lattice_model(2, 3)
+    h = oracle.hamiltonian(p, -0.17)
     assert np.max(np.abs(h - h.T)) < 1e-14
     assert h.shape[0] == len(oracle.pair_basis(p))
-    assert len(oracle.exact_spectrum(p)) == h.shape[0]
+    assert len(oracle.exact_spectrum(p, -0.17)) == h.shape[0]
 
 
 def test_basis_counts():
@@ -42,29 +42,38 @@ def test_basis_counts():
 
 
 def test_sweep_energy_matches_lowest_eigenvalue():
-    p = rs.build_lattice_model(2, 2).with_g(-0.1)
+    p = rs.build_lattice_model(2, 2)
     occ = rs.ground_occupation(p)
     cur = rs.newton_solve(rs.init_weak_coupling(p, occ, -1e-3),
-                          p.with_g(-1e-3)).final
+                          p, -1e-3).final
     for gv in np.linspace(-1e-3, -0.1, 15):
-        cur = rs.newton_solve(cur, p.with_g(gv)).final
+        cur = rs.newton_solve(cur, p, gv).final
     energy = rs.total_energy(cur)
-    spec = oracle.exact_spectrum(p)
+    spec = oracle.exact_spectrum(p, -0.1)
     assert abs(energy - spec[0]) < 1e-8
+
+
+@pytest.mark.parametrize("level", [rs.Level(0.0, 3), rs.Level(0.0, 5, nu=1)])
+def test_odd_omega_minus_2nu_is_refused(level):
+    # -2d = Omega/2 - nu is no whole pair capacity
+    p = rs.PairingProblem((level, rs.Level(1.0, 2)), 1)
+    for spectrum in (oracle.exact_spectrum, oracle.ground_energy):
+        with pytest.raises(ValueError, match="odd Omega - 2 nu = 3"):
+            spectrum(p, -0.1)
 
 
 def test_dimension_guard():
     p = rs.build_lattice_model(8, 16)
     with pytest.raises(OracleDimensionError):
-        oracle.exact_spectrum(p)
+        oracle.exact_spectrum(p, 0.0)
 
 
 @pytest.mark.parametrize("g", [-0.3, 0.0, 0.2])
 def test_exact_spectrum_of_blocked_levels_is_the_twins(seniority_twins, g):
-    blocked, twin = (p.with_g(g) for p in seniority_twins)
+    blocked, twin = seniority_twins
     assert oracle.pair_basis(blocked) == oracle.pair_basis(twin)
-    assert oracle.exact_spectrum(blocked).tobytes() == \
-        oracle.exact_spectrum(twin).tobytes()
+    assert oracle.exact_spectrum(blocked, g).tobytes() == \
+        oracle.exact_spectrum(twin, g).tobytes()
 
 
 @pytest.mark.parametrize("n, pairs", [
@@ -83,7 +92,7 @@ def test_basis_dimension_mixed_capacities(pairs):
     assert oracle.basis_dimension(p) == len(oracle.pair_basis(p))
 
 
-def _loop_hamiltonian(problem):
+def _loop_hamiltonian(problem, g):
     """The Python triple loop `oracle.hamiltonian` was built with, kept as
     the reference for the vectorized build."""
     dim = oracle.checked_dimension(problem)
@@ -91,7 +100,7 @@ def _loop_hamiltonian(problem):
     index = {state: i for i, state in enumerate(basis)}
     eta2 = problem.eta2_array()
     caps = problem.capacities()
-    g2 = 2.0 * problem.g
+    g2 = 2.0 * g
     h = np.zeros((dim, dim))
     for s, n in enumerate(basis):
         diag = sum(eta2[j] * nj for j, nj in enumerate(n))
@@ -127,17 +136,17 @@ SMALL_PROBLEMS = {
 @pytest.mark.parametrize("g", [-0.17, 0.0, 0.3])
 @pytest.mark.parametrize("name", SMALL_PROBLEMS)
 def test_hamiltonian_equals_the_loop_bitwise(name, g):
-    p = SMALL_PROBLEMS[name].with_g(g)
-    h = oracle.hamiltonian(p)
-    assert h.tobytes() == _loop_hamiltonian(p).tobytes()
+    p = SMALL_PROBLEMS[name]
+    h = oracle.hamiltonian(p, g)
+    assert h.tobytes() == _loop_hamiltonian(p, g).tobytes()
 
 
 @pytest.mark.parametrize("name", SMALL_PROBLEMS)
 def test_g_zero_spectrum_is_eigvalsh_bitwise(name):
     # at g = 0 exact_spectrum sorts the diagonal instead of calling eigvalsh
-    p = SMALL_PROBLEMS[name].with_g(0.0)
-    want = np.linalg.eigvalsh(_loop_hamiltonian(p))
-    assert oracle.exact_spectrum(p).tobytes() == want.tobytes()
+    p = SMALL_PROBLEMS[name]
+    want = np.linalg.eigvalsh(_loop_hamiltonian(p, 0.0))
+    assert oracle.exact_spectrum(p, 0.0).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", [*SMALL_PROBLEMS, "lat6m6"])
@@ -149,46 +158,47 @@ def test_basis_row_is_its_lex_rank(name):
     assert np.array_equal(ranks, np.arange(len(states)))
 
 
-def _agrees_with_eigvalsh(p):
-    want = np.linalg.eigvalsh(oracle.hamiltonian(p))[0]
-    return abs(oracle.ground_energy(p) - want) <= 1e-10 * max(1.0, abs(want))
+def _agrees_with_eigvalsh(p, g):
+    want = np.linalg.eigvalsh(oracle.hamiltonian(p, g))[0]
+    return (abs(oracle.ground_energy(p, g) - want)
+            <= 1e-10 * max(1.0, abs(want)))
 
 
 @pytest.mark.parametrize("g", [-0.17, 0.0, 0.3])
 @pytest.mark.parametrize("name", SMALL_PROBLEMS)
 def test_ground_energy_is_the_lowest_eigenvalue(name, g):
-    assert _agrees_with_eigvalsh(SMALL_PROBLEMS[name].with_g(g))
+    assert _agrees_with_eigvalsh(SMALL_PROBLEMS[name], g)
 
 
 @pytest.mark.parametrize("g", [-0.3, -0.198, -0.05, 0.0, 0.05, 0.198, 0.3])
 def test_ground_energy_is_the_lowest_eigenvalue_at_dimension_2004(g):
-    assert _agrees_with_eigvalsh(rs.build_lattice_model(6, 6).with_g(g))
+    assert _agrees_with_eigvalsh(rs.build_lattice_model(6, 6), g)
 
 
 def test_ground_energy_is_exact_once_krylov_spans_the_basis(monkeypatch):
     # with no stopping rule, Lanczos runs until its space is the whole
     # 41-state basis, below the step cap
-    p = SMALL_PROBLEMS["lat4"].with_g(0.3)
+    p = SMALL_PROBLEMS["lat4"]
     assert oracle.basis_dimension(p) < oracle.LANCZOS_MAX_STEPS
     monkeypatch.setattr(oracle, "LANCZOS_TOL", 0.0)
-    assert _agrees_with_eigvalsh(p)
+    assert _agrees_with_eigvalsh(p, 0.3)
 
 
 def test_ground_energy_of_a_one_state_basis():
-    p = rs.PairingProblem((rs.Level(0.0, 2), rs.Level(1.0, 2)), 2, g=0.3)
+    p = rs.PairingProblem((rs.Level(0.0, 2), rs.Level(1.0, 2)), 2)
     assert oracle.basis_dimension(p) == 1
-    assert oracle.ground_energy(p) == oracle.hamiltonian(p)[0, 0]
+    assert oracle.ground_energy(p, 0.3) == oracle.hamiltonian(p, 0.3)[0, 0]
 
 
 def test_ground_energy_repeats_bit_for_bit():
-    p = rs.build_lattice_model(6, 6).with_g(0.198)
-    assert oracle.ground_energy(p) == oracle.ground_energy(p)
+    p = rs.build_lattice_model(6, 6)
+    assert oracle.ground_energy(p, 0.198) == oracle.ground_energy(p, 0.198)
 
 
 def test_ground_energy_raises_past_its_step_cap(monkeypatch):
     monkeypatch.setattr(oracle, "LANCZOS_MAX_STEPS", 3)
     with pytest.raises(OracleConvergenceError, match="in 3 steps"):
-        oracle.ground_energy(SMALL_PROBLEMS["lat4"].with_g(0.3))
+        oracle.ground_energy(SMALL_PROBLEMS["lat4"], 0.3)
 
 
 def test_ground_energy_guards_before_enumerating(monkeypatch):
@@ -197,11 +207,11 @@ def test_ground_energy_guards_before_enumerating(monkeypatch):
 
     monkeypatch.setattr(oracle, "pair_basis", no_basis)
     with pytest.raises(OracleDimensionError):
-        oracle.ground_energy(rs.build_lattice_model(6, 18).with_g(-0.1))
+        oracle.ground_energy(rs.build_lattice_model(6, 18), -0.1)
 
 
 @pytest.mark.parametrize("g", [-0.3, 0.0, 0.2])
 def test_ground_energy_of_blocked_levels_is_the_twins(seniority_twins, g):
-    blocked, twin = (p.with_g(g) for p in seniority_twins)
-    assert np.float64(oracle.ground_energy(blocked)).tobytes() == \
-        np.float64(oracle.ground_energy(twin)).tobytes()
+    blocked, twin = seniority_twins
+    assert np.float64(oracle.ground_energy(blocked, g)).tobytes() == \
+        np.float64(oracle.ground_energy(twin, g)).tobytes()

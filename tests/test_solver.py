@@ -16,7 +16,7 @@ from richardson.solver import (Walker, _single_level_roots, newton_core,
 
 from conftest import physical_state_at
 
-ONE_PAIR = rs.PairingProblem((rs.Level(1.0, 2),), 1, g=0.1)
+ONE_PAIR = rs.PairingProblem((rs.Level(1.0, 2),), 1)
 
 
 def test_one_pair_closed_form_root():
@@ -34,33 +34,33 @@ def test_residual_pole_error():
 
 
 def test_equal_pair_energies_pole_before_iteration():
-    p = rs.PairingProblem((rs.Level(0.0, 8),), 2, g=0.05)
+    p = rs.PairingProblem((rs.Level(0.0, 8),), 2)
     e = rs.PairEnergies([0.3, 0.3], (0, 0), 0.05)
     with pytest.raises(SingularEvaluationError):
-        rs.newton_solve(e, p)
+        rs.newton_solve(e, p, 0.05)
 
 
-def _random_state(rng, problem, spread=0.3):
+def _random_state(rng, problem, g, spread=0.3):
     m = problem.m_pairs
     eta2 = problem.eta2_array()
     base = rng.choice(eta2, size=m) + rng.normal(0, spread, m)
     vals = base + 1j * rng.normal(0, spread, m)
-    return rs.PairEnergies(vals, (0,) * m, problem.g)
+    return rs.PairEnergies(vals, (0,) * m, g)
 
 
 def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(7)
-    p = rs.build_lattice_model(2, 3).with_g(-0.07)
+    p, g = rs.build_lattice_model(2, 3), -0.07
     h = 1e-7
     for _ in range(20):
-        e = _random_state(rng, p)
+        e = _random_state(rng, p, g)
         jac = rs.jacobian(e, p)
         for b in range(len(e)):
             for part, scale in ((1.0, 1.0), (1j, 1j)):
                 diff = np.zeros(len(e), dtype=complex)
                 diff[b] = h * part
-                ep = rs.PairEnergies(e.values + diff, e.origin, p.g)
-                em = rs.PairEnergies(e.values - diff, e.origin, p.g)
+                ep = rs.PairEnergies(e.values + diff, e.origin, g)
+                em = rs.PairEnergies(e.values - diff, e.origin, g)
                 fd = (rs.residuals(ep, p) - rs.residuals(em, p)) / (2 * h)
                 # holomorphic: d/d(Im e) = i * d/d(Re e)
                 expect = jac[:, b] * scale
@@ -70,8 +70,8 @@ def test_jacobian_matches_finite_differences():
 
 def test_jacobian_symmetry_and_one_pair_value():
     rng = np.random.default_rng(3)
-    p = rs.build_lattice_model(2, 2).with_g(0.04)
-    e = _random_state(rng, p)
+    p = rs.build_lattice_model(2, 2)
+    e = _random_state(rng, p, 0.04)
     jac = rs.jacobian(e, p)
     off = jac - np.diag(np.diag(jac))
     assert np.allclose(off, off.T)
@@ -84,20 +84,19 @@ def test_jacobian_symmetry_and_one_pair_value():
 
 
 def test_newton_one_pair_converges():
-    rep = rs.newton_solve(rs.PairEnergies([2.5], (0,), 0.1), ONE_PAIR)
+    rep = rs.newton_solve(rs.PairEnergies([2.5], (0,), 0.1), ONE_PAIR, 0.1)
     assert rep.converged
     assert rep.residual_norm <= 1e-12
     assert abs(rep.final.values[0] - 2.2) < 1e-12
 
 
 def test_newton_6x6_weak_coupling(lattice6, ground6):
-    p = lattice6.with_g(-0.02)
     cur = rs.init_weak_coupling(lattice6, ground6, -1e-3)
     for gv in np.linspace(-1e-3, -0.02, 8):
-        rep = rs.newton_solve(cur, lattice6.with_g(gv))
+        rep = rs.newton_solve(cur, lattice6, gv)
         assert rep.converged
         cur = rep.final
-    assert np.max(np.abs(rs.residuals(cur, p))) <= 1e-12
+    assert np.max(np.abs(rs.residuals(cur, lattice6))) <= 1e-12
     sym = symmetrize_conjugate(cur.values)
     assert np.max(np.abs(np.sort_complex(sym) -
                          np.sort_complex(cur.values))) < 1e-12
@@ -105,9 +104,9 @@ def test_newton_6x6_weak_coupling(lattice6, ground6):
 
 def test_newton_nonconvergence_reported_not_raised():
     # absurdly tight iteration budget: must report, never raise
-    p = rs.build_lattice_model(2, 2).with_g(-0.2)
+    p = rs.build_lattice_model(2, 2)
     seed = rs.init_weak_coupling(p, rs.ground_occupation(p), -1e-3)
-    rep = rs.newton_solve(seed, p, max_iter=1)
+    rep = rs.newton_solve(seed, p, -0.2, max_iter=1)
     assert not rep.converged
 
 
@@ -164,7 +163,7 @@ def test_one_pair_matches_companion_matrix_oracle():
     # and take companion-matrix roots of the resulting polynomial
     levels = (rs.Level(-1.0, 4), rs.Level(0.5, 2), rs.Level(2.0, 6))
     for g in (-0.15, 0.08, 0.3):
-        p = rs.PairingProblem(levels, 1, g=g)
+        p = rs.PairingProblem(levels, 1)
         eta2, d = p.eta2_array(), p.d_array()
         poly = np.poly(eta2)                      # prod (e - 2eta_j)
         for j in range(3):
@@ -175,7 +174,7 @@ def test_one_pair_matches_companion_matrix_oracle():
         seed = rs.init_weak_coupling(p, (1, 0, 0), np.sign(g) * 1e-3)
         cur = seed
         for gv in np.linspace(seed.g, g, 12):
-            cur = rs.newton_solve(cur, p.with_g(gv)).final
+            cur = rs.newton_solve(cur, p, gv).final
         assert np.min(np.abs(roots - cur.values[0])) < 1e-10
 
 
@@ -183,10 +182,10 @@ def test_solution_continuous_in_g():
     p = rs.build_lattice_model(2, 2)
     occ = rs.ground_occupation(p)
     cur = rs.newton_solve(rs.init_weak_coupling(p, occ, -1e-3),
-                          p.with_g(-1e-3)).final
+                          p, -1e-3).final
     last = None
     for gv in np.linspace(-1e-3, -0.3, 40):
-        cur = rs.newton_solve(cur, p.with_g(gv)).final
+        cur = rs.newton_solve(cur, p, gv).final
         if last is not None:
             assert np.max(np.abs(np.sort_complex(cur.values) -
                                  np.sort_complex(last))) < 0.2

@@ -148,7 +148,7 @@ def test_restart_converges_fast_at_clean_point(lattice6, table3, tangents6):
     tan = tangents6[("pos", 1)]
     for delta in (+1e-3, -1e-3):
         guess = rs.linear_guess(tan, delta)
-        rep = rs.newton_solve(guess, lattice6.with_g(pt.g_c + delta),
+        rep = rs.newton_solve(guess, lattice6, pt.g_c + delta,
                               step_cap=restart_step_cap(lattice6))
         assert rep.converged and rep.iterations <= 8
         assert rep.residual_norm <= 1e-12
