@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 import warnings
@@ -173,6 +174,26 @@ def record_to_point(rec: dict) -> critical.CriticalPoint:
         noncluster_origin=tuple(rec["noncluster_origin"]))
 
 
+def load_records(rec_file, problem):
+    """(text, points) of the record file `rec_file`.  Each record must be a
+    point that a scan of `problem` can find: its M_k is 1 - 2 d_k of its
+    level, and it passes the scan's residual check
+    (`critical.validate_point`); anything else is a "bad record" error."""
+    rec_text, recs = _read_json(rec_file, list)
+    try:
+        points = [record_to_point(r) for r in recs]
+        for p in points:
+            m_k = default_cluster_size(problem.levels[level_index(
+                problem, p.k + 1, "level_index")])
+            if (p.m_k, p.chi.size, p.e_noncluster.size) != (
+                    m_k, m_k, problem.m_pairs - m_k):
+                raise ValueError(f"level {p.k + 1} has M_k={m_k}")
+            critical.validate_point(p, problem)
+    except (KeyError, TypeError, ValueError, RichardsonError) as err:
+        raise ProblemFormatError(f"{rec_file}: bad record: {err!r}")
+    return rec_text, points
+
+
 def records_path(problem_path, branch):
     base = Path(problem_path)
     return base.with_name(f"{base.stem}_critical_{branch_tag(branch)}.json")
@@ -285,17 +306,7 @@ def cmd_sweep(args):
     points = None
     rec_file = records_path(args.problem, branch)
     if rec_file.exists():
-        rec_text, recs = _read_json(rec_file, list)
-        try:
-            points = [record_to_point(r) for r in recs]
-            for p in points:    # each must be a point some scan can find
-                m_k = default_cluster_size(problem.levels[level_index(
-                    problem, p.k + 1, "level_index")])
-                if (p.m_k, p.chi.size, p.e_noncluster.size) != (
-                        m_k, m_k, problem.m_pairs - m_k):
-                    raise ValueError(f"level {p.k + 1} has M_k={m_k}")
-        except (KeyError, TypeError, ValueError, ProblemFormatError) as err:
-            raise ProblemFormatError(f"{rec_file}: bad record: {err!r}")
+        rec_text, points = load_records(rec_file, problem)
         print(f"loaded {len(points)} critical point(s) from {rec_file}")
         cov_file = coverage_path(args.problem, branch)
         # the records already hold what the auto-scan would find
@@ -482,7 +493,15 @@ def _length(text):
 
 class _Parser(argparse.ArgumentParser):
     """Reports a bad flag or config value as one ProblemFormatError line
-    instead of a usage block and SystemExit."""
+    instead of a usage block and SystemExit, and reads a negative number
+    in any float notation as a value, not as a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern (Python 3.11) has no exponent, so it reads
+        # the -1e-3 of `--g-target -1e-3` as an unknown flag
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise ProblemFormatError(message)

@@ -191,11 +191,13 @@ def _build_point(problem, k, m_k, g_c, e_nc, deflated_occ,
         noncluster_origin=tuple(origins))
 
 
-def _validate_point(point, problem):
+def validate_point(point, problem):
+    """The point, if its `critical_residuals` are all within RESIDUAL_TOL;
+    otherwise (NaN too) UnresolvedRootError."""
     res = critical_residuals(point.g_c, point.e_noncluster, problem,
                              point.k, point.m_k)
     bad = float(np.max(np.abs(res)))
-    if bad > RESIDUAL_TOL:
+    if not bad <= RESIDUAL_TOL:
         raise UnresolvedRootError(
             f"critical point at g={point.g_c:.8g} fails validation "
             f"(residual {bad:.2e})")
@@ -323,9 +325,13 @@ def run_scans(problem: PairingProblem, requests) -> list[ScanResult]:
 
     The walks share no state, so they run side by side in a fork-context
     process pool of `scan_workers` processes, at most one per request;
-    with one worker they run in this process.  A walk runs the same
-    arithmetic wherever it runs, so its points are the same bits.  A walk
-    that raises keeps the issues met before the error, and no points.
+    with one worker they run in this process.  The pool gets the walks
+    farthest-reaching first, by max |g| of each g_range (ties in request
+    order): a walk's cost grows with its reach, and a costly walk started
+    last leaves the other workers idle while it runs (longest processing
+    time first).  A walk runs the same arithmetic wherever and whenever it
+    runs, so its points are the same bits.  A walk that raises keeps the
+    issues met before the error, and no points.
     """
     jobs = [(problem, req) for req in requests]
     workers = min(scan_workers(), len(jobs))
@@ -335,9 +341,12 @@ def run_scans(problem: PairingProblem, requests) -> list[ScanResult]:
     # one-walk scan or a one-CPU run never needs
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    reach = [max(map(abs, req.g_range)) for _, req in jobs]
     with ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(_run_walk, jobs))
+        futures = {i: pool.submit(_run_walk, jobs[i])
+                   for i in sorted(range(len(jobs)), key=lambda i: -reach[i])}
+        return [futures[i].result() for i in range(len(jobs))]
 
 
 def _run_walk(job) -> ScanResult:
@@ -439,7 +448,7 @@ def _resolve_bracket(problem, k, m_k, g_a, g_b, det_a, det_b, e_a,
     Illinois false position (a bisection step whenever the secant point
     leaves the bracket) on the determinant along the walk resumed at g_a,
     so the deflated equations hold at every iterate.  Stops once |det| <= 1e-13
-    or the bracket no longer shrinks; `_validate_point` then decides.
+    or the bracket no longer shrinks; `validate_point` then decides.
     """
     cell = _resume(problem, k, m_k, g_a, e_a)
     lo, f_lo, hi, f_hi = g_a, det_a, g_b, det_b
@@ -464,5 +473,5 @@ def _resolve_bracket(problem, k, m_k, g_a, g_b, det_a, det_b, e_a,
             kept = -1
     point = _build_point(problem, k, m_k, g_c, cell.advance_to(g_c),
                          deflated_occ, origin)
-    return _validate_point(point, problem)
+    return validate_point(point, problem)
 

@@ -452,6 +452,10 @@ def test_critical_all_levels_matches_the_benchmark_reference(tmp_path,
         for key in ("g_c", "energy"):
             assert abs(rec[key] - ref[key]) \
                 <= 1e-10 * max(1.0, abs(ref[key])), (ref["level_index"], key)
+    # JSON keeps every bit, so each record passes the residual check that
+    # `sweep` applies as it loads them
+    problem = rs.load_problem(prob_file.read_text())
+    assert len(cli.load_records(files[0], problem)[1]) == 29
 
 
 def test_sweep_stride_thins_csv(tmp_path, capsys):
@@ -813,6 +817,63 @@ def test_sweep_refuses_a_record_that_no_scan_finds(tmp_path, capsys,
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "bad record" in err[0]
     assert list(tmp_path.rglob("*.csv")) == []
+
+
+@pytest.mark.parametrize("edit, why", [
+    (lambda rec: dict(rec, g_c=-0.25), "fails validation"),
+    (lambda rec: dict(rec, e_noncluster=[
+        [a, -abs(b)] for a, b in rec["e_noncluster"]]), "imaginary residue"),
+], ids=["g_c-off-the-root", "energies-not-conjugate"])
+def test_sweep_refuses_a_record_that_is_no_critical_point(
+        tmp_path, capsys, lat4_records, edit, why):
+    # the record keeps a shape that some scan can find, but it fails the
+    # scan's residual check, or raises while checked
+    text, recs = lat4_records
+    assert recs[1]["g_c"] == pytest.approx(-0.2131309)
+    prob_file = tmp_path / "lat4.json"
+    prob_file.write_text(text)
+    cli.records_path(prob_file, rs.ground_occupation(
+        rs.load_problem(text))).write_text(json.dumps(
+            [recs[0], edit(recs[1])]))
+    capsys.readouterr()
+    assert run_cli(["sweep", "--problem", str(prob_file), "--g-target",
+                    "-0.5", "--out", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "bad record" in err[0] and why in err[0]
+    assert list(tmp_path.rglob("*.csv")) == []
+
+
+def test_sweep_reads_a_negative_target_in_exponent_notation(tmp_path,
+                                                            capsys):
+    prob_file = tmp_path / "lat4.json"
+    prob_file.write_text(rs.save_problem(rs.build_lattice_model(4, 4)))
+    seen = []
+    for target in (["--g-target=-1e-3"], ["--g-target", "-1e-3"]):
+        assert run_cli(["sweep", "--problem", str(prob_file), *target,
+                        "--out", str(tmp_path / "runs")]) == 0
+        seen.append((capsys.readouterr(), sorted(
+            (f.name, f.read_text()) for f in (tmp_path / "runs").iterdir())))
+    assert seen[1] == seen[0]
+    assert seen[0][0].err == ""
+
+
+@pytest.mark.parametrize("g_min", ["-2e-1", "-2E-1", "-.2", "-20e-2",
+                                   "-0.02e+1"])
+def test_critical_reads_a_negative_bound_in_any_float_notation(
+        tmp_path, capsys, g_min):
+    prob_file = tmp_path / "toy.json"
+    prob_file.write_text(rs.save_problem(rs.PairingProblem(
+        (rs.Level(0.0, 6), rs.Level(1.0, 2)), 4)))
+    out = tmp_path / "records.json"
+    seen = []
+    for value in ("-0.2", g_min):
+        assert run_cli(["critical", "--problem", str(prob_file),
+                        "--g-min", value, "--g-max", "0",
+                        "--out", str(out)]) == 0
+        seen.append((capsys.readouterr(), out.read_text()))
+    assert seen[1] == seen[0]
+    assert seen[0][0].err == ""
 
 
 def test_sweep_reuses_the_scan_of_critical(tmp_path, capsys, monkeypatch):

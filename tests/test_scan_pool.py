@@ -6,6 +6,7 @@ tests set that count to force the pool (2, even on a one-CPU host) or the
 in-process path (1), and compare the two.
 """
 
+import concurrent.futures
 import multiprocessing
 import os
 import pickle
@@ -290,3 +291,124 @@ def test_importing_the_package_loads_no_pool_module():
                          text=True, env=env, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+def _toy():
+    return rs.PairingProblem((rs.Level(0.0, 6), rs.Level(1.0, 2)), 4)
+
+
+def test_the_farthest_reaching_walk_goes_to_the_pool_first(monkeypatch):
+    # over (-0.3, 0.6) each level's g > 0 walk reaches farther; equal
+    # reaches keep their request order
+    problem = _toy()
+    requests = [req for k in (0, 1)
+                for req in critical.scan_requests(problem, k, (-0.3, 0.6))]
+    submitted = []
+
+    class InlinePool:
+        """Stands in for the process pool: runs each walk in this process
+        as it is submitted, and records the order of submission."""
+
+        def __init__(self, workers, mp_context=None):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, job):
+            submitted.append(job[1])
+            future = concurrent.futures.Future()
+            future.set_result(fn(job))
+            return future
+
+    _workers(monkeypatch, 1)
+    alone = critical.run_scans(problem, requests)
+    _workers(monkeypatch, 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InlinePool)
+    pooled = critical.run_scans(problem, requests)
+    assert [(req.k, req.g_range) for req in submitted] == [
+        (0, (0.0, 0.6)), (1, (0.0, 0.6)), (0, (-0.3, 0.0)), (1, (-0.3, 0.0))]
+    # the results still come in request order
+    assert [[_fields(p) for p in walk] for walk in pooled] == \
+        [[_fields(p) for p in walk] for walk in alone]
+    assert [[p.k for p in walk] for walk in pooled] == [[0], [], [], [1]]
+    assert pooled[0][0].g_c < 0 < pooled[3][0].g_c
+
+
+def _fail_far_side(monkeypatch):
+    # level 0: the g < 0 walk stalls, the g > 0 walk fails; level 1: the
+    # g < 0 walk fails, and the g > 0 walk stalls where one process would
+    # never have walked.  The g > 0 walks are submitted first.
+    det_at = critical._det_at
+
+    def failing(walker, problem, k, m_k, g):
+        if (k == 0 and g > 0.5) or (k == 1 and g < -0.29):
+            raise ConsistencyError(f"test failure at level {k}")
+        if (k == 0 and g < -0.29) or (k == 1 and g > 0.5):
+            raise ContinuationError("test stall")
+        return det_at(walker, problem, k, m_k, g)
+
+    monkeypatch.setattr(critical, "_det_at", failing)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_walk_submitted_first_reports_in_request_order(
+        monkeypatch, workers):
+    _fail_far_side(monkeypatch)
+    _workers(monkeypatch, workers)
+    problem = _toy()
+    found = critical.run_scans(problem, [
+        req for k in (0, 1)
+        for req in critical.scan_requests(problem, k, (-0.3, 0.6))])
+    assert [walk.issues for walk in found] == [
+        ["scan truncated: test stall"], [], [], ["scan truncated: test stall"]]
+    assert [str(walk.error) if walk.error else None for walk in found] == [
+        None, "test failure at level 0", "test failure at level 1", None]
+    assert [len(walk) for walk in found] == [1, 0, 0, 1]
+
+    with pytest.warns(TruncatedScanWarning) as seen:
+        with pytest.raises(ConsistencyError, match="^test failure at level 0$"):
+            critical.scan_critical(problem, 0, (-0.3, 0.6))
+    assert [str(w.message) for w in seen] == ["scan truncated: test stall"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncatedScanWarning)
+        with pytest.raises(ConsistencyError, match="^test failure at level 1$"):
+            critical.scan_critical(problem, 1, (-0.3, 0.6))
+
+
+def _two_sided_critical(tmp_path, workers, monkeypatch, capsys):
+    out = tmp_path / str(workers)
+    out.mkdir()
+    prob_file = _toy_file(out)
+    _workers(monkeypatch, workers)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always", TruncatedScanWarning)
+        code = cli.main(["critical", "--problem", str(prob_file),
+                         "--g-min", "-0.3", "--g-max", "0.6"])
+    assert multiprocessing.active_children() == []
+    std = capsys.readouterr()
+    files = {f.name: f.read_text() for f in sorted(out.iterdir())}
+    return (code, std.out.replace(str(out), "OUT"), std.err,
+            [str(w.message) for w in seen], files)
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["clean", "failing"])
+def test_critical_over_unequal_sides_matches_one_process(
+        tmp_path, capsys, monkeypatch, fail):
+    if fail:
+        _fail_far_side(monkeypatch)
+    alone = _two_sided_critical(tmp_path, 1, monkeypatch, capsys)
+    pooled = _two_sided_critical(tmp_path, 2, monkeypatch, capsys)
+    assert pooled == alone
+    if fail:
+        assert alone[:4] == (cli.EXIT_TRUNCATED, "",
+                             "error: test failure at level 0\n",
+                             ["scan truncated: test stall"])
+    else:
+        assert alone[0] == 0 and alone[2:4] == ("", [])
+        assert alone[1].splitlines()[1:3] == [
+            "1    -0.25        4    0", "2    0.380834     2    5.04667"]
