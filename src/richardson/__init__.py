@@ -17,23 +17,19 @@ from .model import (Level, OccupationMap, PairingProblem, build_lattice_model,
                     excited_occupations, ground_occupation, load_problem,
                     merge_levels, save_problem)
 from .oracle import exact_spectrum, ground_energy, pair_basis
-from .solver import (PairEnergies, SolveReport, init_weak_coupling, jacobian,
-                     newton_solve, residuals, total_energy)
-from .tangent import (TangentData, assemble_derivative_system, linear_guess,
-                      solve_tangent)
+from .solver import PairEnergies
+from .tangent import TangentData, linear_guess, solve_tangent
 
 __all__ = [
     "Level", "OccupationMap", "PairingProblem", "build_lattice_model",
     "excited_occupations", "ground_occupation", "load_problem",
     "merge_levels", "save_problem",
-    "PairEnergies", "SolveReport", "init_weak_coupling", "jacobian",
-    "newton_solve", "residuals", "total_energy",
+    "PairEnergies",
     "chi_ratios", "cluster_matrix", "default_cluster_size", "detect_cluster",
     "invert_power_sums", "pn_coefficients", "power_sums",
     "CriticalPoint", "critical_residuals", "deflated_occupation",
     "deflated_residuals", "scan_critical",
-    "TangentData", "assemble_derivative_system", "linear_guess",
-    "solve_tangent",
+    "TangentData", "linear_guess", "solve_tangent",
     "SweepOptions", "SweepPath", "SweepSample", "restart_solve",
     "sample_figure_data", "sweep",
     "exact_spectrum", "ground_energy", "pair_basis",

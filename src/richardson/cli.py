@@ -177,8 +177,10 @@ def record_to_point(rec: dict) -> critical.CriticalPoint:
 def load_records(rec_file, problem):
     """(text, points) of the record file `rec_file`.  Each record must be a
     point that a scan of `problem` can find: its M_k is 1 - 2 d_k of its
-    level, and it passes the scan's residual check
-    (`critical.validate_point`); anything else is a "bad record" error."""
+    level, its numbers are finite, it passes the scan's residual check
+    (`critical.validate_point`), and its energy and chi are, to a relative
+    1e-10, those the scan derives from its g_c and e_noncluster; anything
+    else is a "bad record" error."""
     rec_text, recs = _read_json(rec_file, list)
     try:
         points = [record_to_point(r) for r in recs]
@@ -188,7 +190,20 @@ def load_records(rec_file, problem):
             if (p.m_k, p.chi.size, p.e_noncluster.size) != (
                     m_k, m_k, problem.m_pairs - m_k):
                 raise ValueError(f"level {p.k + 1} has M_k={m_k}")
+            if not all(np.isfinite(x).all() for x in (
+                    p.g_c, p.energy, p.chi, p.e_noncluster)):
+                raise ValueError("g_c, energy, chi and e_noncluster must "
+                                 "be finite")
             critical.validate_point(p, problem)
+            # the restart reads energy and chi, which no residual checks
+            built = critical._build_point(
+                problem, p.k, p.m_k, p.g_c, p.e_noncluster,
+                p.deflated_occupation, p.noncluster_origin)
+            for name in ("energy", "chi"):
+                if not np.allclose(getattr(p, name), getattr(built, name),
+                                   rtol=1e-10, atol=0.0):
+                    raise ValueError(f"{name} is not the one of g_c and "
+                                     f"e_noncluster")
     except (KeyError, TypeError, ValueError, RichardsonError) as err:
         raise ProblemFormatError(f"{rec_file}: bad record: {err!r}")
     return rec_text, points

@@ -157,7 +157,7 @@ def restart_solve(tangent: TangentData, problem: PairingProblem,
                     name="restart walk-out")
     while walker.g != g0:
         walker.step_toward(g0, 2.0 * (walker.g - point.g_c))
-    return PairEnergies(walker.e, guess.origin, g0)
+    return PairEnergies(walker.e, guess.origin)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +267,7 @@ def sweep(problem: PairingProblem, branch, g_target: float,
                                            min_step=STEP_MIN, name="sweep")
 
     def sample(residual_norm):
-        return SweepSample(walker.g, PairEnergies(walker.e, origin, walker.g),
+        return SweepSample(walker.g, PairEnergies(walker.e, origin),
                            float(np.sum(walker.e.real)), residual_norm)
 
     samples = [sample(rn)]

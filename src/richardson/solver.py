@@ -1,4 +1,10 @@
-"""Richardson equation residuals, Jacobians and the damped Newton solver.
+"""The damped Newton solver of the Richardson equations and its walker.
+
+Every solve runs through two array-level entries: `newton_core`, one
+damped Newton solve at fixed g, and `Walker`, the continuation of one
+solution in g.  Both take the energies, g, 2 eta and d as arrays; the
+residuals and Jacobians they evaluate are `_kernels.residuals` and
+`_kernels.jacobian`.  `_weak_seed_arrays` gives the weak-coupling start.
 
 The nonlinear system solved here is, for each of the M pair energies e_a,
 
@@ -25,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as kern
-from .errors import (ConsistencyError, ContinuationError,
-                     InitializationError, SingularEvaluationError)
-from .model import PairingProblem, as_occupation
+from .errors import (ContinuationError, InitializationError,
+                     SingularEvaluationError)
+from .model import PairingProblem
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 200
@@ -45,7 +51,6 @@ class PairEnergies:
 
     values: np.ndarray
     origin: tuple[int, ...]
-    g: float
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=np.complex128)
@@ -57,14 +62,6 @@ class PairEnergies:
 
     def __len__(self):
         return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class SolveReport:
-    converged: bool
-    iterations: int
-    residual_norm: float
-    final: PairEnergies
 
 
 # ---------------------------------------------------------------------------
@@ -313,39 +310,6 @@ class Walker:
         return self.e
 
 
-# ---------------------------------------------------------------------------
-# public operations
-# ---------------------------------------------------------------------------
-
-def residuals(e: PairEnergies, problem: PairingProblem) -> np.ndarray:
-    """Residual vector of the Richardson equations at e.g."""
-    eta2 = problem.eta2_array()
-    _raise_on_pole(e.values, eta2)
-    return kern.residuals(e.values, e.g, eta2, problem.d_array())[0]
-
-
-def jacobian(e: PairEnergies, problem: PairingProblem) -> np.ndarray:
-    """M x M analytic Jacobian d(residual_a)/d(e_b) at e.g."""
-    eta2 = problem.eta2_array()
-    _raise_on_pole(e.values, eta2)
-    return kern.jacobian_at(e.values, e.g, eta2, problem.d_array())
-
-
-def newton_solve(initial: PairEnergies, problem: PairingProblem, g: float,
-                 *, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
-                 step_cap=None) -> SolveReport:
-    """Solve the Richardson equations at g starting from `initial`.
-
-    Damping halves the step until the residual norm decreases; conjugate
-    symmetry is re-imposed after every step.  Non-convergence is reported,
-    not raised; `initial.g` is not read.
-    """
-    vals, ok, iters, rn = newton_core(
-        initial.values, g, problem.eta2_array(), problem.d_array(),
-        tol=tol, max_iter=max_iter, step_cap=step_cap)
-    return SolveReport(ok, iters, rn, PairEnergies(vals, initial.origin, g))
-
-
 def restart_step_cap(problem: PairingProblem) -> float:
     """Step bound used for Newton solves seeded by tangent restarts."""
     eta2 = problem.eta2_array()
@@ -391,29 +355,15 @@ def _single_level_roots(d: float, m: int) -> tuple[complex, ...]:
 
 
 def weak_coupling_g(problem: PairingProblem) -> float:
-    """Largest |g| `init_weak_coupling` seeds at: 1e-3 of the mean level
-    spacing.  Sweeps and scans start their walks there."""
+    """The weak coupling |g| that walks start at: 1e-3 of the mean level
+    spacing.  Sweeps and scans seed there (`Walker.weak_start`)."""
     return 1e-3 * problem.mean_level_spacing()
 
 
-def init_weak_coupling(problem: PairingProblem, occupation,
-                       g_small: float) -> PairEnergies:
-    """Weak-coupling seed: m pair energies near 2 eta_j for each occupied level.
-
-    Each level's energies come from the reduced single-level system solved
-    by Newton from a small conjugate-symmetric circle around 2 eta_j.
-    """
-    occ = as_occupation(occupation).validate_for(problem)
-    g_max = weak_coupling_g(problem)
-    if not 0.0 < abs(g_small) <= g_max:
-        raise ValueError(f"g_small={g_small} outside (0, {g_max:.3g}]")
-    return PairEnergies(*_weak_seed_arrays(problem.eta2_array(),
-                                           problem.d_array(), occ.counts,
-                                           g_small),
-                        g=g_small)
-
-
 def _weak_seed_arrays(eta2, d, counts, g_small):
+    """Weak-coupling seed at g_small as (values, origin labels): m pair
+    energies near 2 eta_j for each level j that holds m pairs, from the
+    roots of the reduced single-level system (`_single_level_roots`)."""
     values: list[complex] = []
     origin: list[int] = []
     for j, m in enumerate(counts):
@@ -423,12 +373,3 @@ def _weak_seed_arrays(eta2, d, counts, g_small):
         values.extend(eta2[j] + 4.0 * g_small * x)
         origin.extend([j] * m)
     return np.array(values, dtype=np.complex128), tuple(origin)
-
-
-def total_energy(e: PairEnergies) -> float:
-    """Real part of sum(e_a); raises if the imaginary part is not negligible."""
-    s = complex(np.sum(e.values))
-    if abs(s.imag) > IMAG_TOL:
-        raise ConsistencyError(
-            f"energy has imaginary part {s.imag:.3e} above {IMAG_TOL}")
-    return s.real

@@ -96,8 +96,11 @@ def _bordered_system(point, problem):
     goes to the rhs.  Non-cluster row b is the derivative of the deflated
     equations plus the cluster backreaction
     -4g sum_n S_n/(2 eta_k - e_b)^(n+1) through dS_1/dg.
-    Returns (matrix, rhs, inv, pn, chi) with inv = 1/(2 eta_k - e_b),
-    pn = P_0..P_{3M_k-1} and chi padded to index 0..3M_k (zero past M_k).
+    The matrix is complex and square, of size M + 2M_k; the non-cluster
+    rows come in conjugate pairs, so the solution has real dS_1/dg and v_p
+    and conjugate-closed de_b/dg.  Returns (matrix, rhs, inv, pn, chi)
+    with inv = 1/(2 eta_k - e_b), pn = P_0..P_{3M_k-1} and chi padded to
+    index 0..3M_k (zero past M_k).
     """
     g_c, k, m_k, rows = point.g_c, point.k, point.m_k, 3 * point.m_k
     e_nc = point.e_noncluster
@@ -122,18 +125,6 @@ def _bordered_system(point, problem):
                                       @ point.chi)
         mat[rows:, 1:nb + 1] = deflated_jacobian(g_c, e_nc, problem, k, m_k)
     return mat, rhs, inv, pn, chi
-
-
-def assemble_derivative_system(point: CriticalPoint,
-                               problem: PairingProblem):
-    """Bordered linear system (matrix, rhs) in the unknowns
-    (dS_1/dg, de_b/dg, v_2..v_{3M_k}), v_p = S_1' a_p.
-
-    Square of size M + 2M_k, complex; the 3M_k cluster rows come first,
-    and the non-cluster rows come in conjugate pairs so the solution has
-    real dS_1/dg and v_p and conjugate-closed de_b/dg.
-    """
-    return _bordered_system(point, problem)[:2]
 
 
 def _solve_checked(mat, rhs, point):
@@ -254,4 +245,4 @@ def linear_guess(tangent: TangentData, delta_g: float) -> PairEnergies:
     nc_vals = point.e_noncluster + tangent.de_dg * delta_g
     values = np.concatenate([cluster_vals, nc_vals])
     origin = (point.k,) * point.m_k + point.noncluster_origin
-    return PairEnergies(values, origin, g=point.g_c + delta_g)
+    return PairEnergies(values, origin)

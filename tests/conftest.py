@@ -13,6 +13,8 @@ import pytest
 import richardson as rs
 from richardson import continuation
 from richardson.critical import TruncatedScanWarning
+from richardson.model import as_occupation
+from richardson.solver import _weak_seed_arrays, newton_core
 
 
 @pytest.fixture(autouse=True)
@@ -114,16 +116,22 @@ def seniority_twins():
     return blocked, twin
 
 
+def weak_seed(problem, occupation, g_small):
+    """The weak-coupling seed (values, origin labels) of the occupation at
+    g_small (`solver._weak_seed_arrays`)."""
+    return _weak_seed_arrays(problem.eta2_array(), problem.d_array(),
+                             as_occupation(occupation).counts, g_small)
+
+
 def physical_state_at(problem, occupation, g, *, steps=40):
-    """Plain continuation from weak coupling, no crossing machinery."""
-    seed = rs.init_weak_coupling(problem, occupation,
-                                 np.sign(g) * 1e-3 *
-                                 problem.mean_level_spacing())
-    cur = rs.newton_solve(seed, problem, seed.g).final
-    for gv in np.linspace(seed.g, g, steps)[1:]:
-        rep = rs.newton_solve(cur, problem, gv)
-        assert rep.converged, f"continuation stalled at g={gv}"
-        cur = rep.final
+    """The energies at g of a plain continuation from weak coupling: one
+    `newton_core` solve per grid point, no crossing machinery."""
+    eta2, d = problem.eta2_array(), problem.d_array()
+    g0 = np.sign(g) * 1e-3 * problem.mean_level_spacing()
+    cur = newton_core(weak_seed(problem, occupation, g0)[0], g0, eta2, d)[0]
+    for gv in np.linspace(g0, g, steps)[1:]:
+        cur, ok, _, _ = newton_core(cur, gv, eta2, d)
+        assert ok, f"continuation stalled at g={gv}"
     return cur
 
 

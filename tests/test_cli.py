@@ -823,11 +823,18 @@ def test_sweep_refuses_a_record_that_no_scan_finds(tmp_path, capsys,
     (lambda rec: dict(rec, g_c=-0.25), "fails validation"),
     (lambda rec: dict(rec, e_noncluster=[
         [a, -abs(b)] for a, b in rec["e_noncluster"]]), "imaginary residue"),
-], ids=["g_c-off-the-root", "energies-not-conjugate"])
+    (lambda rec: dict(rec, g_c=float("nan")), "must be finite"),
+    (lambda rec: dict(rec, g_c=float("inf")), "must be finite"),
+    (lambda rec: dict(rec, energy=float("nan")), "must be finite"),
+    (lambda rec: dict(rec, energy=rec["energy"] + 1.0), "energy is not"),
+    (lambda rec: dict(rec, chi=[2.0 * c for c in rec["chi"]]), "chi is not"),
+], ids=["g_c-off-the-root", "energies-not-conjugate", "g_c-nan", "g_c-inf",
+        "energy-nan", "energy-shifted", "chi-scaled"])
 def test_sweep_refuses_a_record_that_is_no_critical_point(
         tmp_path, capsys, lat4_records, edit, why):
-    # the record keeps a shape that some scan can find, but it fails the
-    # scan's residual check, or raises while checked
+    # the record keeps a shape that some scan can find, but it is not
+    # finite, fails the scan's residual check, raises while checked, or
+    # carries an energy or chi that its g_c and e_noncluster do not give
     text, recs = lat4_records
     assert recs[1]["g_c"] == pytest.approx(-0.2131309)
     prob_file = tmp_path / "lat4.json"

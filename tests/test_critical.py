@@ -289,7 +289,7 @@ def test_critical_point_vs_physical_branch(lattice6, ground6, table3):
     tan = rs.solve_tangent(pt, lattice6)
     delta = 5e-4
     state = physical_state_at(lattice6, ground6, pt.g_c + delta, steps=60)
-    pool = list(state.values)
+    pool = list(state)
     worst = 0.0
     for z, dz in zip(pt.e_noncluster, tan.de_dg):
         pred = z + dz * delta

@@ -9,59 +9,57 @@ from hypothesis import strategies as st
 import richardson as rs
 from richardson import _kernels as kern
 from richardson import continuation, solver
-from richardson.errors import (ConsistencyError, ContinuationError,
-                               InitializationError, SingularEvaluationError)
+from richardson.errors import (ContinuationError, InitializationError,
+                               SingularEvaluationError)
 from richardson.solver import (Walker, _single_level_roots, newton_core,
                                symmetrize_conjugate)
 
-from conftest import physical_state_at
+from conftest import physical_state_at, weak_seed
 
 ONE_PAIR = rs.PairingProblem((rs.Level(1.0, 2),), 1)
+ONE_PAIR_ARRAYS = (ONE_PAIR.eta2_array(), ONE_PAIR.d_array())
 
 
 def test_one_pair_closed_form_root():
     # 1 - 4g d/(2 eta - e) = 0  =>  e = 2 eta - 4 g d = 2.2 for
     # eta=1, d=-1/2, g=0.1 (attractive g<0 lowers the energy, as the
     # exact-diagonalization convention requires)
-    e = rs.PairEnergies([2.2], (0,), 0.1)
-    assert abs(rs.residuals(e, ONE_PAIR)[0]) < 1e-14
+    r = kern.residuals(np.array([2.2 + 0j]), 0.1, *ONE_PAIR_ARRAYS)[0]
+    assert abs(r[0]) < 1e-14
 
 
 def test_residual_pole_error():
-    e = rs.PairEnergies([2.0], (0,), 0.1)
     with pytest.raises(SingularEvaluationError):
-        rs.residuals(e, ONE_PAIR)
+        newton_core([2.0], 0.1, *ONE_PAIR_ARRAYS)
 
 
 def test_equal_pair_energies_pole_before_iteration():
     p = rs.PairingProblem((rs.Level(0.0, 8),), 2)
-    e = rs.PairEnergies([0.3, 0.3], (0, 0), 0.05)
     with pytest.raises(SingularEvaluationError):
-        rs.newton_solve(e, p, 0.05)
+        newton_core([0.3, 0.3], 0.05, p.eta2_array(), p.d_array())
 
 
-def _random_state(rng, problem, g, spread=0.3):
+def _random_state(rng, problem, spread=0.3):
     m = problem.m_pairs
     eta2 = problem.eta2_array()
     base = rng.choice(eta2, size=m) + rng.normal(0, spread, m)
-    vals = base + 1j * rng.normal(0, spread, m)
-    return rs.PairEnergies(vals, (0,) * m, g)
+    return base + 1j * rng.normal(0, spread, m)
 
 
 def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(7)
     p, g = rs.build_lattice_model(2, 3), -0.07
+    eta2, d = p.eta2_array(), p.d_array()
     h = 1e-7
     for _ in range(20):
-        e = _random_state(rng, p, g)
-        jac = rs.jacobian(e, p)
+        e = _random_state(rng, p)
+        jac = kern.jacobian_at(e, g, eta2, d)
         for b in range(len(e)):
             for part, scale in ((1.0, 1.0), (1j, 1j)):
                 diff = np.zeros(len(e), dtype=complex)
                 diff[b] = h * part
-                ep = rs.PairEnergies(e.values + diff, e.origin, g)
-                em = rs.PairEnergies(e.values - diff, e.origin, g)
-                fd = (rs.residuals(ep, p) - rs.residuals(em, p)) / (2 * h)
+                fd = (kern.residuals(e + diff, g, eta2, d)[0]
+                      - kern.residuals(e - diff, g, eta2, d)[0]) / (2 * h)
                 # holomorphic: d/d(Im e) = i * d/d(Re e)
                 expect = jac[:, b] * scale
                 err = np.max(np.abs(fd - expect))
@@ -71,52 +69,51 @@ def test_jacobian_matches_finite_differences():
 def test_jacobian_symmetry_and_one_pair_value():
     rng = np.random.default_rng(3)
     p = rs.build_lattice_model(2, 2)
-    e = _random_state(rng, p, 0.04)
-    jac = rs.jacobian(e, p)
+    jac = kern.jacobian_at(_random_state(rng, p), 0.04, p.eta2_array(),
+                           p.d_array())
     off = jac - np.diag(np.diag(jac))
     assert np.allclose(off, off.T)
 
-    e1 = rs.PairEnergies([1.7], (0,), 0.1)
-    jac1 = rs.jacobian(e1, ONE_PAIR)
+    jac1 = kern.jacobian_at(np.array([1.7 + 0j]), 0.1, *ONE_PAIR_ARRAYS)
     expect = -4 * 0.1 * (-0.5) / (2.0 - 1.7) ** 2
     assert jac1.shape == (1, 1)
     assert abs(jac1[0, 0] - expect) < 1e-12
 
 
 def test_newton_one_pair_converges():
-    rep = rs.newton_solve(rs.PairEnergies([2.5], (0,), 0.1), ONE_PAIR, 0.1)
-    assert rep.converged
-    assert rep.residual_norm <= 1e-12
-    assert abs(rep.final.values[0] - 2.2) < 1e-12
+    vals, ok, _, rn = newton_core([2.5], 0.1, *ONE_PAIR_ARRAYS)
+    assert ok
+    assert rn <= 1e-12
+    assert abs(vals[0] - 2.2) < 1e-12
 
 
 def test_newton_6x6_weak_coupling(lattice6, ground6):
-    cur = rs.init_weak_coupling(lattice6, ground6, -1e-3)
+    eta2, d = lattice6.eta2_array(), lattice6.d_array()
+    cur = weak_seed(lattice6, ground6, -1e-3)[0]
     for gv in np.linspace(-1e-3, -0.02, 8):
-        rep = rs.newton_solve(cur, lattice6, gv)
-        assert rep.converged
-        cur = rep.final
-    assert np.max(np.abs(rs.residuals(cur, lattice6))) <= 1e-12
-    sym = symmetrize_conjugate(cur.values)
+        cur, ok, _, _ = newton_core(cur, gv, eta2, d)
+        assert ok
+    assert np.max(np.abs(kern.residuals(cur, gv, eta2, d)[0])) <= 1e-12
+    sym = symmetrize_conjugate(cur)
     assert np.max(np.abs(np.sort_complex(sym) -
-                         np.sort_complex(cur.values))) < 1e-12
+                         np.sort_complex(cur))) < 1e-12
 
 
 def test_newton_nonconvergence_reported_not_raised():
     # absurdly tight iteration budget: must report, never raise
     p = rs.build_lattice_model(2, 2)
-    seed = rs.init_weak_coupling(p, rs.ground_occupation(p), -1e-3)
-    rep = rs.newton_solve(seed, p, -0.2, max_iter=1)
-    assert not rep.converged
+    seed = weak_seed(p, rs.ground_occupation(p), -1e-3)[0]
+    assert not newton_core(seed, -0.2, p.eta2_array(), p.d_array(),
+                           max_iter=1)[1]
 
 
 def test_init_weak_coupling_single_pair_order():
     p = rs.PairingProblem((rs.Level(1.0, 2),), 1)
     errs = []
     for g in (1e-3, 5e-4):
-        e = rs.init_weak_coupling(p, (1,), g)
+        vals = weak_seed(p, (1,), g)[0]
         # exact root of the reduced system: e = 2 eta - 4 g d + O(g^2)
-        errs.append(abs(e.values[0] - (2.0 - 4 * g * (-0.5))))
+        errs.append(abs(vals[0] - (2.0 - 4 * g * (-0.5))))
     assert errs[0] < 1e-12 and errs[1] < 1e-12
 
 
@@ -124,12 +121,12 @@ def test_init_weak_coupling_6x6_level2(lattice6):
     from dataclasses import replace
     p = replace(lattice6, m_pairs=4)
     occ = (0, 0, 4, 0, 0, 0, 0, 0, 0)
-    e = rs.init_weak_coupling(p, occ, -1e-3)
-    assert len(e) == 4
-    assert np.all(np.abs(e.values - (-4.0)) < 0.05)
-    assert np.max(np.abs(np.sort_complex(e.values) -
-                         np.sort_complex(np.conj(e.values)))) < 1e-12
-    assert e.origin == (2, 2, 2, 2)
+    vals, origin = weak_seed(p, occ, -1e-3)
+    assert len(vals) == 4
+    assert np.all(np.abs(vals - (-4.0)) < 0.05)
+    assert np.max(np.abs(np.sort_complex(vals) -
+                         np.sort_complex(np.conj(vals)))) < 1e-12
+    assert origin == (2, 2, 2, 2)
 
 
 def test_init_weak_coupling_spec_example_level(lattice6):
@@ -137,25 +134,15 @@ def test_init_weak_coupling_spec_example_level(lattice6):
     from dataclasses import replace
     p = replace(lattice6, m_pairs=4)
     occ = (0, 4, 0, 0, 0, 0, 0, 0, 0)
-    e = rs.init_weak_coupling(p, occ, -1e-3)
-    assert np.all(np.abs(e.values - (-6.0)) < 0.05)
-    assert np.count_nonzero(e.values.imag > 1e-12) == 2
+    vals = weak_seed(p, occ, -1e-3)[0]
+    assert np.all(np.abs(vals - (-6.0)) < 0.05)
+    assert np.count_nonzero(vals.imag > 1e-12) == 2
 
 
-def test_init_weak_coupling_bounds(lattice6, ground6):
-    with pytest.raises(ValueError):
-        rs.init_weak_coupling(lattice6, ground6, 0.5)
+def test_init_weak_coupling_bounds():
     # a level asked to seed more pairs than it can hold has no solution
     with pytest.raises(InitializationError):
         _single_level_roots(-0.5, 2)
-
-
-def test_total_energy():
-    e = rs.PairEnergies([1 + 2j, 1 - 2j], (0, 0), 0.0)
-    assert rs.total_energy(e) == 2.0
-    bad = rs.PairEnergies([1 + 2j, 1 - 1j], (0, 0), 0.0)
-    with pytest.raises(ConsistencyError):
-        rs.total_energy(bad)
 
 
 def test_one_pair_matches_companion_matrix_oracle():
@@ -171,25 +158,25 @@ def test_one_pair_matches_companion_matrix_oracle():
             poly = np.polyadd(poly, 4 * g * d[j] * np.pad(
                 others, (len(poly) - len(others), 0)))
         roots = np.roots(poly)
-        seed = rs.init_weak_coupling(p, (1, 0, 0), np.sign(g) * 1e-3)
-        cur = seed
-        for gv in np.linspace(seed.g, g, 12):
-            cur = rs.newton_solve(cur, p, gv).final
-        assert np.min(np.abs(roots - cur.values[0])) < 1e-10
+        g0 = np.sign(g) * 1e-3
+        cur = weak_seed(p, (1, 0, 0), g0)[0]
+        for gv in np.linspace(g0, g, 12):
+            cur = newton_core(cur, gv, eta2, d)[0]
+        assert np.min(np.abs(roots - cur[0])) < 1e-10
 
 
 def test_solution_continuous_in_g():
     p = rs.build_lattice_model(2, 2)
-    occ = rs.ground_occupation(p)
-    cur = rs.newton_solve(rs.init_weak_coupling(p, occ, -1e-3),
-                          p, -1e-3).final
+    eta2, d = p.eta2_array(), p.d_array()
+    cur = newton_core(weak_seed(p, rs.ground_occupation(p), -1e-3)[0],
+                      -1e-3, eta2, d)[0]
     last = None
     for gv in np.linspace(-1e-3, -0.3, 40):
-        cur = rs.newton_solve(cur, p, gv).final
+        cur = newton_core(cur, gv, eta2, d)[0]
         if last is not None:
-            assert np.max(np.abs(np.sort_complex(cur.values) -
+            assert np.max(np.abs(np.sort_complex(cur) -
                                  np.sort_complex(last))) < 0.2
-        last = cur.values
+        last = cur
 
 
 def test_single_level_roots_solve_reduced_system():
@@ -222,8 +209,7 @@ def test_newton_escaped_energy_stops_without_warnings():
     # one energy far outside the spectrum overflows the Jacobian; the
     # non-finite step ends the solve instead of halving NaN trials
     p = rs.build_lattice_model(4, 4)
-    seed = np.array(
-        rs.init_weak_coupling(p, rs.ground_occupation(p), -1e-3).values)
+    seed = weak_seed(p, rs.ground_occupation(p), -1e-3)[0]
     seed[-1] = 1e160
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -315,8 +301,7 @@ def test_symmetrize_conjugate_bit_identical_to_numpy_loop(vals):
 def test_newton_core_restores_error_state(monkeypatch):
     one = (np.array([2.0]), np.array([-0.5]))      # eta2, d
     p = rs.build_lattice_model(4, 4)
-    escaped = np.array(
-        rs.init_weak_coupling(p, rs.ground_occupation(p), -1e-3).values)
+    escaped = weak_seed(p, rs.ground_occupation(p), -1e-3)[0]
     escaped[-1] = 1e160
 
     def halvings(n, e0):
@@ -363,8 +348,7 @@ def test_newton_core_scans_for_poles_only_on_a_non_finite_start(
     monkeypatch.setattr(solver, "find_poles", no_scan)
     p = rs.build_lattice_model(4, 4)
     eta2, d = p.eta2_array(), p.d_array()
-    seed = np.array(
-        rs.init_weak_coupling(p, rs.ground_occupation(p), -1e-3).values)
+    seed = weak_seed(p, rs.ground_occupation(p), -1e-3)[0]
     assert newton_core(seed, -1e-3, eta2, d)[1]
     # a start one ulp off a level pole
     near = seed.copy()
@@ -398,7 +382,7 @@ def test_walker_lands_on_target_both_ways(lattice6, ground6):
     for g_to in (-0.03, -0.01):         # away from g = 0, then back
         e = walker.advance_to(g_to)
         assert walker.g == g_to
-        direct = physical_state_at(lattice6, ground6, g_to).values
+        direct = physical_state_at(lattice6, ground6, g_to)
         assert np.allclose(np.sort_complex(e), np.sort_complex(direct),
                            rtol=0, atol=1e-10)
 
