@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -306,18 +307,12 @@ def _csv(header, rows):
 def cmd_sweep(args):
     problem = load_problem_file(args.problem)
     branch = parse_branch(args.branch, problem)
-    if args.g_target == 0.0:
-        print("error: --g-target must be nonzero", file=sys.stderr)
-        return EXIT_USAGE
     cluster_level = None if args.cluster_level is None else level_index(
         problem, args.cluster_level, "--cluster-level")
     if cluster_level is not None:   # M_k must be an integer for the S_p table
         default_cluster_size(problem.levels[cluster_level])
-    opts = continuation.SweepOptions()
-    if args.step is not None:
-        opts.step_init = args.step
-    if args.crossing_radius is not None:
-        opts.crossing_radius = args.crossing_radius
+    opts = continuation.SweepOptions(step_init=args.step,
+                                     crossing_radius=args.crossing_radius)
     points = None
     rec_file = records_path(args.problem, branch)
     if rec_file.exists():
@@ -470,40 +465,18 @@ def cmd_verify(args):
     return 0
 
 
-def _level(text):
-    """argparse type for `critical --level`: 'all' or a 1-based index."""
-    if text == "all":
-        return text
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be 'all' or an integer, got {text!r}") from None
-
-
-def _count(least):
-    """argparse type for a count: an integer >= least."""
+def _number(cast, accept, what):
+    """argparse type: the text read by `cast`, refused as "must be <what>"
+    unless `accept` holds for it."""
     def convert(text):
         try:
-            val = int(text)
+            val = cast(text)
+            if accept(val):
+                return val
         except ValueError:
-            val = least - 1
-        if val < least:
-            raise argparse.ArgumentTypeError(
-                f"must be an integer >= {least}, got {text!r}")
-        return val
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
     return convert
-
-
-def _length(text):
-    """argparse type for a length: a number > 0."""
-    try:
-        val = float(text)
-    except ValueError:
-        val = 0.0
-    if not val > 0:
-        raise argparse.ArgumentTypeError(f"must be a number > 0, got {text!r}")
-    return val
 
 
 class _Parser(argparse.ArgumentParser):
@@ -532,48 +505,58 @@ def build_parser():
                     help="JSON file of option values for the subcommand, "
                          "read as flags before the command line's own")
     sub = ap.add_subparsers(dest="command", required=True)
+    count = _number(int, lambda n: n >= 1, "an integer >= 1")
+    length = _number(float, lambda x: x > 0, "a number > 0")
+    coupling = _number(float, math.isfinite, "a finite number")
 
     p = sub.add_parser("lattice", help="generate the square-lattice model")
     p.add_argument("--n", type=int, required=True, help="lattice size n")
-    p.add_argument("--pairs", type=_count(1), required=True,
+    p.add_argument("--pairs", type=count, required=True,
                    help="pair count M")
     p.add_argument("--out", help="problem file to write")
     p.set_defaults(func=cmd_lattice)
 
     p = sub.add_parser("critical", help="locate critical couplings")
     p.add_argument("--problem", required=True)
-    p.add_argument("--level", type=_level, default="all",
+    p.add_argument("--level", default="all", type=_number(
+                       lambda t: t if t == "all" else int(t),
+                       lambda v: True, "'all' or an integer"),
                    help="1-based level j, or 'all' for the occupied levels "
                         "that can collapse")
-    p.add_argument("--g-min", type=float, required=True)
-    p.add_argument("--g-max", type=float, required=True)
+    p.add_argument("--g-min", type=coupling, required=True)
+    p.add_argument("--g-max", type=coupling, required=True)
     p.add_argument("--branch", default="ground",
                    help="'ground' or comma-separated occupation counts")
-    p.add_argument("--grid", type=_count(1), default=None,
+    p.add_argument("--grid", type=count, default=None,
                    help="scan grid points")
     p.add_argument("--out", help="critical-point record file")
     p.set_defaults(func=cmd_critical)
 
     p = sub.add_parser("sweep", help="continue a branch from g=0 to a target")
     p.add_argument("--problem", required=True)
-    p.add_argument("--g-target", type=float, required=True)
+    p.add_argument("--g-target", required=True, type=_number(
+                       float, lambda x: math.isfinite(x) and x != 0.0,
+                       "a finite nonzero number"))
     p.add_argument("--branch", default="ground")
     p.add_argument("--out", help="output directory (default .)")
     p.add_argument("--cluster-level", type=int, default=None,
                    help="1-based level for the S_p table")
-    p.add_argument("--step", type=_length, default=None)
-    p.add_argument("--crossing-radius", type=_length, default=None)
-    p.add_argument("--stride", type=_count(1), default=1,
+    p.add_argument("--step", type=length,
+                   default=continuation.SweepOptions.step_init)
+    p.add_argument("--crossing-radius", type=length,
+                   default=continuation.SweepOptions.crossing_radius)
+    p.add_argument("--stride", type=count, default=1,
                    help="keep every n-th sample in the CSV")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify",
                        help="compare swept energies with exact diagonalization")
     p.add_argument("--problem", required=True)
-    p.add_argument("--g-min", type=float, default=-0.2)
-    p.add_argument("--g-max", type=float, default=0.2)
-    p.add_argument("--points", type=_count(1), default=11)
-    p.add_argument("--excitations", type=_count(0), default=1,
+    p.add_argument("--g-min", type=coupling, default=-0.2)
+    p.add_argument("--g-max", type=coupling, default=0.2)
+    p.add_argument("--points", type=count, default=11)
+    p.add_argument("--excitations", default=1, type=_number(
+                       int, lambda n: n >= 0, "an integer >= 0"),
                    help="check the branches of up to this many pair "
                         "excitations of the ground state")
     p.set_defaults(func=cmd_verify)

@@ -66,10 +66,6 @@ class SweepPath:
     diagnostics: list[str] = field(default_factory=list)
     registered: list[CriticalPoint] = field(default_factory=list)
 
-    @property
-    def g_values(self):
-        return np.array([s.g for s in self.samples])
-
 
 # ---------------------------------------------------------------------------
 # collapse detection
@@ -239,10 +235,12 @@ def sweep(problem: PairingProblem, branch, g_target: float,
     The returned path's `registered` lists the points the walk considered:
     the given `critical_points` of g_target's sign in their given order,
     then those the auto-scan over `auto_scan_range` found that are not
-    within 1e-9 of a given one at the same level.
+    within 1e-9 of a given one at the same level.  A zero or non-finite
+    g_target raises ValueError before any scan or walk.
     """
-    if g_target == 0.0:
-        raise ValueError("g_target must be nonzero")
+    if g_target == 0.0 or not math.isfinite(g_target):
+        raise ValueError(f"g_target must be finite and nonzero, "
+                         f"got {g_target!r}")
     opts = options or SweepOptions()
     occ = as_occupation(branch).validate_for(problem)
     direction = 1 if g_target > 0 else -1

@@ -256,9 +256,12 @@ def scan_requests(problem: PairingProblem, k: int, g_range, branch=None, *,
     branch is `deflated_occ`, or else the one `branch` (default the ground
     state) deflates to on that side (`deflated_occupation`).  The grid
     defaults to `DEFAULT_GRID_PER_UNIT` points per unit of the side's span,
-    at least 400.  A non-integer M_k, or a branch that cannot supply the
-    cluster, raises ValueError here, before any walk starts.
+    at least 400.  A non-finite g_range, a non-integer M_k, or a branch
+    that cannot supply the cluster raises ValueError here, before any walk
+    starts.
     """
+    if not np.isfinite(g_range).all():
+        raise ValueError(f"g_range {tuple(g_range)} must be finite")
     m_k = default_cluster_size(problem.levels[k])
     branch = ground_occupation(problem) if branch is None else branch
     g_lo, g_hi = sorted(g_range)

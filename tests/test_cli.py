@@ -118,6 +118,9 @@ def test_sweep_zero_target_usage_error(tmp_path, capsys):
     prob_file.write_text(rs.save_problem(rs.build_lattice_model(2, 2)))
     assert run_cli(["sweep", "--problem", str(prob_file),
                     "--g-target", "0"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: argument --g-target: must be a finite nonzero number, "
+        "got '0'"]
 
 
 def test_sweep_continuation_failure_exit_code(tmp_path, capsys):
@@ -565,9 +568,18 @@ def test_output_location_is_checked_before_any_work(tmp_path, capsys,
     (["verify"], {"points": 2.5}, "--points"),
     (["verify", "--excitations", "-1"], None, "--excitations"),
     (["verify"], {"excitations": -1}, "--excitations"),
+    (["critical", "--g-min", "0", "--g-max", "inf"], None, "--g-max"),
+    (["critical", "--g-min", "nan", "--g-max", "0"], None, "--g-min"),
+    (["sweep", "--g-target", "nan"], None, "--g-target"),
+    (["sweep", "--g-target", "1e400"], None, "--g-target"),
+    (["verify", "--g-max", "inf"], None, "--g-max"),
+    (["critical", "--g-max", "0"], {"g-min": "nan"}, "--g-min"),
+    (["sweep"], {"g-target": "inf"}, "--g-target"),
 ], ids=["points", "grid", "step", "crossing-radius", "stride",
         "config-stride", "config-step", "config-points", "config-float-count",
-        "excitations", "config-excitations"])
+        "excitations", "config-excitations", "critical-g-max-inf",
+        "critical-g-min-nan", "sweep-g-target-nan", "sweep-g-target-1e400",
+        "verify-g-max-inf", "config-g-min-nan", "config-g-target-inf"])
 def test_non_positive_option_is_rejected_before_any_work(
         tmp_path, capsys, monkeypatch, options, config, name):
     def no_work(*args, **kwargs):

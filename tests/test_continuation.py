@@ -28,9 +28,18 @@ def test_one_pair_sweep_matches_companion_roots():
         assert np.min(np.abs(roots - s.energies.values[0])) < 1e-10
 
 
-def test_sweep_requires_nonzero_target(lattice6, ground6):
-    with pytest.raises(ValueError):
-        continuation.sweep(lattice6, ground6, 0.0)
+@pytest.mark.parametrize("auto_scan", [True, False])
+@pytest.mark.parametrize("g_target", [0.0, np.nan, np.inf, -np.inf])
+def test_sweep_requires_nonzero_target(lattice6, ground6, monkeypatch,
+                                       g_target, auto_scan):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before g_target was checked")
+
+    monkeypatch.setattr(continuation, "auto_scan_points", no_work)
+    monkeypatch.setattr(continuation.Walker, "weak_start", no_work)
+    with pytest.raises(ValueError, match="g_target"):
+        continuation.sweep(lattice6, ground6, g_target,
+                           SweepOptions(auto_scan=auto_scan))
 
 
 @pytest.mark.parametrize("g_target", [-1e-4, 1e-3, -1e-3])
@@ -60,7 +69,7 @@ def test_sweep_deterministic():
 def test_sweep_monotone_and_residuals(sweeps6):
     for name in ("neg", "pos"):
         path = sweeps6[name]
-        gs = path.g_values
+        gs = np.array([s.g for s in path.samples])
         assert np.all(np.diff(np.abs(gs)) > 0)
         assert max(s.residual_norm for s in path.samples) <= 1e-10
 

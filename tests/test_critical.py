@@ -138,6 +138,17 @@ def test_scan_empty_ranges(lattice6, ground6):
     assert rs.scan_critical(lattice6, 2, (-1e-4, 1e-4), ground6) == []
 
 
+@pytest.mark.parametrize("g_range", [(0.0, np.inf), (np.nan, 0.0)],
+                         ids=["inf-max", "nan-min"])
+def test_scan_refuses_a_non_finite_range(monkeypatch, g_range):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the range was checked")
+
+    monkeypatch.setattr(critical, "run_scans", no_work)
+    with pytest.raises(ValueError, match="g_range"):
+        rs.scan_critical(rs.build_lattice_model(4, 4), 0, g_range)
+
+
 def test_scan_finds_root_between_brackets(lattice6, ground6):
     # determinant changes sign across the known k=2 (0-based 1) root
     pts = rs.scan_critical(lattice6, 1, (0.15, 0.19), ground6)
