@@ -78,7 +78,11 @@ def pn_sums(eta2, d, k, e_noncluster, n_max):
     Returns the complex values P_0..P_{n_max}; callers take the real part
     and assert the imaginary residue.  Row n of each term table is row
     n - 1 divided once more by the difference, as one
-    ``np.divide.accumulate`` down the rows.
+    ``np.divide.accumulate`` down the rows.  Leading axes of e_noncluster,
+    of shape (..., n), are stack axes: each stacked table runs the same
+    divisions, and its sum over b the same contiguous last-axis reduction,
+    as the 1-D call, so row i of the output is the 1-D call at
+    e_noncluster[i], bit for bit.
     """
     others = np.arange(eta2.shape[0]) != k
     lvl = np.empty((n_max + 2, eta2.shape[0] - 1))
@@ -86,15 +90,16 @@ def pn_sums(eta2, d, k, e_noncluster, n_max):
     lvl[1:] = eta2[k] - eta2[others]
     np.divide.accumulate(lvl, axis=0, out=lvl)
     de = eta2[k] - np.asarray(e_noncluster, dtype=np.complex128)
-    nc = np.empty((n_max + 2, de.shape[0]), dtype=np.complex128)
-    nc[0] = 1.0
-    nc[1:] = de
-    np.divide.accumulate(nc, axis=0, out=nc)
+    nc = np.empty(de.shape[:-1] + (n_max + 2, de.shape[-1]),
+                  dtype=np.complex128)
+    nc[..., 0, :] = 1.0
+    nc[..., 1:, :] = de[..., None, :]
+    np.divide.accumulate(nc, axis=-2, out=nc)
     # level sum + non-cluster sum, added part by part as a float scalar
     # plus a complex scalar adds: the real parts in that order (numpy's
     # complex add loop may return the other operand's NaN), and 0.0 plus
     # the imaginary part (which turns -0.0 into 0.0)
-    out = np.add.reduce(nc[1:], axis=1)
+    out = np.add.reduce(nc[..., 1:, :], axis=-1)
     np.add(np.add.reduce(lvl[1:], axis=1), out.real, out=out.real)
     out.imag += 0.0
     return out

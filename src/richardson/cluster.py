@@ -8,6 +8,7 @@ sums over the other levels and the non-collapsing energies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,8 @@ def default_cluster_size(level: Level) -> int:
 
 def power_sums(e_cluster, eta_k: float, p_max: int) -> np.ndarray:
     """S_p = sum_{a in cluster} (2 eta_k - e_a)^p for p = 1..p_max, as a
-    read-only float array; S_0 = M_k is implicit."""
+    read-only float array; S_0 = M_k is implicit.  A sum with a non-finite
+    value or an imaginary residue above IMAG_TOL raises ConsistencyError."""
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
     offs = 2.0 * eta_k - np.asarray(e_cluster, dtype=np.complex128)
@@ -44,6 +46,8 @@ def power_sums(e_cluster, eta_k: float, p_max: int) -> np.ndarray:
     term = offs.copy()
     for p in range(1, p_max + 1):
         s = term.sum()
+        if not np.isfinite(s):
+            raise ConsistencyError(f"S_{p} = {s} is not finite")
         if abs(s.imag) > IMAG_TOL:
             raise ConsistencyError(
                 f"S_{p} imaginary residue {s.imag:.3e} exceeds {IMAG_TOL}; "
@@ -61,18 +65,35 @@ def pn_coefficients(problem: PairingProblem, k: int, e_noncluster,
 
     P_n = sum_{j != k} d_j/(2eta_k - 2eta_j)^(n+1)
         + sum_{b not in C_k} 1/(2eta_k - e_b)^(n+1)
+
+    Leading axes of e_noncluster, of shape (..., n), are stack axes: row i
+    of the (..., n_max + 1) result is the one-row call at e_noncluster[i],
+    bit for bit (`_kernels.pn_sums`).  A row with a non-cluster energy
+    exactly at 2 eta_k raises SingularEvaluationError, one with a
+    non-finite P_n or an imaginary residue above IMAG_TOL ConsistencyError;
+    in a stack the first such row raises, and no row from the first pole
+    on is evaluated.
     """
     eta2 = problem.eta2_array()
     e_nc = np.asarray(e_noncluster, dtype=np.complex128)
-    if e_nc.size and np.any(eta2[k] - e_nc == 0.0):
+    lead = e_nc.shape[:-1]
+    rows = e_nc.reshape(math.prod(lead), e_nc.shape[-1])
+    poles = np.flatnonzero(np.any(eta2[k] - rows == 0.0, axis=-1))
+    vals = kern.pn_sums(eta2, problem.d_array(), k,
+                        rows[:poles[0]] if poles.size else rows, n_max)
+    bad = np.maximum.reduce(np.abs(vals.imag), axis=-1, initial=0.0)
+    flawed = np.flatnonzero(~(bad <= IMAG_TOL)
+                            | ~np.isfinite(vals.real).all(axis=-1))
+    if flawed.size:
+        row = flawed[0]
+        if not np.isfinite(vals[row]).all():
+            raise ConsistencyError(f"P_n is not finite: {vals[row]}")
+        raise ConsistencyError(
+            f"P_n imaginary residue {bad[row]:.3e} exceeds {IMAG_TOL}")
+    if poles.size:
         raise SingularEvaluationError(
             f"non-cluster energy equals 2*eta_{k} exactly")
-    vals = kern.pn_sums(eta2, problem.d_array(), k, e_nc, n_max)
-    bad = np.maximum.reduce(np.abs(vals.imag), initial=0.0)
-    if bad > IMAG_TOL:
-        raise ConsistencyError(
-            f"P_n imaginary residue {bad:.3e} exceeds {IMAG_TOL}")
-    pn = vals.real.copy()
+    pn = vals.real.reshape(lead + (n_max + 1,)).copy()
     pn.setflags(write=False)
     return pn
 
@@ -129,24 +150,26 @@ def invert_power_sums(s, size: int, eta_k: float) -> InversionResult:
     return InversionResult(np.asarray(energies, dtype=np.complex128), float(cond))
 
 
-def cluster_matrix(g: float, pn, m_k: int, rows=None) -> np.ndarray:
+def cluster_matrix(g, pn, m_k: int, rows=None) -> np.ndarray:
     """The M_k x M_k matrix of the homogeneous cluster system, or the same
     pattern at `rows` rows (the tangent's matrix B, see `tangent`).
 
     Row p (1-based): -2g(M_k+1-p) on the subdiagonal, (1+4g P_0) on the
-    diagonal, 4g P_{c-p} above it.
+    diagonal, 4g P_{c-p} above it.  g of shape (...) and pn of shape
+    (..., n) give a stack of matrices, shape (..., rows, rows), each entry
+    the same scalar expression of its own g and P_n.
     """
     n = m_k if rows is None else rows
     p = np.asarray(pn, dtype=float)
-    if len(p) < n:
-        raise ValueError(f"need P_0..P_{n - 1}, got {len(p)} entries")
-    mat = np.zeros((n, n))
-    for row in range(1, n + 1):
-        mat[row - 1, row - 1] = 1.0 + 4.0 * g * p[0]
-        if row >= 2:
-            mat[row - 1, row - 2] = -2.0 * g * (m_k + 1 - row)
-        for col in range(row + 1, n + 1):
-            mat[row - 1, col - 1] = 4.0 * g * p[col - row]
+    if p.shape[-1] < n:
+        raise ValueError(f"need P_0..P_{n - 1}, got {p.shape[-1]} entries")
+    g = np.asarray(g, dtype=float)[..., None]
+    mat = np.zeros(np.broadcast_shapes(g.shape[:-1], p.shape[:-1]) + (n, n))
+    i = np.arange(n)        # row p sits at index i = p - 1
+    mat[..., i, i] = 1.0 + 4.0 * g * p[..., :1]
+    mat[..., i[1:], i[:-1]] = -2.0 * g * (m_k - i[1:])
+    for c in range(1, n):
+        mat[..., i[:-c], i[c:]] = 4.0 * g * p[..., c:c + 1]
     return mat
 
 
@@ -172,17 +195,26 @@ def chi_ratios(g_c: float, pn, m_k: int) -> np.ndarray:
     return null / null[0]
 
 
-def scaled_determinant(mat: np.ndarray) -> float:
-    """det(mat) divided by the product of row norms (sign preserved)."""
-    if mat.shape[0] == 0:
-        return 1.0
-    norms = np.sqrt((mat * mat).sum(axis=1))
-    if np.any(norms == 0.0):
-        return 0.0
-    sign, logabs = np.linalg.slogdet(mat)
-    if sign == 0.0:
-        return 0.0
-    return float(sign * np.exp(logabs - np.log(norms).sum()))
+def scaled_determinant(mat: np.ndarray) -> float | np.ndarray:
+    """det(mat) divided by the product of row norms (sign preserved); 0.0
+    for a matrix with a zero row or a zero determinant.
+
+    mat of shape (..., n, n) is a stack: the result has shape (...), and
+    each value the bits of the call on its own matrix, which returns a
+    float.
+    """
+    mat = np.asarray(mat, dtype=float)
+    lead = mat.shape[:-2]
+    out = np.zeros(lead)
+    if mat.shape[-1] == 0:
+        out[...] = 1.0
+    else:
+        norms = np.sqrt(np.add.reduce(mat * mat, axis=-1))
+        sign, logabs = np.linalg.slogdet(mat)
+        live = np.all(norms != 0.0, axis=-1) & (sign != 0.0)
+        out[live] = sign[live] * np.exp(
+            logabs[live] - np.add.reduce(np.log(norms[live]), axis=-1))
+    return out if lead else float(out)
 
 
 def detect_cluster(values, problem: PairingProblem, k: int) -> np.ndarray:

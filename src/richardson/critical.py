@@ -7,11 +7,13 @@ cluster system must be singular, i.e. det of the cluster matrix vanishes.
 Both conditions together determine g_c and the non-cluster energies.
 
 The search walks a deflated solution branch in g from weak coupling with
-a `solver.Walker`, so the deflated equations hold at every step, and
-brackets sign changes of the row-norm-scaled determinant.  Each bracket is
-then resolved by false position in g along the same branch, walked on
-from the bracket's stored state: every iterate is a converged branch
-state, and only the one-dimensional determinant root is left to find.
+a `solver.Walker` over a grid, so the deflated equations hold at every
+step, keeping the state at each grid point.  After the walk, one stacked
+pass evaluates the row-norm-scaled determinant at every kept state, and
+the search brackets its sign changes.  Each bracket is then resolved by
+false position in g along the same branch, walked on from the bracket's
+stored state: every iterate is a converged branch state, and only the
+one-dimensional determinant root is left to find.
 A scan walks each side of g = 0 it covers from weak coupling, and each
 walk is one `ScanRequest`: `scan_requests` decides its side, deflated
 branch, M_k and grid before any walk starts, and `run_scans` runs a batch
@@ -107,10 +109,37 @@ def deflated_jacobian(g: float, e_noncluster, problem: PairingProblem,
 def critical_residuals(g: float, e_noncluster, problem: PairingProblem,
                        k: int, m_k: int) -> np.ndarray:
     """Scaled determinant followed by the deflated residuals."""
-    pn = pn_coefficients(problem, k, e_noncluster, m_k - 1)
-    det = scaled_determinant(cluster_matrix(g, pn, m_k))
+    det = _scaled_dets(problem, k, m_k, [g], [e_noncluster])[0]
     defl = deflated_residuals(g, e_noncluster, problem, k, m_k)
     return np.concatenate(([complex(det)], defl))
+
+
+def _scaled_dets(problem, k, m_k, gs, states):
+    """Scaled cluster determinant at each coupling gs[i] with the
+    non-cluster energies states[i], in one stacked pass; each value has
+    the bits of a pass over its row alone.
+
+    Errors end as evaluating the rows one after another would.  The stack
+    runs with every numpy floating-point error raised; if it raises
+    anything, the rows run again one at a time in the caller's numpy error
+    state, so the first row that raises or warns does so as it would
+    alone, and no row after a raising one is evaluated.
+    """
+    if not len(gs):
+        return np.empty(0)
+    gs = np.asarray(gs, dtype=float)
+    e = np.array(states, dtype=np.complex128)
+
+    def chain(rows):
+        pn = pn_coefficients(problem, k, e[rows], m_k - 1)
+        return scaled_determinant(cluster_matrix(gs[rows], pn, m_k))
+
+    try:
+        with np.errstate(all="raise"):
+            return chain(slice(None))
+    except (FloatingPointError, RichardsonError):
+        return np.concatenate([chain(slice(i, i + 1))
+                               for i in range(len(gs))])
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +202,27 @@ def _resume(problem, k, m_k, g, e):
                   e, min_step=1e-9, name=_branch_name(k, m_k))
 
 
-def _det_at(walker, problem, k, m_k, g):
-    """Scaled cluster determinant once the deflated walk stands at g."""
-    pn = pn_coefficients(problem, k, walker.advance_to(g), m_k - 1)
-    return scaled_determinant(cluster_matrix(g, pn, m_k))
+def _walk(walker, problem, k, m_k, grid):
+    """Walk `walker` over `grid`, then evaluate the scaled determinant at
+    every state it reached in one pass (`_scaled_dets`).
+
+    Returns (gs, dets, states, stall): the grid couplings reached, the
+    determinant and the energies at each, and the ContinuationError that
+    stopped the walk short of the grid's end, or None.  The pass runs
+    whatever the walk raised, and an error of the pass replaces it: as in
+    a walk that evaluated each determinant on arrival, an error at a
+    reached state comes first, and a stall after it is never seen.
+    """
+    states, stall = [], None
+    try:
+        for g in grid:
+            states.append(walker.advance_to(g))
+    except ContinuationError as err:
+        stall = err
+    finally:
+        gs = grid[:len(states)]
+        dets = _scaled_dets(problem, k, m_k, gs, states)
+    return gs, dets, states, stall
 
 
 def _build_point(problem, k, m_k, g_c, e_nc, deflated_occ,
@@ -379,23 +425,22 @@ def _scan_side(found, problem, request):
     start = direction * max(abs(near), abs(g_init))
     grid = np.linspace(start, far, grid_points + 1)
 
-    dets, stops, states = [], [], []
     try:
         walker, origin, _ = Walker.weak_start(
             problem.eta2_array(), deflated_d_array(problem, k, m_k),
             deflated_occ.counts, direction * abs(g_init),
             min_step=1e-7, name=_branch_name(k, m_k))
-        for g in grid:
-            dets.append(_det_at(walker, problem, k, m_k, g))
-            stops.append(g)
-            states.append(walker.e)
     except ContinuationError as err:
         found.issues.append(f"scan truncated: {err}")
-    if len(stops) < 2:
+        return
+    gs, dets, states, stall = _walk(walker, problem, k, m_k, grid)
+    if stall is not None:
+        found.issues.append(f"scan truncated: {stall}")
+    if len(gs) < 2:
         return
 
-    brackets = _find_brackets(problem, k, m_k, np.array(stops),
-                              np.array(dets), states)
+    brackets = _find_brackets(problem, k, m_k, gs, dets, states,
+                              found.issues)
     for g_a, g_b, det_a, det_b, e_a in brackets:
         try:
             found.append(_resolve_bracket(problem, k, m_k, g_a, g_b,
@@ -419,9 +464,10 @@ def _sign_cells(gs, dets, states):
             or (signs[i] != 0 and signs[i] != signs[i + 1])]
 
 
-def _find_brackets(problem, k, m_k, gs, dets, states):
+def _find_brackets(problem, k, m_k, gs, dets, states, issues):
     """`_sign_cells` of the grid and of a fine re-walk of each sharp |det|
-    dip without a sign change, which may hide a close root pair."""
+    dip without a sign change, which may hide a close root pair.  A
+    re-walk that stalls yields no cell; its stall lands in `issues`."""
     out = _sign_cells(gs, dets, states)
     signs = np.sign(dets)
     mags = np.abs(dets)
@@ -431,13 +477,11 @@ def _find_brackets(problem, k, m_k, gs, dets, states):
             continue
         # possible root pair inside (g_{i-1}, g_{i+1}); re-walk finely
         cw = _resume(problem, k, m_k, gs[i - 1], states[i - 1])
-        fine = np.linspace(gs[i - 1], gs[i + 1], 201)
-        fdets, fstates = [], []
-        try:
-            for g in fine:
-                fdets.append(_det_at(cw, problem, k, m_k, g))
-                fstates.append(cw.e)
-        except ContinuationError:
+        fine, fdets, fstates, stall = _walk(
+            cw, problem, k, m_k, np.linspace(gs[i - 1], gs[i + 1], 201))
+        if stall is not None:
+            issues.append(f"dip re-walk in ({gs[i - 1]:.8g}, "
+                          f"{gs[i + 1]:.8g}) for level {k} stopped: {stall}")
             continue
         out += _sign_cells(fine, fdets, fstates)
     out.sort(key=lambda t: min(t[0], t[1]))
@@ -463,7 +507,8 @@ def _resolve_bracket(problem, k, m_k, g_a, g_b, det_a, det_b, e_a,
             g = 0.5 * (lo + hi)
             if g == lo or g == hi:
                 break
-        g_c, f_c = g, _det_at(cell, problem, k, m_k, g)
+        g_c, f_c = g, _scaled_dets(problem, k, m_k, [g],
+                                   [cell.advance_to(g)])[0]
         if (f_c > 0) == (f_lo > 0):
             lo, f_lo = g_c, f_c
             if kept > 0:

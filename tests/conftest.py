@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import richardson as rs
-from richardson import continuation
+from richardson import continuation, critical
 from richardson.critical import TruncatedScanWarning
+from richardson.errors import ContinuationError
 from richardson.model import as_occupation
 from richardson.solver import _weak_seed_arrays, newton_core
 
@@ -138,3 +139,26 @@ def physical_state_at(problem, occupation, g, *, steps=40):
 def nearest_members(values, center, count):
     """Indices of the `count` energies closest to `center`."""
     return np.argsort(np.abs(np.asarray(values) - center))[:count]
+
+
+def fault_walks(monkeypatch, fault):
+    """Make every scan walk (`critical._walk`) of 0-based level k meet what
+    fault(k, g) raises at the first grid coupling g where it raises: a
+    ContinuationError stalls the walk there, any other error is raised
+    once the walk and its determinants have reached the point before."""
+    walk = critical._walk
+
+    def faulty(walker, problem, k, m_k, grid):
+        for n, g in enumerate(grid):
+            try:
+                fault(k, g)
+            except ContinuationError as err:
+                gs, dets, states, stall = walk(walker, problem, k, m_k,
+                                               grid[:n])
+                return gs, dets, states, stall or err
+            except Exception:
+                walk(walker, problem, k, m_k, grid[:n])
+                raise
+        return walk(walker, problem, k, m_k, grid)
+
+    monkeypatch.setattr(critical, "_walk", faulty)

@@ -15,6 +15,8 @@ from richardson import _kernels as kern
 from richardson import cli, continuation, critical
 from richardson.errors import ContinuationError, DegenerateTangentError
 
+from conftest import fault_walks
+
 TABLE1_ROWS = [
     "1    -4         2      0",
     "2    -3         8      0",
@@ -985,18 +987,41 @@ def test_coverage_ignores_the_warnings_filters(tmp_path, capsys,
                                               monkeypatch):
     # level 2 (1-based) stalls past g = -0.3; with every warning ignored its
     # truncated scan still keeps it out of the coverage file
-    det_at = critical._det_at
-
-    def stalling(walker, problem, k, m_k, g):
+    def stalling(k, g):
         if k == 1 and g < -0.3:
             raise ContinuationError(f"test stall at g={g:.6g}")
-        return det_at(walker, problem, k, m_k, g)
 
-    monkeypatch.setattr(critical, "_det_at", stalling)
+    fault_walks(monkeypatch, stalling)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("ignore")
         prob_file, cov_file = _toy_critical(tmp_path)
     assert caught == []
+    assert json.loads(cov_file.read_text())["levels"] == [1]
+
+
+def test_a_stalled_dip_rewalk_keeps_its_level_out_of_the_coverage(
+        tmp_path, capsys, monkeypatch):
+    # level 2 (1-based): one grid determinant dips sharply with no sign
+    # change, and the fine re-walk of that dip stalls; a root pair may hide
+    # there, so the level is not fully scanned
+    walk = critical._walk
+
+    def dipping(walker, problem, k, m_k, grid):
+        if len(grid) == 201:
+            return grid[:0], np.empty(0), [], ContinuationError("test stall")
+        gs, dets, states, stall = walk(walker, problem, k, m_k, grid)
+        if k == 1:
+            i = next(i for i in range(1, len(dets) - 1)
+                     if dets[i - 1] * dets[i + 1] > 0)
+            dets = dets.copy()
+            dets[i] = 1e-3 * dets[i + 1]
+        return gs, dets, states, stall
+
+    monkeypatch.setattr(critical, "_walk", dipping)
+    with pytest.warns(critical.TruncatedScanWarning,
+                      match=r"^dip re-walk in \(.*\) for level 1 stopped: "
+                            r"test stall$"):
+        prob_file, cov_file = _toy_critical(tmp_path)
     assert json.loads(cov_file.read_text())["levels"] == [1]
 
 

@@ -7,6 +7,35 @@ import richardson as rs
 from richardson.cluster import (power_sums_to_elementary, scaled_determinant)
 from richardson.errors import ConsistencyError
 
+from test_kernels import _same_bits
+
+
+def _cluster_matrix_ref(g, pn, m_k, rows=None):
+    """The cluster matrix entry by entry, as scalars (the reference)."""
+    n = m_k if rows is None else rows
+    p = np.asarray(pn, dtype=float)
+    mat = np.zeros((n, n))
+    for row in range(1, n + 1):
+        mat[row - 1, row - 1] = 1.0 + 4.0 * g * p[0]
+        if row >= 2:
+            mat[row - 1, row - 2] = -2.0 * g * (m_k + 1 - row)
+        for col in range(row + 1, n + 1):
+            mat[row - 1, col - 1] = 4.0 * g * p[col - row]
+    return mat
+
+
+def _scaled_determinant_ref(mat):
+    """The scaled determinant of one matrix (the reference)."""
+    if mat.shape[0] == 0:
+        return 1.0
+    norms = np.sqrt((mat * mat).sum(axis=1))
+    if np.any(norms == 0.0):
+        return 0.0
+    sign, logabs = np.linalg.slogdet(mat)
+    if sign == 0.0:
+        return 0.0
+    return float(sign * np.exp(logabs - np.log(norms).sum()))
+
 
 def conj_closed_cluster(rng, size, center=0.0, spread=0.5):
     vals = []
@@ -178,3 +207,58 @@ def test_chi_matches_centered_slopes_6x6(lattice6, table3, tangents6):
         s[sgn] = rs.power_sums(sol.values[idx], eta_k, pt.m_k)
     slopes = (s[+1] - s[-1]) / (s[+1][0] - s[-1][0])
     assert np.max(np.abs(slopes - pt.chi) / np.abs(pt.chi)) < 1e-3
+
+
+@pytest.mark.parametrize("rows", [1, 2, 17, 401])
+def test_determinant_path_stack_rows_are_the_one_row_calls(lattice6, rows):
+    # every row of a stacked pn_coefficients -> cluster_matrix ->
+    # scaled_determinant has the bits of the one-row call and of the scalar
+    # references, with matrices that have a zero row or a zero determinant
+    rng = np.random.default_rng(rows)
+    for m_k in (1, 2, 5, 11):
+        nb = lattice6.m_pairs - m_k
+        # conjugate pairs and a real energy, all far from 2 eta_4
+        half = rng.uniform(-30, -10, (rows, nb // 2)) \
+            + 1j * rng.uniform(0.5, 3, (rows, nb // 2))
+        e_nc = np.concatenate([half, half.conj(), rng.uniform(
+            10, 30, (rows, nb % 2))], axis=1)
+        pn = rs.pn_coefficients(lattice6, 4, e_nc, m_k - 1)
+        gs = rng.uniform(-0.8, 0.8, rows)
+        mats = rs.cluster_matrix(gs, pn, m_k)
+        for i in range(rows):
+            assert _same_bits(pn[i], rs.pn_coefficients(
+                lattice6, 4, e_nc[i], m_k - 1))
+            assert _same_bits(mats[i], _cluster_matrix_ref(gs[i], pn[i], m_k))
+            assert _same_bits(mats[i], rs.cluster_matrix(gs[i], pn[i], m_k))
+        mats[rows // 2, -1] = 0.0
+        mats[-1] = np.arange(m_k * m_k).reshape(m_k, m_k) % 3
+        mats[-1, -1] = mats[-1, 0]
+        if m_k == 1:
+            mats[0] = rs.cluster_matrix(1.0, [-0.25], 1)
+        dets = scaled_determinant(mats)
+        assert dets.shape == (rows,)
+        for i in range(rows):
+            one = scaled_determinant(mats[i])
+            assert type(one) is float
+            assert _same_bits(dets[i], one)
+            assert _same_bits(one, _scaled_determinant_ref(mats[i]))
+        assert dets[rows // 2] == dets[-1] == 0.0
+    assert _same_bits(scaled_determinant(np.zeros((3, 0, 0))), np.ones(3))
+
+
+def test_pn_coefficients_refuse_a_non_finite_value(lattice6):
+    lat4 = rs.build_lattice_model(4, 4)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ConsistencyError, match="P_n is not finite"):
+            rs.pn_coefficients(lat4, 0, [np.nan, 1.0], 1)
+        # in a stack the first flawed row raises
+        with pytest.raises(ConsistencyError, match="P_n is not finite"):
+            rs.pn_coefficients(lat4, 0, [[1.0, 2.0], [np.nan, 1.0],
+                                         [1.0 + 1j, 2.0]], 1)
+
+
+def test_power_sums_refuse_a_non_finite_sum():
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ConsistencyError, match="not finite"):
+            rs.power_sums([complex(np.nan, np.nan)], 0.0, 2)
+

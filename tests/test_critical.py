@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 import richardson as rs
-from richardson import continuation, critical, oracle
+from richardson import continuation, critical, oracle, solver
 from richardson.cluster import (cluster_matrix, default_cluster_size,
-                                pn_coefficients)
+                                pn_coefficients, scaled_determinant)
 from richardson.critical import TruncatedScanWarning, critical_levels
-from richardson.errors import ContinuationError
+from richardson.errors import (ConsistencyError, ContinuationError,
+                               SingularEvaluationError)
 from richardson.solver import newton_core
 
-from conftest import TABLE3_SCANS, nearest_members, physical_state_at
+from conftest import (TABLE3_SCANS, fault_walks, nearest_members,
+                      physical_state_at)
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -207,7 +209,7 @@ def test_sign_change_without_zero_is_skipped(toy_3lvl, monkeypatch):
     # bracket and a zero in none: no bracket may yield a point
     true_det = critical.scaled_determinant
     monkeypatch.setattr(critical, "scaled_determinant",
-                        lambda mat: float(np.sign(true_det(mat))))
+                        lambda mat: np.sign(true_det(mat)))
     _assert_every_bracket_skipped(toy_3lvl, 0, (-0.6, 0.0), monkeypatch)
 
 
@@ -233,14 +235,11 @@ def test_straddling_scan_reports_its_issues_from_the_caller(toy_3lvl,
                                                            monkeypatch):
     # a stall on each side of g = 0 truncates both halves of the scan; each
     # issue is warned from this file, in the order `issues` lists them
-    det_at = critical._det_at
-
-    def stalling(walker, problem, k, m_k, g):
+    def stalling(k, g):
         if g < -0.5 or g > 0.2:
             raise ContinuationError(f"test stall at g={g:.6g}")
-        return det_at(walker, problem, k, m_k, g)
 
-    monkeypatch.setattr(critical, "_det_at", stalling)
+    fault_walks(monkeypatch, stalling)
     with pytest.warns(TruncatedScanWarning) as seen:
         found = rs.scan_critical(toy_3lvl, 0, (-0.6, 0.3), grid_points=60)
     assert isinstance(found, list)
@@ -388,45 +387,168 @@ def test_critical_levels_are_those_with_a_cluster_size_up_to_m():
         assert critical_levels(p, counts) == wanted, (levels, counts)
 
 
-def _two_close_roots(walker, problem, k, m_k, g):
+def _two_close_roots(g):
     return (g - 1.005) * (g - 1.025)
 
 
-def _dip_brackets(problem, monkeypatch, det_at, det=_two_close_roots):
+def _rewalk(det):
+    """A fine re-walk that reaches every point of its grid, where the
+    determinant is det(g)."""
+    def walk(walker, problem, k, m_k, grid):
+        return grid, det(grid), [np.array([1.0 + 0j])] * len(grid), None
+
+    return walk
+
+
+def _dip_brackets(problem, monkeypatch, walk, det=_two_close_roots,
+                  issues=None):
     """_find_brackets on the grid (0, 1, 2), where the middle |det| of
     (g - 1.005)(g - 1.025), or of `det`, dips below a tenth of its
-    neighbours with no sign change; `det_at` stands in for the fine
+    neighbours with no sign change; `walk` stands in for the fine
     re-walk."""
-    monkeypatch.setattr(critical, "_det_at", det_at)
+    monkeypatch.setattr(critical, "_walk", walk)
     gs = np.array([0.0, 1.0, 2.0])
-    dets = np.array([det(None, problem, 0, 3, g) for g in gs])
     states = [np.array([1.0 + 0j])] * 3
-    return critical._find_brackets(problem, 0, 3, gs, dets, states)
+    return critical._find_brackets(problem, 0, 3, gs, det(gs), states,
+                                   [] if issues is None else issues)
 
 
 def test_det_dip_is_rewalked_into_two_brackets(toy_3lvl, monkeypatch):
-    brackets = _dip_brackets(toy_3lvl, monkeypatch, _two_close_roots)
+    brackets = _dip_brackets(toy_3lvl, monkeypatch, _rewalk(_two_close_roots))
     assert [(a, b) for a, b, *_ in brackets] == [
         pytest.approx((1.00, 1.01)), pytest.approx((1.02, 1.03))]
     for _, _, det_a, det_b, _ in brackets:
         assert det_a * det_b < 0
 
 
-def _root_on_the_fine_grid(walker, problem, k, m_k, g):
+def _root_on_the_fine_grid(g):
     return (g - np.linspace(0.0, 2.0, 201)[101]) * (g - 1.025)
 
 
 def test_exact_zero_in_the_dip_rewalk_is_one_bracket(toy_3lvl, monkeypatch):
     # the fine grid of the re-walk holds the root exactly; its cells count
     # as the coarse grid's do, so the zero closes one bracket, not two
-    brackets = _dip_brackets(toy_3lvl, monkeypatch, _root_on_the_fine_grid,
+    brackets = _dip_brackets(toy_3lvl, monkeypatch,
+                             _rewalk(_root_on_the_fine_grid),
                              det=_root_on_the_fine_grid)
     assert [(a, b) for a, b, *_ in brackets] == [
         pytest.approx((1.00, 1.01)), pytest.approx((1.02, 1.03))]
 
 
 def test_failed_dip_rewalk_yields_no_bracket(toy_3lvl, monkeypatch):
-    def walk_fails(walker, problem, k, m_k, g):
-        raise ContinuationError("walk fails")
+    # the stall is kept as an issue, so the scan warns and its level does
+    # not count as covered
+    def walk_fails(walker, problem, k, m_k, grid):
+        return grid[:0], np.empty(0), [], ContinuationError("walk fails")
 
-    assert _dip_brackets(toy_3lvl, monkeypatch, walk_fails) == []
+    issues = ["earlier issue"]
+    assert _dip_brackets(toy_3lvl, monkeypatch, walk_fails,
+                         issues=issues) == []
+    assert issues == ["earlier issue", "dip re-walk in (0, 2) for level 0 "
+                      "stopped: walk fails"]
+
+
+def test_a_walks_determinants_take_one_pass(lattice6, monkeypatch):
+    # level 4, g > 0, no dip: one stacked pass over the 401 grid states,
+    # then one row for each of the 18 false-position iterates and each of
+    # the 4 validated points; the walk itself takes the residual passes it
+    # took when every grid point had its own determinant pass
+    stacks, passes = [], []
+    det, residuals = critical.scaled_determinant, critical.kern.residuals
+
+    def counted_det(mat):
+        stacks.append(np.shape(mat)[:-2])
+        return det(mat)
+
+    def counted_residuals(*args):
+        passes.append(1)
+        return residuals(*args)
+
+    solver._single_level_roots.cache_clear()     # its seeds cost 2 passes
+    monkeypatch.setattr(critical, "scaled_determinant", counted_det)
+    monkeypatch.setattr(critical.kern, "residuals", counted_residuals)
+    assert len(rs.scan_critical(lattice6, 4, (0.0, 0.7))) == 4
+    assert stacks == [(401,)] + [(1,)] * 22
+    assert len(passes) == 13_350
+
+
+def _one_by_one(problem, k, m_k, gs, states):
+    """The determinants row after row, as a walk that evaluated each on
+    arrival did (the reference)."""
+    out = []
+    for g, e in zip(gs, states):
+        pn = pn_coefficients(problem, k, e, m_k - 1)
+        out.append(scaled_determinant(cluster_matrix(g, pn, m_k)))
+    return out
+
+
+# toy_3lvl, level 0, M_k = 3, one non-cluster energy: (g, state) rows
+_DET_ROWS = {
+    "ok": (-0.3, [2.3]),
+    "warns": (1e300, [2.3]),            # row norms overflow: 0.0, warned
+    "residue": (-0.3, [2.3 + 0.5j]),    # ConsistencyError
+    "overflows": (-0.3, [1e-200]),      # warned, then ConsistencyError
+    "pole": (-0.3, [0.0]),              # SingularEvaluationError
+}
+
+
+def _det_outcome(dets, problem, rows, action):
+    gs = [_DET_ROWS[r][0] for r in rows]
+    states = [_DET_ROWS[r][1] for r in rows]
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter(action)
+        try:
+            got = [float(v).hex() for v in dets(problem, 0, 3, gs, states)]
+        except Exception as err:
+            got = (type(err), str(err))
+    return got, [(w.category, str(w.message)) for w in seen]
+
+
+@pytest.mark.parametrize("action", ["always", "error"])
+@pytest.mark.parametrize("rows", [
+    ("ok", "warns", "ok"), ("ok", "residue", "overflows"),
+    ("ok", "overflows", "residue"), ("warns", "pole", "residue"),
+    ("ok", "ok", "warns", "residue", "warns")])
+def test_a_stacked_determinant_pass_ends_as_the_rows_one_by_one(
+        toy_3lvl, rows, action):
+    # the values, warnings and error of the rows evaluated one after
+    # another: nothing from a row after the first that raises, with
+    # numpy's warnings shown or raised
+    got = _det_outcome(critical._scaled_dets, toy_3lvl, rows, action)
+    assert got == _det_outcome(_one_by_one, toy_3lvl, rows, action)
+    assert got[1] or isinstance(got[0], tuple)
+
+
+class _ScriptedWalker:
+    """Reaches the given states in turn, then raises `stop`."""
+
+    def __init__(self, states, stop):
+        self.states, self.stop = list(states), stop
+
+    def advance_to(self, g):
+        if not self.states:
+            raise self.stop
+        return self.states.pop(0)
+
+
+@pytest.mark.parametrize("stop", [ContinuationError("test stall"),
+                                  SingularEvaluationError("test pole")])
+def test_a_determinant_error_comes_before_what_stops_the_walk(toy_3lvl,
+                                                              stop):
+    # the walk reaches three states and stops at the fourth grid point; a
+    # determinant that raises at a reached state wins over the stop, as it
+    # did when each determinant was taken on arrival
+    grid = np.array([-0.30, -0.31, -0.32, -0.33])
+    clean = [[2.3], [2.31], [2.32]]
+    bad = [[2.3], [2.31 + 0.5j], [2.32]]
+    with pytest.raises(ConsistencyError, match="imaginary residue"):
+        critical._walk(_ScriptedWalker(bad, stop), toy_3lvl, 0, 3, grid)
+    if isinstance(stop, ContinuationError):
+        gs, dets, states, stall = critical._walk(
+            _ScriptedWalker(clean, stop), toy_3lvl, 0, 3, grid)
+        assert stall is stop and list(gs) == list(grid[:3])
+        assert dets.tolist() == _one_by_one(toy_3lvl, 0, 3, gs, clean)
+    else:
+        with pytest.raises(SingularEvaluationError, match="test pole"):
+            critical._walk(_ScriptedWalker(clean, stop), toy_3lvl, 0, 3, grid)
+

@@ -209,3 +209,31 @@ def test_pn_sums_bit_identical_on_random_clusters():
         case = (eta2, d, int(rng.integers(nlev)), e_nc,
                 int(rng.integers(0, 33)))
         assert _same_bits(kern.pn_sums(*case), _pn_sums_ref(*case))
+
+
+def test_pn_sums_stack_rows_are_the_one_row_calls():
+    # stacks of 1 to 401 rows, one or two stack axes; the rows with an inf
+    # or NaN energy may differ in NaN bits alone (see the residual test)
+    rng = np.random.default_rng(11)
+    for rows in (1, 2, 17, 401):
+        nlev = int(rng.integers(1, 10))
+        eta2 = np.sort(rng.uniform(-10, 10, nlev))
+        d = -rng.integers(1, 12, nlev) / 2.0
+        nb = int(rng.integers(0, 11))
+        half = (rng.normal(size=(rows, nb))
+                + 1j * rng.normal(size=(rows, nb))) * 4.0
+        e_nc = np.concatenate([half, half.conj()], axis=1)
+        if nb:
+            e_nc[rows // 2, 0] = complex(np.nan, 1.0)
+            e_nc[-1, -1] = np.inf
+        k, n_max = int(rng.integers(nlev)), int(rng.integers(0, 33))
+        with np.errstate(all="ignore"):
+            got = kern.pn_sums(eta2, d, k, e_nc, n_max)
+            for stack in (got, kern.pn_sums(eta2, d, k, e_nc.reshape(
+                    (1, rows, -1)), n_max)[0]):
+                for i, e in enumerate(e_nc):
+                    same = (_same_bits if np.isfinite(e).all()
+                            else _same_bits_or_nan)
+                    assert same(stack[i], kern.pn_sums(eta2, d, k, e, n_max))
+                    assert same(stack[i], _pn_sums_ref(eta2, d, k, e, n_max))
+

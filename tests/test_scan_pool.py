@@ -23,6 +23,8 @@ from richardson import cli, continuation, critical
 from richardson.critical import TruncatedScanWarning
 from richardson.errors import ConsistencyError, ContinuationError
 
+from conftest import fault_walks
+
 
 def _workers(monkeypatch, n):
     monkeypatch.setattr(critical, "scan_workers", lambda: n)
@@ -96,14 +98,11 @@ def test_pooled_scans_are_bit_identical_to_in_process_scans(monkeypatch):
 
 
 def _stall_both_sides(monkeypatch):
-    det_at = critical._det_at
-
-    def stalling(walker, problem, k, m_k, g):
+    def stalling(k, g):
         if g < -0.5 or g > 0.2:
             raise ContinuationError(f"test stall at g={g:.6g}")
-        return det_at(walker, problem, k, m_k, g)
 
-    monkeypatch.setattr(critical, "_det_at", stalling)
+    fault_walks(monkeypatch, stalling)
 
 
 def test_pooled_warnings_point_at_the_caller(toy_3lvl, monkeypatch):
@@ -136,14 +135,11 @@ def _toy_file(tmp_path):
 
 
 def _fail_above(monkeypatch, g_fail):
-    det_at = critical._det_at
-
-    def failing(walker, problem, k, m_k, g):
+    def failing(k, g):
         if g > g_fail:
             raise ConsistencyError(f"test failure at level {k}, g={g:.6g}")
-        return det_at(walker, problem, k, m_k, g)
 
-    monkeypatch.setattr(critical, "_det_at", failing)
+    fault_walks(monkeypatch, failing)
 
 
 def _critical_run(tmp_path, capsys, monkeypatch, workers):
@@ -173,16 +169,13 @@ def test_an_error_stops_its_scan_as_one_process_would(monkeypatch, workers):
     # level 0: the g < 0 side finds g_c = -0.25, the g > 0 side fails;
     # level 1: the g < 0 side fails, and the g > 0 side stalls where one
     # process would never have walked
-    det_at = critical._det_at
-
-    def failing(walker, problem, k, m_k, g):
+    def failing(k, g):
         if (k == 0 and g > 0.1) or (k == 1 and g < -0.29):
             raise ConsistencyError(f"test failure at level {k}")
         if k == 1 and g > 0.1:
             raise ContinuationError("test stall")
-        return det_at(walker, problem, k, m_k, g)
 
-    monkeypatch.setattr(critical, "_det_at", failing)
+    fault_walks(monkeypatch, failing)
     _workers(monkeypatch, workers)
     problem = rs.PairingProblem((rs.Level(0.0, 6), rs.Level(1.0, 2)), 4)
     for k in (0, 1):
@@ -204,14 +197,12 @@ def test_a_stopped_walk_holds_no_points(monkeypatch):
     # and -0.2131, then stalls; the first bracket gives a point, the second
     # raises, and the walk keeps its issue and error but not that point
     problem = rs.build_lattice_model(4, 4)
-    det_at = critical._det_at
     resolve = critical._resolve_bracket
     resolved = []
 
-    def stalling(walker, problem, k, m_k, g):
+    def stalling(k, g):
         if g < -0.5:
             raise ContinuationError("test stall")
-        return det_at(walker, problem, k, m_k, g)
 
     def second_fails(*args):
         if resolved:
@@ -219,7 +210,7 @@ def test_a_stopped_walk_holds_no_points(monkeypatch):
         resolved.append(resolve(*args))
         return resolved[-1]
 
-    monkeypatch.setattr(critical, "_det_at", stalling)
+    fault_walks(monkeypatch, stalling)
     monkeypatch.setattr(critical, "_resolve_bracket", second_fails)
     [found] = critical.run_scans(problem, critical.scan_requests(
         problem, 0, (-0.6, 0.0)))
@@ -343,16 +334,13 @@ def _fail_far_side(monkeypatch):
     # level 0: the g < 0 walk stalls, the g > 0 walk fails; level 1: the
     # g < 0 walk fails, and the g > 0 walk stalls where one process would
     # never have walked.  The g > 0 walks are submitted first.
-    det_at = critical._det_at
-
-    def failing(walker, problem, k, m_k, g):
+    def failing(k, g):
         if (k == 0 and g > 0.5) or (k == 1 and g < -0.29):
             raise ConsistencyError(f"test failure at level {k}")
         if (k == 0 and g < -0.29) or (k == 1 and g > 0.5):
             raise ContinuationError("test stall")
-        return det_at(walker, problem, k, m_k, g)
 
-    monkeypatch.setattr(critical, "_det_at", failing)
+    fault_walks(monkeypatch, failing)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
