@@ -163,46 +163,42 @@ def point_to_record(p: critical.CriticalPoint,
 
 
 def record_to_point(rec: dict) -> critical.CriticalPoint:
-    """The point of a record; its branch `"occupation"` is not read."""
+    """The point of a record; its branch `"occupation"` is not read.  A
+    count or index that is not an integer is a ValueError naming its key."""
+    def ints(key):
+        return tuple(model.as_int(v, key) for v in rec[key])
+
     e_nc = np.array([complex(a, b) for a, b in rec["e_noncluster"]],
                     dtype=np.complex128)
     return critical.CriticalPoint(
-        g_c=float(rec["g_c"]), k=int(rec["level_index"]) - 1,
-        m_k=int(rec["m_k"]), e_noncluster=e_nc,
+        g_c=float(rec["g_c"]),
+        k=model.as_int(rec["level_index"], "level_index") - 1,
+        m_k=model.as_int(rec["m_k"], "m_k"), e_noncluster=e_nc,
         chi=np.array(rec["chi"], dtype=float), energy=float(rec["energy"]),
-        deflated_occupation=model.OccupationMap(
-            tuple(rec["deflated_occupation"])),
-        noncluster_origin=tuple(rec["noncluster_origin"]))
+        deflated_occupation=model.OccupationMap(ints("deflated_occupation")),
+        noncluster_origin=ints("noncluster_origin"))
 
 
 def load_records(rec_file, problem):
     """(text, points) of the record file `rec_file`.  Each record must be a
-    point that a scan of `problem` can find: its M_k is 1 - 2 d_k of its
-    level, its numbers are finite, it passes the scan's residual check
-    (`critical.validate_point`), and its energy and chi are, to a relative
-    1e-10, those the scan derives from its g_c and e_noncluster; anything
-    else is a "bad record" error."""
+    point that a scan of `problem` can find: `critical.critical_point` of
+    its level, g_c, e_noncluster, deflated occupation and labels, whose
+    m_k, energy and chi it carries, finite and to a relative 1e-10;
+    anything else is a "bad record" error."""
     rec_text, recs = _read_json(rec_file, list)
     try:
         points = [record_to_point(r) for r in recs]
         for p in points:
-            m_k = default_cluster_size(problem.levels[level_index(
-                problem, p.k + 1, "level_index")])
-            if (p.m_k, p.chi.size, p.e_noncluster.size) != (
-                    m_k, m_k, problem.m_pairs - m_k):
-                raise ValueError(f"level {p.k + 1} has M_k={m_k}")
-            if not all(np.isfinite(x).all() for x in (
-                    p.g_c, p.energy, p.chi, p.e_noncluster)):
-                raise ValueError("g_c, energy, chi and e_noncluster must "
-                                 "be finite")
-            critical.validate_point(p, problem)
-            # the restart reads energy and chi, which no residual checks
-            built = critical._build_point(
-                problem, p.k, p.m_k, p.g_c, p.e_noncluster,
-                p.deflated_occupation, p.noncluster_origin)
-            for name in ("energy", "chi"):
-                if not np.allclose(getattr(p, name), getattr(built, name),
-                                   rtol=1e-10, atol=0.0):
+            built = critical.critical_point(
+                problem, p.k, p.g_c, p.e_noncluster, p.deflated_occupation,
+                p.noncluster_origin)
+            # the restart reads these, which no residual checks
+            for name in ("m_k", "energy", "chi"):
+                have, want = (np.asarray(getattr(q, name)) for q in (p, built))
+                if not np.isfinite(have).all():
+                    raise ValueError(f"{name} must be finite")
+                if have.shape != want.shape or not np.allclose(
+                        have, want, rtol=1e-10, atol=0.0):
                     raise ValueError(f"{name} is not the one of g_c and "
                                      f"e_noncluster")
     except (KeyError, TypeError, ValueError, RichardsonError) as err:

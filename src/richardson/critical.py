@@ -13,11 +13,12 @@ pass evaluates the row-norm-scaled determinant at every kept state, and
 the search brackets its sign changes.  Each bracket is then resolved by
 false position in g along the same branch, walked on from the bracket's
 stored state: every iterate is a converged branch state, and only the
-one-dimensional determinant root is left to find.
+one-dimensional determinant root is left to find; `critical_point`
+checks found and loaded points.  M_k = 1 - 2 d_k is the level's, no argument.
 A scan walks each side of g = 0 it covers from weak coupling, and each
 walk is one `ScanRequest`: `scan_requests` decides its side, deflated
-branch, M_k and grid before any walk starts, and `run_scans` runs a batch
-of walks in worker processes.
+branch and grid before any walk starts, and `run_scans` runs a batch of
+walks in worker processes.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class CriticalPoint:
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
-def deflated_d_array(problem: PairingProblem, k: int, m_k: int) -> np.ndarray:
+def deflated_d_array(problem: PairingProblem, k: int) -> np.ndarray:
     """Effective degeneracies with the collapsed cluster folded into level k.
 
     The M_k-fold pole 4g M_k/(e - 2 eta_k) equals a level term with
@@ -85,36 +86,34 @@ def deflated_d_array(problem: PairingProblem, k: int, m_k: int) -> np.ndarray:
     M - M_k pairs with this one modified degeneracy.
     """
     d = problem.d_array()
-    d[k] += m_k
+    d[k] += default_cluster_size(problem.levels[k])
     return d
 
 
 def deflated_residuals(g: float, e_noncluster, problem: PairingProblem,
-                       k: int, m_k: int) -> np.ndarray:
+                       k: int) -> np.ndarray:
     """Residuals of the deflated equations for the non-cluster energies."""
     e = np.asarray(e_noncluster, dtype=np.complex128)
-    if e.size == 0:
-        return e
     return kern.residuals(e, g, problem.eta2_array(),
-                          deflated_d_array(problem, k, m_k))[0]
+                          deflated_d_array(problem, k))[0]
 
 
 def deflated_jacobian(g: float, e_noncluster, problem: PairingProblem,
-                      k: int, m_k: int) -> np.ndarray:
+                      k: int) -> np.ndarray:
     e = np.asarray(e_noncluster, dtype=np.complex128)
     return kern.jacobian_at(e, g, problem.eta2_array(),
-                            deflated_d_array(problem, k, m_k))
+                            deflated_d_array(problem, k))
 
 
 def critical_residuals(g: float, e_noncluster, problem: PairingProblem,
-                       k: int, m_k: int) -> np.ndarray:
+                       k: int) -> np.ndarray:
     """Scaled determinant followed by the deflated residuals."""
-    det = _scaled_dets(problem, k, m_k, [g], [e_noncluster])[0]
-    defl = deflated_residuals(g, e_noncluster, problem, k, m_k)
+    det = _scaled_dets(problem, k, [g], [e_noncluster])[0]
+    defl = deflated_residuals(g, e_noncluster, problem, k)
     return np.concatenate(([complex(det)], defl))
 
 
-def _scaled_dets(problem, k, m_k, gs, states):
+def _scaled_dets(problem, k, gs, states):
     """Scaled cluster determinant at each coupling gs[i] with the
     non-cluster energies states[i], in one stacked pass; each value has
     the bits of a pass over its row alone.
@@ -129,6 +128,7 @@ def _scaled_dets(problem, k, m_k, gs, states):
         return np.empty(0)
     gs = np.asarray(gs, dtype=float)
     e = np.array(states, dtype=np.complex128)
+    m_k = default_cluster_size(problem.levels[k])
 
     def chain(rows):
         pn = pn_coefficients(problem, k, e[rows], m_k - 1)
@@ -146,7 +146,7 @@ def _scaled_dets(problem, k, m_k, gs, states):
 # deflated branch bookkeeping
 # ---------------------------------------------------------------------------
 
-def deflated_occupation(problem: PairingProblem, branch, k: int, m_k: int,
+def deflated_occupation(problem: PairingProblem, branch, k: int,
                         direction: int) -> OccupationMap:
     """Weak-coupling occupation of the deflated branch.
 
@@ -159,7 +159,7 @@ def deflated_occupation(problem: PairingProblem, branch, k: int, m_k: int,
     own collapses before the determinant root is reached.
     """
     counts = list(as_occupation(branch).validate_for(problem).counts)
-    need = m_k
+    m_k = need = default_cluster_size(problem.levels[k])
     take = min(counts[k], need)
     counts[k] -= take
     need -= take
@@ -183,26 +183,31 @@ def critical_levels(problem: PairingProblem, branch) -> list[int]:
     levels whose cluster size M_k = 1 - 2 d_k is a positive integer no
     larger than M.  No larger cluster can form, and a non-integer M_k
     (odd Omega - 2 nu) names none."""
-    counts = as_occupation(branch).counts
-    sizes = [1.0 - 2.0 * lv.d for lv in problem.levels]
-    return [k for k, (count, size) in enumerate(zip(counts, sizes))
-            if count > 0 and size.is_integer()
-            and 1 <= size <= problem.m_pairs]
+    levels = []
+    for k, (count, lv) in enumerate(zip(as_occupation(branch).counts,
+                                        problem.levels)):
+        try:
+            if count > 0 and default_cluster_size(lv) <= problem.m_pairs:
+                levels.append(k)
+        except ValueError:      # M_k is no integer
+            pass
+    return levels
 
 
-def _branch_name(k, m_k):
-    return f"deflated branch (level {k}, M_k={m_k})"
+def _branch_name(problem, k):
+    return (f"deflated branch (level {k}, "
+            f"M_k={default_cluster_size(problem.levels[k])})")
 
 
-def _resume(problem, k, m_k, g, e):
+def _resume(problem, k, g, e):
     """Deflated walk continued from a stored grid state.  Safe in either
     direction within one grid cell, which contains no singular stretch of
     the walk that produced it."""
-    return Walker(problem.eta2_array(), deflated_d_array(problem, k, m_k), g,
-                  e, min_step=1e-9, name=_branch_name(k, m_k))
+    return Walker(problem.eta2_array(), deflated_d_array(problem, k), g,
+                  e, min_step=1e-9, name=_branch_name(problem, k))
 
 
-def _walk(walker, problem, k, m_k, grid):
+def _walk(walker, problem, k, grid):
     """Walk `walker` over `grid`, then evaluate the scaled determinant at
     every state it reached in one pass (`_scaled_dets`).
 
@@ -221,33 +226,44 @@ def _walk(walker, problem, k, m_k, grid):
         stall = err
     finally:
         gs = grid[:len(states)]
-        dets = _scaled_dets(problem, k, m_k, gs, states)
+        dets = _scaled_dets(problem, k, gs, states)
     return gs, dets, states, stall
 
 
-def _build_point(problem, k, m_k, g_c, e_nc, deflated_occ,
-                 origins) -> CriticalPoint:
-    pn = pn_coefficients(problem, k, e_nc, m_k - 1)
-    chi = chi_ratios(g_c, pn, m_k)
-    eta2k = problem.eta2_array()[k]
-    energy = m_k * eta2k + float(np.sum(e_nc.real))
-    return CriticalPoint(
-        g_c=float(g_c), k=k, m_k=m_k, e_noncluster=e_nc, chi=chi,
-        energy=energy, deflated_occupation=as_occupation(deflated_occ),
-        noncluster_origin=tuple(origins))
-
-
-def validate_point(point, problem):
-    """The point, if its `critical_residuals` are all within RESIDUAL_TOL;
-    otherwise (NaN too) UnresolvedRootError."""
-    res = critical_residuals(point.g_c, point.e_noncluster, problem,
-                             point.k, point.m_k)
-    bad = float(np.max(np.abs(res)))
+def critical_point(problem: PairingProblem, k: int, g_c: float,
+                   e_noncluster, deflated_occ, origin) -> CriticalPoint:
+    """The point of level k at g_c, if a scan of `problem` can find it:
+    else ValueError for a wrong level, label or shape, UnresolvedRootError
+    for non-finite numbers (before any arithmetic) or `critical_residuals`
+    above RESIDUAL_TOL.  chi is taken once the deflated residuals hold."""
+    if k not in range(problem.n_levels):
+        raise ValueError(f"k={k} is not a level index of the problem")
+    m_k = default_cluster_size(problem.levels[k])
+    e = np.asarray(e_noncluster, dtype=np.complex128)
+    occ, origin = as_occupation(deflated_occ), tuple(origin)
+    rest, levels = problem.m_pairs - m_k, range(problem.n_levels)
+    if (e.shape != (rest,) or len(origin) != rest
+            or not all(j in levels for j in origin)
+            or len(occ.counts) != len(levels) or occ.total != rest):
+        raise ValueError(f"level {k} (M_k={m_k}) takes M - M_k non-cluster "
+                         f"energies, each labelled with a level index, and "
+                         f"a deflated occupation of M - M_k pairs with one "
+                         f"count per level")
+    if not (np.isfinite(g_c) and np.isfinite(e).all()):
+        raise UnresolvedRootError(f"critical point at g={g_c:.8g}: g_c and "
+                                  f"e_noncluster must be finite")
+    res = np.abs(critical_residuals(g_c, e, problem, k))
+    if np.all(res[1:] <= RESIDUAL_TOL):
+        chi = chi_ratios(g_c, pn_coefficients(problem, k, e, m_k - 1), m_k)
+    bad = float(np.max(res))
     if not bad <= RESIDUAL_TOL:
         raise UnresolvedRootError(
-            f"critical point at g={point.g_c:.8g} fails validation "
+            f"critical point at g={g_c:.8g} fails validation "
             f"(residual {bad:.2e})")
-    return point
+    energy = m_k * problem.eta2_array()[k] + float(np.sum(e.real))
+    return CriticalPoint(
+        g_c=float(g_c), k=k, m_k=m_k, e_noncluster=e, chi=chi,
+        energy=energy, deflated_occupation=occ, noncluster_origin=origin)
 
 
 class ScanResult(list):
@@ -282,14 +298,12 @@ class ScanResult(list):
 
 class ScanRequest(NamedTuple):
     """One walk of a scan, every field resolved: the deflated branch
-    `deflated_occ` of level k with cluster size `m_k`, walked from weak
-    coupling over `grid_points` cells of g_range, which lies on one side of
-    g = 0.  `scan_requests` builds them; equal requests are the same walk."""
+    `deflated_occ` of level k, walked from weak coupling over `grid_points`
+    cells of g_range, on one side of g = 0.  Equal requests are one walk."""
 
     k: int
     g_range: tuple[float, float]
     deflated_occ: OccupationMap
-    m_k: int
     grid_points: int
 
 
@@ -298,17 +312,16 @@ def scan_requests(problem: PairingProblem, k: int, g_range, branch=None, *,
     """The walks of a scan of level k over g_range, one per side of g = 0,
     negative side first.
 
-    M_k is 1 - 2 d_k (`default_cluster_size`), always.  The deflated
-    branch is `deflated_occ`, or else the one `branch` (default the ground
-    state) deflates to on that side (`deflated_occupation`).  The grid
-    defaults to `DEFAULT_GRID_PER_UNIT` points per unit of the side's span,
-    at least 400.  A non-finite g_range, a non-integer M_k, or a branch
-    that cannot supply the cluster raises ValueError here, before any walk
-    starts.
+    The deflated branch is `deflated_occ`, or else the one `branch`
+    (default the ground state) deflates to on that side
+    (`deflated_occupation`).  The grid defaults to `DEFAULT_GRID_PER_UNIT`
+    points per unit of the side's span, at least 400.  A non-finite
+    g_range, a non-integer M_k, or a branch that cannot supply the cluster
+    raises ValueError here, before any walk starts.
     """
     if not np.isfinite(g_range).all():
         raise ValueError(f"g_range {tuple(g_range)} must be finite")
-    m_k = default_cluster_size(problem.levels[k])
+    default_cluster_size(problem.levels[k])     # refused before any walk
     branch = ground_occupation(problem) if branch is None else branch
     g_lo, g_hi = sorted(g_range)
     sides = [(g_lo, 0.0), (0.0, g_hi)] if g_lo < 0 < g_hi else [(g_lo, g_hi)]
@@ -316,13 +329,12 @@ def scan_requests(problem: PairingProblem, k: int, g_range, branch=None, *,
     for lo, hi in sides:
         occ = deflated_occ
         if occ is None:
-            occ = deflated_occupation(problem, branch, k, m_k,
+            occ = deflated_occupation(problem, branch, k,
                                       1 if hi > 0 else -1)
         grid = grid_points
         if grid is None:
             grid = max(400, int(round((hi - lo) * DEFAULT_GRID_PER_UNIT)))
-        requests.append(ScanRequest(k, (lo, hi), as_occupation(occ), m_k,
-                                    grid))
+        requests.append(ScanRequest(k, (lo, hi), as_occupation(occ), grid))
     return requests
 
 
@@ -414,7 +426,7 @@ def _run_walk(job) -> ScanResult:
 
 def _scan_side(found, problem, request):
     """The walk of `request`, adding its points and issues to `found`."""
-    k, (g_lo, g_hi), deflated_occ, m_k, grid_points = request
+    k, (g_lo, g_hi), deflated_occ, grid_points = request
     direction = 1 if g_hi > 0 else -1
     far = g_hi if direction > 0 else g_lo
     near = g_lo if direction > 0 else g_hi
@@ -427,25 +439,23 @@ def _scan_side(found, problem, request):
 
     try:
         walker, origin, _ = Walker.weak_start(
-            problem.eta2_array(), deflated_d_array(problem, k, m_k),
+            problem.eta2_array(), deflated_d_array(problem, k),
             deflated_occ.counts, direction * abs(g_init),
-            min_step=1e-7, name=_branch_name(k, m_k))
+            min_step=1e-7, name=_branch_name(problem, k))
     except ContinuationError as err:
         found.issues.append(f"scan truncated: {err}")
         return
-    gs, dets, states, stall = _walk(walker, problem, k, m_k, grid)
+    gs, dets, states, stall = _walk(walker, problem, k, grid)
     if stall is not None:
         found.issues.append(f"scan truncated: {stall}")
     if len(gs) < 2:
         return
 
-    brackets = _find_brackets(problem, k, m_k, gs, dets, states,
-                              found.issues)
+    brackets = _find_brackets(problem, k, gs, dets, states, found.issues)
     for g_a, g_b, det_a, det_b, e_a in brackets:
         try:
-            found.append(_resolve_bracket(problem, k, m_k, g_a, g_b,
-                                         det_a, det_b, e_a, deflated_occ,
-                                         origin))
+            found.append(_resolve_bracket(problem, k, g_a, g_b, det_a, det_b,
+                                          e_a, deflated_occ, origin))
         except RichardsonError as err:
             # a deflated branch hopping at one of its own collapses can
             # flip the determinant sign with no zero in between
@@ -464,7 +474,7 @@ def _sign_cells(gs, dets, states):
             or (signs[i] != 0 and signs[i] != signs[i + 1])]
 
 
-def _find_brackets(problem, k, m_k, gs, dets, states, issues):
+def _find_brackets(problem, k, gs, dets, states, issues):
     """`_sign_cells` of the grid and of a fine re-walk of each sharp |det|
     dip without a sign change, which may hide a close root pair.  A
     re-walk that stalls yields no cell; its stall lands in `issues`."""
@@ -476,9 +486,9 @@ def _find_brackets(problem, k, m_k, gs, dets, states, issues):
         if not sharp or signs[i - 1] != signs[i] or signs[i] != signs[i + 1]:
             continue
         # possible root pair inside (g_{i-1}, g_{i+1}); re-walk finely
-        cw = _resume(problem, k, m_k, gs[i - 1], states[i - 1])
+        cw = _resume(problem, k, gs[i - 1], states[i - 1])
         fine, fdets, fstates, stall = _walk(
-            cw, problem, k, m_k, np.linspace(gs[i - 1], gs[i + 1], 201))
+            cw, problem, k, np.linspace(gs[i - 1], gs[i + 1], 201))
         if stall is not None:
             issues.append(f"dip re-walk in ({gs[i - 1]:.8g}, "
                           f"{gs[i + 1]:.8g}) for level {k} stopped: {stall}")
@@ -488,16 +498,16 @@ def _find_brackets(problem, k, m_k, gs, dets, states, issues):
     return out
 
 
-def _resolve_bracket(problem, k, m_k, g_a, g_b, det_a, det_b, e_a,
-                    deflated_occ, origin):
+def _resolve_bracket(problem, k, g_a, g_b, det_a, det_b, e_a, deflated_occ,
+                     origin):
     """Root of the scaled determinant in (g_a, g_b) along the deflated branch.
 
     Illinois false position (a bisection step whenever the secant point
     leaves the bracket) on the determinant along the walk resumed at g_a,
     so the deflated equations hold at every iterate.  Stops once |det| <= 1e-13
-    or the bracket no longer shrinks; `validate_point` then decides.
+    or the bracket no longer shrinks; `critical_point` then decides.
     """
-    cell = _resume(problem, k, m_k, g_a, e_a)
+    cell = _resume(problem, k, g_a, e_a)
     lo, f_lo, hi, f_hi = g_a, det_a, g_b, det_b
     g_c, f_c = (g_a, det_a) if abs(det_a) <= abs(det_b) else (g_b, det_b)
     kept = 0        # the end kept by the last update: -1 lo, +1 hi
@@ -507,8 +517,7 @@ def _resolve_bracket(problem, k, m_k, g_a, g_b, det_a, det_b, e_a,
             g = 0.5 * (lo + hi)
             if g == lo or g == hi:
                 break
-        g_c, f_c = g, _scaled_dets(problem, k, m_k, [g],
-                                   [cell.advance_to(g)])[0]
+        g_c, f_c = g, _scaled_dets(problem, k, [g], [cell.advance_to(g)])[0]
         if (f_c > 0) == (f_lo > 0):
             lo, f_lo = g_c, f_c
             if kept > 0:
@@ -519,7 +528,6 @@ def _resolve_bracket(problem, k, m_k, g_a, g_b, det_a, det_b, e_a,
             if kept < 0:
                 f_lo *= 0.5
             kept = -1
-    point = _build_point(problem, k, m_k, g_c, cell.advance_to(g_c),
-                         deflated_occ, origin)
-    return validate_point(point, problem)
+    return critical_point(problem, k, g_c, cell.advance_to(g_c),
+                          deflated_occ, origin)
 

@@ -37,10 +37,9 @@ class DegenerateTangentError(RichardsonError):
 class UnresolvedRootError(RichardsonError):
     """A bracketed determinant sign change holds no validated root.
 
-    Raised inside `critical.scan_critical` when false position along the
-    deflated branch ends with the critical residuals above tolerance (a
-    sign change with no zero, as when the branch hops at one of its own
-    collapses); the scan turns it into a skipped bracket.
+    Raised by `critical.critical_point` for a point with non-finite numbers
+    or critical residuals above tolerance; a scan skips such a bracket (a
+    sign change with no zero, as when the branch hops at a collapse).
     """
 
 

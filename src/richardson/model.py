@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -21,6 +22,17 @@ from .errors import CapacityError, ProblemFormatError
 ENERGY_GROUP_TOL = 1e-9
 
 
+def as_int(value, what) -> int:
+    """`value` as an int if it is an integral number, not a bool; else
+    ValueError naming `what`.  Nothing is truncated: 2.7 is refused."""
+    try:
+        if not isinstance(value, (bool, np.bool_)) and value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{what}: {value!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class Level:
     """A single-particle level: energy eta, total degeneracy omega, seniority nu."""
@@ -30,9 +42,15 @@ class Level:
     nu: int = 0
 
     def __post_init__(self):
-        if self.omega <= 0 or self.omega != int(self.omega):
+        if isinstance(self.eta, bool) or not isinstance(
+                self.eta, numbers.Real) or not math.isfinite(self.eta):
+            raise ValueError(f"eta: {self.eta!r} is not a finite number")
+        object.__setattr__(self, "eta", float(self.eta))
+        object.__setattr__(self, "omega", as_int(self.omega, "omega"))
+        object.__setattr__(self, "nu", as_int(self.nu, "nu"))
+        if self.omega <= 0:
             raise ValueError(f"omega must be a positive integer, got {self.omega}")
-        if self.nu < 0 or self.nu != int(self.nu):
+        if self.nu < 0:
             raise ValueError(f"nu must be a non-negative integer, got {self.nu}")
         if 2 * self.nu > self.omega:
             raise ValueError(f"nu={self.nu} exceeds omega/2={self.omega / 2}")
@@ -128,7 +146,8 @@ class OccupationMap:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        object.__setattr__(self, "counts", tuple(
+            as_int(c, "occupation count") for c in self.counts))
         if any(c < 0 for c in self.counts):
             raise ValueError("occupation counts must be non-negative")
 
@@ -281,15 +300,19 @@ def load_problem(text: str) -> PairingProblem:
         omega = _require(entry, "omega", path)
         nu = entry.get("nu", 0)
         try:
-            levels.append(Level(float(eta), int(omega), int(nu)))
+            levels.append(Level(eta, omega, nu))
         except (TypeError, ValueError) as err:
             raise ProblemFormatError(f"{path}: {err}") from err
     pairs = _require(doc, "pairs", "top level")
-    if not isinstance(pairs, int) or pairs < 1:
+    if isinstance(pairs, bool) or not isinstance(pairs, int) or pairs < 1:
         raise ProblemFormatError("pairs: expected a positive integer")
     label = doc.get("label", "")
+    # the label names the sweep's files inside its --out directory
+    if not isinstance(label, str) or "/" in label or "\\" in label:
+        raise ProblemFormatError(f"label: {label!r} must be a string "
+                                 f"without a path separator")
     merged = merge_levels(levels)
     try:
-        return PairingProblem(merged, m_pairs=pairs, label=str(label))
+        return PairingProblem(merged, m_pairs=pairs, label=label)
     except (ValueError, CapacityError) as err:
         raise ProblemFormatError(str(err)) from err

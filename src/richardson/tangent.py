@@ -123,7 +123,7 @@ def _bordered_system(point, problem):
     if nb:
         mat[rows:, 0] = -4.0 * g_c * (inv[:, None] ** np.arange(2, m_k + 2)
                                       @ point.chi)
-        mat[rows:, 1:nb + 1] = deflated_jacobian(g_c, e_nc, problem, k, m_k)
+        mat[rows:, 1:nb + 1] = deflated_jacobian(g_c, e_nc, problem, k)
     return mat, rhs, inv, pn, chi
 
 
@@ -180,7 +180,7 @@ def _second_derivative(point, problem, system, ds1, de, a):
                        - 8.0 * g * ds1 * _conv(chi, du, p))
     if e.size:
         # deflated rows: 2 J e'/g + g d^2H[e', e'], H = (residual - 1)/g
-        lvl = deflated_d_array(problem, k, m_k) / (eta2 - e[:, None]) ** 3
+        lvl = deflated_d_array(problem, k) / (eta2 - e[:, None]) ** 3
         pair = (de[:, None] - de[None, :]) ** 2 * kern._inv_offdiag(e) ** 3
         hess = g * (-8.0 * de ** 2 * lvl.sum(axis=1) + 8.0 * pair.sum(axis=1))
         # backreaction -4g sum_n S_n/(2 eta_k - e_b)^(n+1) with S_n = S_1 u_n

@@ -148,17 +148,16 @@ def fault_walks(monkeypatch, fault):
     once the walk and its determinants have reached the point before."""
     walk = critical._walk
 
-    def faulty(walker, problem, k, m_k, grid):
+    def faulty(walker, problem, k, grid):
         for n, g in enumerate(grid):
             try:
                 fault(k, g)
             except ContinuationError as err:
-                gs, dets, states, stall = walk(walker, problem, k, m_k,
-                                               grid[:n])
+                gs, dets, states, stall = walk(walker, problem, k, grid[:n])
                 return gs, dets, states, stall or err
             except Exception:
-                walk(walker, problem, k, m_k, grid[:n])
+                walk(walker, problem, k, grid[:n])
                 raise
-        return walk(walker, problem, k, m_k, grid)
+        return walk(walker, problem, k, grid)
 
     monkeypatch.setattr(critical, "_walk", faulty)

@@ -57,3 +57,17 @@ def test_critical_leaves_one_record_file_for_the_benchmark(tmp_path, capsys):
     records = json.loads(files[0].read_text())
     assert isinstance(records, list) and records
     assert [cli.record_to_point(r).k for r in records] == [0]
+
+
+def test_the_reference_records_pass_the_point_check(tmp_path):
+    # the cli-lat6 sweeps load the records that `critical` wrote, which
+    # are these; `cli.load_records` puts each through
+    # `critical.critical_point` and compares its m_k, energy and chi
+    ref = PERFBENCH / "reference.json"
+    records = json.loads(ref.read_text())["cli-lat6"]["records"]
+    rec_file = tmp_path / "records.json"
+    rec_file.write_text(json.dumps(records))
+    _, points = cli.load_records(rec_file, rs.build_lattice_model(6, 18))
+    assert [(p.k + 1, p.g_c) for p in points] == [
+        (r["level_index"], r["g_c"]) for r in records]
+    assert len(points) == 29

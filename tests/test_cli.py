@@ -842,8 +842,14 @@ def test_sweep_refuses_a_record_that_no_scan_finds(tmp_path, capsys,
     (lambda rec: dict(rec, energy=float("nan")), "must be finite"),
     (lambda rec: dict(rec, energy=rec["energy"] + 1.0), "energy is not"),
     (lambda rec: dict(rec, chi=[2.0 * c for c in rec["chi"]]), "chi is not"),
+    (lambda rec: dict(rec, noncluster_origin=rec["noncluster_origin"][1:]),
+     "labelled with a level index"),
+    (lambda rec: dict(rec, noncluster_origin=[99, 99]),
+     "labelled with a level index"),
+    (lambda rec: dict(rec, deflated_occupation=[1]), "deflated occupation"),
 ], ids=["g_c-off-the-root", "energies-not-conjugate", "g_c-nan", "g_c-inf",
-        "energy-nan", "energy-shifted", "chi-scaled"])
+        "energy-nan", "energy-shifted", "chi-scaled", "label-dropped",
+        "labels-no-level", "deflated-occupation-short"])
 def test_sweep_refuses_a_record_that_is_no_critical_point(
         tmp_path, capsys, lat4_records, edit, why):
     # the record keeps a shape that some scan can find, but it is not
@@ -863,6 +869,63 @@ def test_sweep_refuses_a_record_that_is_no_critical_point(
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "bad record" in err[0] and why in err[0]
     assert list(tmp_path.rglob("*.csv")) == []
+
+
+@pytest.mark.parametrize("key, value", [
+    ("level_index", 1.7), ("level_index", True), ("m_k", 2.5), ("m_k", True),
+    ("deflated_occupation", [0.5, 2.4, 0, 0, 0]),
+    ("noncluster_origin", [1.5, 1])],
+    ids=["level_index-1.7", "level_index-true", "m_k-2.5", "m_k-true",
+         "deflated_occupation-fractions", "noncluster_origin-1.5"])
+def test_sweep_refuses_a_record_count_that_is_no_integer(
+        tmp_path, capsys, lat4_records, key, value):
+    # before, int() truncated each of these, and the sweep exited 0
+    text, recs = lat4_records
+    prob_file = tmp_path / "lat4.json"
+    prob_file.write_text(text)
+    cli.records_path(prob_file, rs.ground_occupation(
+        rs.load_problem(text))).write_text(json.dumps(
+            [recs[0], dict(recs[1], **{key: value})]))
+    capsys.readouterr()
+    assert run_cli(["sweep", "--problem", str(prob_file), "--g-target",
+                    "-0.5", "--out", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "bad record" in err[0] and f"{key}: " in err[0]
+    assert list(tmp_path.rglob("*.csv")) == []
+
+
+def test_loaded_records_pass_the_scans_point_check(tmp_path, lat4_records,
+                                                   monkeypatch):
+    # one check, `critical.critical_point`, for a scanned and a loaded point
+    text, recs = lat4_records
+    rec_file = tmp_path / "records.json"
+    rec_file.write_text(json.dumps(recs))
+    seen = []
+    check = critical.critical_point
+
+    def counted(problem, k, *args):
+        seen.append(k)
+        return check(problem, k, *args)
+
+    monkeypatch.setattr(critical, "critical_point", counted)
+    _, points = cli.load_records(rec_file, rs.load_problem(text))
+    assert seen == [p.k for p in points] == [0, 0]
+
+
+def test_a_label_with_a_path_separator_is_refused(tmp_path, capsys):
+    # the label names the sweep's CSV files under --out; "../escaped/x"
+    # wrote runs/../escaped/x_<tag>_neg.csv, beside runs
+    prob_file = tmp_path / "toy.json"
+    doc = json.loads(rs.save_problem(rs.build_lattice_model(2, 2)))
+    prob_file.write_text(json.dumps(dict(doc, label="../escaped/x")))
+    assert run_cli(["sweep", "--problem", str(prob_file), "--g-target",
+                    "-0.1", "--out", str(tmp_path / "runs")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: label: '../escaped/x' must be a "
+                                "string without a path separator"]
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["toy.json"]
 
 
 def test_sweep_reads_a_negative_target_in_exponent_notation(tmp_path,
@@ -1006,10 +1069,10 @@ def test_a_stalled_dip_rewalk_keeps_its_level_out_of_the_coverage(
     # there, so the level is not fully scanned
     walk = critical._walk
 
-    def dipping(walker, problem, k, m_k, grid):
+    def dipping(walker, problem, k, grid):
         if len(grid) == 201:
             return grid[:0], np.empty(0), [], ContinuationError("test stall")
-        gs, dets, states, stall = walk(walker, problem, k, m_k, grid)
+        gs, dets, states, stall = walk(walker, problem, k, grid)
         if k == 1:
             i = next(i for i in range(1, len(dets) - 1)
                      if dets[i - 1] * dets[i + 1] > 0)

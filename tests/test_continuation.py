@@ -409,7 +409,7 @@ def test_shared_auto_scan_points_scan_each_key_once(monkeypatch):
     assert [continuation.auto_scan_requests(p, rs.OccupationMap(b), -0.6,
                                             5e-3)[0]
             for b in ((1, 2, 0), (2, 1, 0))] == [ScanRequest(
-                0, rng, rs.OccupationMap((0, 0, 0)), 3, 400)] * 2
+                0, rng, rs.OccupationMap((0, 0, 0)), 400)] * 2
     calls = []
     real = continuation.run_scans
 

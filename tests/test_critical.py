@@ -11,7 +11,7 @@ from richardson.cluster import (cluster_matrix, default_cluster_size,
                                 pn_coefficients, scaled_determinant)
 from richardson.critical import TruncatedScanWarning, critical_levels
 from richardson.errors import (ConsistencyError, ContinuationError,
-                               SingularEvaluationError)
+                               SingularEvaluationError, UnresolvedRootError)
 from richardson.solver import newton_core
 
 from conftest import (TABLE3_SCANS, fault_walks, nearest_members,
@@ -21,7 +21,7 @@ REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def test_deflated_residuals_empty_when_all_collapse(toy_mm):
-    res = rs.deflated_residuals(-0.25, [], toy_mm, 0, 4)
+    res = rs.deflated_residuals(-0.25, [], toy_mm, 0)
     assert res.shape == (0,)
 
 
@@ -31,33 +31,85 @@ def test_deflated_residuals_weak_coupling_limit(toy_3lvl):
     from richardson.critical import deflated_d_array
     from richardson.solver import _weak_seed_arrays
     eta2 = toy_3lvl.eta2_array()
-    d_mod = deflated_d_array(toy_3lvl, 0, 3)
+    d_mod = deflated_d_array(toy_3lvl, 0)
     last = None
     for g in (1e-4, 1e-5, 1e-6):
         e0, _ = _weak_seed_arrays(eta2, d_mod, (0, 1, 0), -g)
-        r = np.max(np.abs(rs.deflated_residuals(-g, e0, toy_3lvl, 0, 3)))
+        r = np.max(np.abs(rs.deflated_residuals(-g, e0, toy_3lvl, 0)))
         if last is not None:
             assert r < 0.5 * last
         last = r
     assert last < 1e-4
 
 
+def test_collapsing_level_deflates_to_one_minus_d(lattice6, ground6):
+    # d_k + M_k = 1 - d_k: the cluster size is the level's
+    levels = critical_levels(lattice6, ground6)
+    assert levels
+    for k in levels:
+        d_k = lattice6.levels[k].d
+        assert critical.deflated_d_array(lattice6, k)[k] == 1 - d_k
+
+
+def test_a_scan_request_names_no_cluster_size():
+    assert critical.ScanRequest._fields == (
+        "k", "g_range", "deflated_occ", "grid_points")
+
+
+def test_critical_point_rebuilds_a_scanned_point(toy_3lvl):
+    pt = rs.scan_critical(toy_3lvl, 0, (-0.6, 0.0))[0]
+    again = critical.critical_point(toy_3lvl, pt.k, pt.g_c, pt.e_noncluster,
+                                    pt.deflated_occupation,
+                                    pt.noncluster_origin)
+    assert again.m_k == pt.m_k == 3 and again.g_c == pt.g_c
+    assert again.energy == pt.energy
+    assert again.chi.tobytes() == pt.chi.tobytes()
+    assert again.e_noncluster.tobytes() == pt.e_noncluster.tobytes()
+
+
+@pytest.mark.parametrize("change, error, text", [
+    (dict(k=3), ValueError, "not a level index"),
+    (dict(k=-1), ValueError, "not a level index"),
+    (dict(e=[]), ValueError, "non-cluster energies"),
+    (dict(origin=(7,)), ValueError, "labelled with a level index"),
+    (dict(origin=()), ValueError, "labelled with a level index"),
+    (dict(occ=(1, 1, 0)), ValueError, "deflated occupation"),
+    (dict(occ=(0, 1)), ValueError, "deflated occupation"),
+    (dict(g=float("nan")), UnresolvedRootError, "must be finite"),
+    (dict(e=[complex("inf")]), UnresolvedRootError, "must be finite"),
+    (dict(g=-0.1), UnresolvedRootError, "fails validation")],
+    ids=["k-past-the-levels", "k-negative", "no-energies", "label-no-level",
+         "label-missing", "occupation-too-full", "occupation-too-short",
+         "g_c-nan", "energy-inf", "g_c-off-the-root"])
+def test_critical_point_refuses_what_no_scan_finds(toy_3lvl, change, error,
+                                                   text):
+    pt = rs.scan_critical(toy_3lvl, 0, (-0.6, 0.0))[0]
+    args = dict(k=pt.k, g=pt.g_c, e=pt.e_noncluster,
+                occ=pt.deflated_occupation, origin=pt.noncluster_origin)
+    args.update(change)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # refused before any arithmetic
+        with pytest.raises(error, match=text):
+            critical.critical_point(toy_3lvl, args["k"], args["g"],
+                                    args["e"], args["occ"], args["origin"])
+
+
 def test_critical_residuals_at_g_zero(toy_3lvl):
-    out = rs.critical_residuals(0.0, [2.3], toy_3lvl, 0, 3)
+    out = rs.critical_residuals(0.0, [2.3], toy_3lvl, 0)
     assert out[0] == pytest.approx(1.0)
 
 
 def test_deflated_occupation_rules(lattice6, ground6):
     # attractive side: extras leave the topmost occupied level
-    occ = rs.deflated_occupation(lattice6, ground6, 3, 5, -1)
+    occ = rs.deflated_occupation(lattice6, ground6, 3, -1)
     assert occ.counts == (1, 4, 4, 0, 4, 0, 0, 0, 0)
     # repulsive side: extras leave the bottommost occupied level
-    occ = rs.deflated_occupation(lattice6, ground6, 1, 5, +1)
+    occ = rs.deflated_occupation(lattice6, ground6, 1, +1)
     assert occ.counts == (0, 0, 4, 4, 5, 0, 0, 0, 0)
     with pytest.raises(ValueError):
         rs.deflated_occupation(rs.build_lattice_model(2, 2),
                                rs.ground_occupation(rs.build_lattice_model(2, 2)),
-                               1, 3, -1)
+                               1, -1)
 
 
 def test_toy_all_collapse_exact_point(toy_mm):
@@ -101,8 +153,7 @@ def test_a_scans_points_do_not_depend_on_its_range(toy_3lvl):
 
 def test_point_invariants(toy_3lvl):
     pt = rs.scan_critical(toy_3lvl, 0, (-0.6, 0.0))[0]
-    res = rs.critical_residuals(pt.g_c, pt.e_noncluster, toy_3lvl,
-                                pt.k, pt.m_k)
+    res = rs.critical_residuals(pt.g_c, pt.e_noncluster, toy_3lvl, pt.k)
     assert np.max(np.abs(res)) <= 1e-10
     # conjugate-closed non-cluster, real energy
     vals = pt.e_noncluster
@@ -218,8 +269,8 @@ def test_walk_failure_inside_bracket_is_skipped(toy_3lvl, monkeypatch):
     # ContinuationError must become a skipped bracket, never escape
     resume = critical._resume
 
-    def stalling(problem, k, m_k, g, e):
-        cell = resume(problem, k, m_k, g, e)
+    def stalling(problem, k, g, e):
+        cell = resume(problem, k, g, e)
 
         def step_toward(g_to, step=None):
             raise ContinuationError(f"deflated branch stalled near g={g:.6g}")
@@ -360,8 +411,8 @@ def test_critical_levels_need_an_integer_cluster_within_the_branch():
 
 
 def test_critical_levels_are_those_with_a_cluster_size_up_to_m():
-    # `critical_levels` and `default_cluster_size` compute M_k = 1 - 2 d_k
-    # apart; on random problems and branches they name the same levels
+    # on random problems and branches `critical_levels` names the occupied
+    # levels whose `default_cluster_size` is an integer up to M
     rng = np.random.default_rng(7)
     for _ in range(2000):
         levels = []
@@ -394,7 +445,7 @@ def _two_close_roots(g):
 def _rewalk(det):
     """A fine re-walk that reaches every point of its grid, where the
     determinant is det(g)."""
-    def walk(walker, problem, k, m_k, grid):
+    def walk(walker, problem, k, grid):
         return grid, det(grid), [np.array([1.0 + 0j])] * len(grid), None
 
     return walk
@@ -409,7 +460,7 @@ def _dip_brackets(problem, monkeypatch, walk, det=_two_close_roots,
     monkeypatch.setattr(critical, "_walk", walk)
     gs = np.array([0.0, 1.0, 2.0])
     states = [np.array([1.0 + 0j])] * 3
-    return critical._find_brackets(problem, 0, 3, gs, det(gs), states,
+    return critical._find_brackets(problem, 0, gs, det(gs), states,
                                    [] if issues is None else issues)
 
 
@@ -438,7 +489,7 @@ def test_exact_zero_in_the_dip_rewalk_is_one_bracket(toy_3lvl, monkeypatch):
 def test_failed_dip_rewalk_yields_no_bracket(toy_3lvl, monkeypatch):
     # the stall is kept as an issue, so the scan warns and its level does
     # not count as covered
-    def walk_fails(walker, problem, k, m_k, grid):
+    def walk_fails(walker, problem, k, grid):
         return grid[:0], np.empty(0), [], ContinuationError("walk fails")
 
     issues = ["earlier issue"]
@@ -472,9 +523,10 @@ def test_a_walks_determinants_take_one_pass(lattice6, monkeypatch):
     assert len(passes) == 13_350
 
 
-def _one_by_one(problem, k, m_k, gs, states):
+def _one_by_one(problem, k, gs, states):
     """The determinants row after row, as a walk that evaluated each on
     arrival did (the reference)."""
+    m_k = default_cluster_size(problem.levels[k])
     out = []
     for g, e in zip(gs, states):
         pn = pn_coefficients(problem, k, e, m_k - 1)
@@ -498,7 +550,7 @@ def _det_outcome(dets, problem, rows, action):
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter(action)
         try:
-            got = [float(v).hex() for v in dets(problem, 0, 3, gs, states)]
+            got = [float(v).hex() for v in dets(problem, 0, gs, states)]
         except Exception as err:
             got = (type(err), str(err))
     return got, [(w.category, str(w.message)) for w in seen]
@@ -542,13 +594,13 @@ def test_a_determinant_error_comes_before_what_stops_the_walk(toy_3lvl,
     clean = [[2.3], [2.31], [2.32]]
     bad = [[2.3], [2.31 + 0.5j], [2.32]]
     with pytest.raises(ConsistencyError, match="imaginary residue"):
-        critical._walk(_ScriptedWalker(bad, stop), toy_3lvl, 0, 3, grid)
+        critical._walk(_ScriptedWalker(bad, stop), toy_3lvl, 0, grid)
     if isinstance(stop, ContinuationError):
         gs, dets, states, stall = critical._walk(
-            _ScriptedWalker(clean, stop), toy_3lvl, 0, 3, grid)
+            _ScriptedWalker(clean, stop), toy_3lvl, 0, grid)
         assert stall is stop and list(gs) == list(grid[:3])
-        assert dets.tolist() == _one_by_one(toy_3lvl, 0, 3, gs, clean)
+        assert dets.tolist() == _one_by_one(toy_3lvl, 0, gs, clean)
     else:
         with pytest.raises(SingularEvaluationError, match="test pole"):
-            critical._walk(_ScriptedWalker(clean, stop), toy_3lvl, 0, 3, grid)
+            critical._walk(_ScriptedWalker(clean, stop), toy_3lvl, 0, grid)
 

@@ -127,6 +127,52 @@ def test_load_missing_levels_key():
             {"levels": [{"eta": 0, "omega": 2}, {"eta": 1}], "pairs": 1}))
 
 
+_TWO_LEVELS = {"levels": [{"eta": 0.0, "omega": 2}, {"eta": 1.0, "omega": 4}],
+               "pairs": 2}
+
+
+def _edit_level(key, value):
+    return lambda doc: dict(doc, levels=[{**doc["levels"][0], key: value},
+                                         doc["levels"][1]])
+
+
+@pytest.mark.parametrize("edit, field", [
+    (_edit_level("omega", 2.7), "omega"), (_edit_level("nu", 0.9), "nu"),
+    (_edit_level("omega", True), "omega"),
+    (lambda doc: dict(doc, pairs=True), "pairs"),
+    (_edit_level("eta", "nan"), "eta"), (_edit_level("eta", "inf"), "eta"),
+    (_edit_level("eta", float("nan")), "eta"),
+    (lambda doc: dict(doc, label="../x"), "label"),
+    (lambda doc: dict(doc, label="a\\b"), "label"),
+    (lambda doc: dict(doc, label=3), "label")],
+    ids=["omega-2.7", "nu-0.9", "omega-true", "pairs-true", "eta-nan-text",
+         "eta-inf-text", "eta-nan", "label-parent", "label-backslash",
+         "label-number"])
+def test_load_refuses_a_number_it_would_change(edit, field):
+    # before, omega 2.7 and nu 0.9 were truncated, true read as 1 and
+    # "nan" as a level energy; the label names files under --out
+    assert rs.load_problem(json.dumps(_TWO_LEVELS)).m_pairs == 2
+    with pytest.raises(ProblemFormatError, match=rf"\b{field}\b"):
+        rs.load_problem(json.dumps(edit(_TWO_LEVELS)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: rs.OccupationMap((1.5, 2)), lambda: rs.OccupationMap((True, 1)),
+    lambda: rs.Level(float("nan"), 2), lambda: rs.Level(float("inf"), 2),
+    lambda: rs.Level(0.0, 2.5), lambda: rs.Level(0.0, 4, nu=True)],
+    ids=["count-1.5", "count-true", "eta-nan", "eta-inf", "omega-2.5",
+         "nu-true"])
+def test_levels_and_occupations_refuse_what_they_would_change(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_integral_numbers_are_kept():
+    assert rs.OccupationMap((2.0, np.int64(1))).counts == (2, 1)
+    level = rs.Level(np.float64(1.5), 4.0, nu=np.int64(1))
+    assert level == rs.Level(1.5, 4, 1) and type(level.omega) is int
+
+
 def test_duplicate_levels_merged_with_warning():
     doc = {"levels": [{"eta": 0.0, "omega": 2, "nu": 0},
                       {"eta": 0.0, "omega": 4, "nu": 0},
