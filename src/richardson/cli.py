@@ -263,15 +263,11 @@ def cmd_critical(args):
     default_out = records_path(args.problem, branch)
     out = args.out or default_out
     output_dir(Path(out).parent)
-    requests = [req for k in levels for req in critical.scan_requests(
-        problem, k, g_range, branch, grid_points=args.grid)]
-    points, troubled = [], set()
-    for req, found in zip(requests, critical.run_scans(problem, requests)):
-        points += found.report()
-        if found.issues:
-            troubled.add(req.k)
-    covered = [k + 1 for k in levels if k not in troubled]
-    points.sort(key=lambda p: p.g_c)
+    scans = critical.run_plans(problem, [critical.scan_requests(
+        problem, k, g_range, branch, grid_points=args.grid) for k in levels])
+    points = sorted((p for found in scans for p in found.report()),
+                    key=lambda p: p.g_c)
+    covered = [k + 1 for k, found in zip(levels, scans) if not found.issues]
 
     print("j    g_c          M_k  energy")
     for p in points:
@@ -362,16 +358,16 @@ def _verify_branch(problem, occ, grid, scans):
     """{g: energy} of the branch at each grid point, None where its sweep
     was skipped or truncated: the unperturbed energy at g = 0, else the end
     of a sweep to g.  Each sign of g is scanned once, to its farthest grid
-    point, and every sweep of that sign walks from those points.  `scans`
-    is shared by the command's branches."""
+    point g_far, and every sweep of that sign walks from those points, the
+    merged auto-scan `scans[occ, g_far]` in order of |g_c|."""
     unperturbed = sum(2.0 * lv.eta * c
                       for lv, c in zip(problem.levels, occ.counts))
     out = {g: unperturbed if g == 0.0 else None for g in grid}
     opts = continuation.SweepOptions(auto_scan=False)
     for gs in _sign_grids(grid):
         try:
-            points = continuation.auto_scan_points(
-                problem, occ, max(gs, key=abs), opts.crossing_radius, scans)
+            points = sorted(scans[occ, max(gs, key=abs)].report(),
+                            key=lambda p: abs(p.g_c))
         except RichardsonError as err:
             for g in gs:
                 print(f"branch {occ.counts} at g={_fmt(g)}: skipped ({err})")
@@ -412,15 +408,15 @@ def cmd_verify(args):
     dim = oracle.checked_dimension(problem)   # guards before any sweep
     print(f"oracle dimension: {dim}; checking {len(branches)} branch(es) "
           f"on {len(grid)} couplings")
-    # every distinct walk that the branches' sweeps register, run side by
-    # side before any sweep; a walk's issues and error surface where a
-    # branch first reads it, and every branch that shares it reuses it
+    # the auto-scan of each branch to each sign's farthest point, all of
+    # them run side by side before any sweep; a walk that branches share
+    # is walked once and warned by the first branch that reads it
     radius = continuation.SweepOptions().crossing_radius
-    requests = list(dict.fromkeys(
-        req for occ in branches for gs in _sign_grids(grid)
-        for req in continuation.auto_scan_requests(
-            problem, occ, max(gs, key=abs), radius)))
-    scans = dict(zip(requests, critical.run_scans(problem, requests)))
+    plans = {(occ, far): continuation.auto_scan_requests(problem, occ, far,
+                                                         radius)
+             for occ in branches
+             for far in (max(gs, key=abs) for gs in _sign_grids(grid))}
+    scans = dict(zip(plans, critical.run_plans(problem, [*plans.values()])))
     energies = {occ: _verify_branch(problem, occ, grid, scans)
                 for occ in branches}
     worst = 0.0

@@ -24,7 +24,7 @@ import numpy as np
 from . import _kernels as kern
 from .cluster import default_cluster_size, detect_cluster, power_sums
 from .critical import (CriticalPoint, ScanRequest, critical_levels,
-                       run_scans, scan_requests)
+                       run_plans, scan_requests)
 from .errors import ConsistencyError, ContinuationError
 from .model import PairingProblem, as_occupation
 from .solver import (PairEnergies, Walker, newton_core, restart_step_cap,
@@ -179,27 +179,14 @@ def auto_scan_requests(problem: PairingProblem, branch, g_target: float,
 
 
 def auto_scan_points(problem: PairingProblem, branch, g_target: float,
-                     crossing_radius: float,
-                     scans: dict | None = None) -> list[CriticalPoint]:
+                     crossing_radius: float) -> list[CriticalPoint]:
     """What the auto-scan of a sweep to g_target registers: the points of
-    `auto_scan_requests`, in order of |g_c|.
-
-    The requests not yet in the dict `scans` ({ScanRequest: ScanResult})
-    run together through `run_scans` and are stored there.  Equal requests
-    are the same walk, so branches that share a deflated branch share its
-    walk and its points.  Each walk's issues are then warned, and its
-    error raised, from here in level order (`ScanResult.report`).  The
-    caller owns the dict and so decides how long a walk is reused.
-    """
-    requests = auto_scan_requests(problem, branch, g_target,
-                                  crossing_radius)
-    scans = {} if scans is None else scans
-    todo = [req for req in requests if req not in scans]
-    scans.update(zip(todo, run_scans(problem, todo)))
-    points = []
-    for req in requests:
-        points += scans[req].report()
-    return sorted(points, key=lambda p: abs(p.g_c))
+    `auto_scan_requests`, run as one plan (`run_plans`), in order of
+    |g_c|.  The plan's issues are warned, and its error raised, from here
+    (`ScanResult.report`)."""
+    [found] = run_plans(problem, [auto_scan_requests(
+        problem, branch, g_target, crossing_radius)])
+    return sorted(found.report(), key=lambda p: abs(p.g_c))
 
 
 def _corroborates(point, tan, g_now, vals_now) -> bool:
@@ -236,12 +223,17 @@ def sweep(problem: PairingProblem, branch, g_target: float,
     the given `critical_points` of g_target's sign in their given order,
     then those the auto-scan over `auto_scan_range` found that are not
     within 1e-9 of a given one at the same level.  A zero or non-finite
-    g_target raises ValueError before any scan or walk.
+    g_target, or a NaN or non-positive step_init or crossing_radius,
+    raises ValueError before any scan or walk.
     """
     if g_target == 0.0 or not math.isfinite(g_target):
         raise ValueError(f"g_target must be finite and nonzero, "
                          f"got {g_target!r}")
     opts = options or SweepOptions()
+    for name in ("step_init", "crossing_radius"):
+        if not getattr(opts, name) > 0:
+            raise ValueError(f"{name} must be a number > 0, "
+                             f"got {getattr(opts, name)!r}")
     occ = as_occupation(branch).validate_for(problem)
     direction = 1 if g_target > 0 else -1
     eta2 = problem.eta2_array()

@@ -17,8 +17,8 @@ one-dimensional determinant root is left to find; `critical_point`
 checks found and loaded points.  M_k = 1 - 2 d_k is the level's, no argument.
 A scan walks each side of g = 0 it covers from weak coupling, and each
 walk is one `ScanRequest`: `scan_requests` decides its side, deflated
-branch and grid before any walk starts, and `run_scans` runs a batch of
-walks in worker processes.
+branch and grid before any walk starts, and `run_plans` merges each of a
+caller's plans of walks, each walk run once in worker processes (`run_scans`).
 """
 
 from __future__ import annotations
@@ -267,30 +267,26 @@ def critical_point(problem: PairingProblem, k: int, g_c: float,
 
 
 class ScanResult(list):
-    """The critical points of one walk (`run_scans`) or of one scan
-    (`scan_critical`), in order of g_c.  ``issues`` holds the text of each
-    truncation or skipped bracket, in the order the scan met them.
-    ``error`` is the exception that stopped the scan, or None; a stopped
-    scan keeps the issues met before it and no points.  `report` warns the
-    issues and raises the error."""
+    """The critical points of one walk (`run_scans`), in order of g_c, or
+    of one plan (`run_plans`), walk after walk: a plan over several levels
+    is not in g_c order, and its callers sort it.  ``issues`` holds the
+    text of each truncation or skipped bracket, in the order met.  ``error``
+    is the exception that stopped the walk or plan, or None; a stopped one
+    keeps the issues met before it and no points.  `report` warns, raises."""
 
     def __init__(self, points=(), issues=(), error=None):
         super().__init__(points)
         self.issues = list(issues)
         self.error = error
-        self._reported = False
 
     def report(self, stacklevel=1):
         """Warn each issue as a TruncatedScanWarning from the line that
         called this method (`stacklevel` counts as for `warnings.warn`),
-        then raise ``error`` if it is set; returns self.  A scan that ran
-        to its end warns on the first call only.  A stopped one warns and
-        raises on every call, as running the scan again would."""
-        if self.error is not None or not self._reported:
-            for text in self.issues:
-                warnings.warn(text, TruncatedScanWarning,
-                              stacklevel=stacklevel + 1)
-        self._reported = True
+        then raise ``error`` if it is set; returns self.  Every call warns
+        and raises again."""
+        for text in self.issues:
+            warnings.warn(text, TruncatedScanWarning,
+                          stacklevel=stacklevel + 1)
         if self.error is not None:
             raise self.error
         return self
@@ -315,10 +311,14 @@ def scan_requests(problem: PairingProblem, k: int, g_range, branch=None, *,
     The deflated branch is `deflated_occ`, or else the one `branch`
     (default the ground state) deflates to on that side
     (`deflated_occupation`).  The grid defaults to `DEFAULT_GRID_PER_UNIT`
-    points per unit of the side's span, at least 400.  A non-finite
-    g_range, a non-integer M_k, or a branch that cannot supply the cluster
-    raises ValueError here, before any walk starts.
+    points per unit of the side's span, at least 400.  A k that is no int
+    level index of the problem, a non-finite g_range, a non-integer M_k,
+    or a branch that cannot supply the cluster raises ValueError here,
+    before any walk starts.
     """
+    if isinstance(k, bool) or not isinstance(k, int) \
+            or k not in range(problem.n_levels):
+        raise ValueError(f"k={k} is not a level index of the problem")
     if not np.isfinite(g_range).all():
         raise ValueError(f"g_range {tuple(g_range)} must be finite")
     default_cluster_size(problem.levels[k])     # refused before any walk
@@ -347,7 +347,7 @@ def scan_critical(problem: PairingProblem, k: int, g_range, branch=None, *,
     each root by false position in g along the branch (`_resolve_bracket`).
     Cells where |det| dips sharply without a sign change are re-walked at
     100x density to catch close root pairs.  A range across 0 is scanned as
-    its two walks, each out from weak coupling, side by side as `run_scans`
+    its two walks, each out from weak coupling, side by side as `run_plans`
     runs them; a walk that raises stops the scan with the issues met before
     it and no points, and the later walk counts for nothing.  Branch
     continuation failure truncates a walk, and a bracket that does not hold
@@ -357,16 +357,34 @@ def scan_critical(problem: PairingProblem, k: int, g_range, branch=None, *,
     turns every skip and truncation into an error; filters do not change
     ``issues``.
     """
-    found = ScanResult()
-    for part in run_scans(problem, scan_requests(
-            problem, k, g_range, branch, grid_points=grid_points,
-            deflated_occ=deflated_occ)):
-        found += part
-        found.issues += part.issues
-        found.error = part.error
-        if found.error is not None:
-            break
-    return found.report(stacklevel=2)
+    return run_plans(problem, [scan_requests(
+        problem, k, g_range, branch, grid_points=grid_points,
+        deflated_occ=deflated_occ)])[0].report(stacklevel=2)
+
+
+def run_plans(problem: PairingProblem, plans) -> list[ScanResult]:
+    """One ScanResult per plan in the list `plans`, each plan a list of
+    `ScanRequest`s read as one process running its walks in order would:
+    each walk's points until the first walk that raised, whose error stops
+    the plan with no points.  Every distinct request is one walk, all run
+    in one `run_scans` batch.  A walk's issues go to the first plan that
+    reads it (a plan stopped before a walk does not), so a walk that plans
+    share is warned once."""
+    requests = list(dict.fromkeys(req for plan in plans for req in plan))
+    walks = dict(zip(requests, run_scans(problem, requests)))
+    unread = {req: walk.issues for req, walk in walks.items()}
+    merged = []
+    for plan in plans:
+        found = ScanResult()
+        for req in plan:
+            found += walks[req]
+            found.issues += unread.pop(req, [])
+            found.error = walks[req].error
+            if found.error is not None:
+                found.clear()
+                break
+        merged.append(found)
+    return merged
 
 
 def scan_workers() -> int:

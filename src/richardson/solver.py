@@ -282,9 +282,9 @@ class Walker:
         residual norm) of it.
 
         Tries g + step (default: the whole remaining distance), clamped at
-        g_to, and halves the step while Newton fails.  Once the step falls
-        below min_step it raises ContinuationError and leaves the state as
-        it was.
+        g_to, and halves the step while Newton fails (an infinite one from
+        the distance tried).  Once the step falls below min_step, or is NaN,
+        it raises ContinuationError and leaves the state as it was.
         """
         step = g_to - self.g if step is None else step
         while True:
@@ -294,8 +294,8 @@ class Walker:
             e, ok, iters, rn = self._solve(g_next)
             if ok:
                 break
-            step *= 0.5
-            if abs(step) < self.min_step:
+            step = 0.5 * (g_next - self.g if math.isinf(step) else step)
+            if not abs(step) >= self.min_step:      # NaN stops too
                 raise ContinuationError(
                     f"{self.name} stalled near g={self.g:.8g} "
                     f"(residual {rn:.2e})")

@@ -783,7 +783,6 @@ def _no_scan(monkeypatch):
         raise AssertionError("sweep scanned")
 
     monkeypatch.setattr(critical, "run_scans", no_scan)
-    monkeypatch.setattr(continuation, "run_scans", no_scan)
 
 
 def _toy_critical(tmp_path, options=(), g_min="-0.52"):
@@ -1169,7 +1168,7 @@ def test_branch_counts_name_the_records_of_that_branch(tmp_path, capsys,
     def no_scan(*args, **kwargs):
         raise AssertionError("the records cover the sweep")
 
-    monkeypatch.setattr(continuation, "run_scans", no_scan)
+    monkeypatch.setattr(critical, "run_scans", no_scan)
     assert run_cli(["sweep", "--problem", str(prob_file), "--branch",
                     "2 1 1", "--g-target", "-0.5", "--out",
                     str(tmp_path)]) == 0
@@ -1211,25 +1210,27 @@ def test_sweep_step_is_the_first_step(tmp_path, capsys):
 
 def test_verify_skips_every_point_of_a_sign_whose_scan_failed(
         tmp_path, capsys, monkeypatch):
-    real = continuation.auto_scan_points
+    real = critical.run_scans
 
-    def failing_pos(problem, branch, g_target, *args, **kwargs):
-        if g_target > 0:
-            raise ContinuationError("scan stalled")
-        return real(problem, branch, g_target, *args, **kwargs)
+    def failing_pos(problem, requests):
+        return [critical.ScanResult(error=ContinuationError("scan stalled"))
+                if req.g_range[1] > 0 else found
+                for req, found in zip(requests, real(problem, requests))]
 
-    monkeypatch.setattr(continuation, "auto_scan_points", failing_pos)
+    monkeypatch.setattr(critical, "run_scans", failing_pos)
     prob_file = tmp_path / "n2.json"
     prob_file.write_text(rs.save_problem(rs.build_lattice_model(2, 2)))
     assert run_cli(["verify", "--problem", str(prob_file),
                     "--points", "5"]) == 4
     out = capsys.readouterr().out.splitlines()
-    # each of the 4 branches at each positive grid point
+    # each of the 3 branches with a walk at each positive grid point;
+    # (0, 2, 0) has no level that can collapse, so no walk that can fail
     skipped = [ln.split(" at g=")[1] for ln in out
                if ln.endswith(": skipped (scan stalled)")]
-    assert sorted(skipped) == ["0.1: skipped (scan stalled)"] * 4 \
-        + ["0.2: skipped (scan stalled)"] * 4
-    assert "samples checked: 12" in out
+    assert sorted(skipped) == ["0.1: skipped (scan stalled)"] * 3 \
+        + ["0.2: skipped (scan stalled)"] * 3
+    assert not any(ln.startswith("branch (0, 2, 0)") for ln in out)
+    assert "samples checked: 14" in out
 
 
 @pytest.mark.parametrize("excitations, note", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import richardson as rs
-from richardson import continuation, oracle
+from richardson import continuation, critical, oracle
 from richardson.continuation import SweepOptions, collapse_candidates
 from richardson.critical import ScanRequest
 from richardson.errors import ContinuationError
@@ -40,6 +40,25 @@ def test_sweep_requires_nonzero_target(lattice6, ground6, monkeypatch,
     with pytest.raises(ValueError, match="g_target"):
         continuation.sweep(lattice6, ground6, g_target,
                            SweepOptions(auto_scan=auto_scan))
+
+
+@pytest.mark.parametrize("option, value", [
+    ("step_init", np.nan), ("step_init", 0.0), ("step_init", -1e-3),
+    ("crossing_radius", np.nan), ("crossing_radius", 0.0),
+    ("crossing_radius", -5e-3),
+])
+def test_sweep_refuses_a_step_or_radius_the_cli_refuses(monkeypatch, option,
+                                                        value):
+    # the CLI's "a number > 0" rule, checked before any scan or walk
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"ran before {option} was checked")
+
+    monkeypatch.setattr(continuation, "auto_scan_points", no_work)
+    monkeypatch.setattr(continuation.Walker, "weak_start", no_work)
+    p = rs.build_lattice_model(4, 4)
+    with pytest.raises(ValueError, match=f"^{option} must be a number > 0"):
+        continuation.sweep(p, rs.ground_occupation(p), -0.3,
+                           SweepOptions(**{option: value}))
 
 
 @pytest.mark.parametrize("g_target", [-1e-4, 1e-3, -1e-3])
@@ -410,17 +429,19 @@ def test_shared_auto_scan_points_scan_each_key_once(monkeypatch):
                                             5e-3)[0]
             for b in ((1, 2, 0), (2, 1, 0))] == [ScanRequest(
                 0, rng, rs.OccupationMap((0, 0, 0)), 400)] * 2
-    calls = []
-    real = continuation.run_scans
+    calls, scans = [], {}
+    real = critical.run_scans
 
     def counted(problem, requests):
         calls.extend(requests)
-        return real(problem, requests)
+        scans.update(zip(requests, real(problem, requests)))
+        return [scans[req] for req in requests]
 
-    monkeypatch.setattr(continuation, "run_scans", counted)
-    scans = {}
-    for (b, g), want in fresh.items():
-        got = continuation.auto_scan_points(p, b, g, 5e-3, scans)
+    monkeypatch.setattr(critical, "run_scans", counted)
+    plans = critical.run_plans(p, [
+        continuation.auto_scan_requests(p, b, g, 5e-3) for b, g in fresh])
+    for found, want in zip(plans, fresh.values()):
+        got = sorted(found.report(), key=lambda q: abs(q.g_c))
         assert len(got) == len(want)
         for q, w in zip(got, want):
             for f in dataclasses.fields(q):

@@ -1,4 +1,5 @@
 import json
+import os
 import warnings
 from pathlib import Path
 
@@ -200,6 +201,24 @@ def test_scan_refuses_a_non_finite_range(monkeypatch, g_range):
     monkeypatch.setattr(critical, "run_scans", no_work)
     with pytest.raises(ValueError, match="g_range"):
         rs.scan_critical(rs.build_lattice_model(4, 4), 0, g_range)
+
+
+@pytest.mark.parametrize("k", [-1, 5, 1.0, True, "0"])
+def test_scan_refuses_what_is_no_level_index_before_any_walk(monkeypatch, k):
+    # refused before a walk could index the levels with it (-1 and True
+    # would even pass as indices)
+    def no_walk(*args):
+        raise AssertionError("a walk started")
+
+    def no_fork():
+        raise AssertionError("a scan worker started")
+
+    monkeypatch.setattr(critical, "_scan_side", no_walk)
+    monkeypatch.setattr(critical, "scan_workers", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    with pytest.raises(ValueError, match=f"^k={k} is not a level index of "
+                                         f"the problem$"):
+        rs.scan_critical(rs.build_lattice_model(4, 4), k, (-0.3, 0.0))
 
 
 def test_scan_finds_root_between_brackets(lattice6, ground6):

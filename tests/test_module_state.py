@@ -9,9 +9,10 @@ A stdlib-`ast` check in the style of `test_env_knobs.py`.  It flags
   comprehension or a bare `dict()`, `list()` or `set()` call, except
   `__all__`.
 
-So a memo, such as the scans `verify` shares between its branches, lives
-in an object its caller creates and drops, and no command or benchmark
-pass reuses the work of an earlier one.
+So work that is shared, such as the walks that `verify`'s branches have
+in common, is shared within one call (`critical.run_plans` runs each
+distinct walk once per batch), and no command or benchmark pass reuses
+the work of an earlier one.
 """
 
 import ast

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import richardson as rs
-from richardson import cli, continuation, critical
+from richardson import cli, critical
 from richardson.critical import TruncatedScanWarning
 from richardson.errors import ConsistencyError, ContinuationError
 
@@ -120,10 +120,10 @@ def test_pooled_warnings_point_at_the_caller(toy_3lvl, monkeypatch):
         assert [_fields(p) for walk in pending for p in walk.report()] == \
             [_fields(p) for p in found]
     assert [w.filename for w in seen] == [__file__] * 2
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+    with pytest.warns(TruncatedScanWarning) as again:
         for walk in pending:
-            walk.report()       # a walk that ran to its end warns once
+            walk.report()       # every call warns again
+    assert [str(w.message) for w in again] == found.issues
 
 
 def _toy_file(tmp_path):
@@ -249,7 +249,6 @@ def test_verify_walks_each_request_once(tmp_path, capsys, monkeypatch):
         return real(problem, requests)
 
     monkeypatch.setattr(critical, "run_scans", counted)
-    monkeypatch.setattr(continuation, "run_scans", counted)
     assert cli.main(["verify", "--problem", str(prob_file), "--points", "3",
                      "--g-min", "-0.1", "--g-max", "0.1",
                      "--excitations", "2"]) == 0
@@ -400,3 +399,89 @@ def test_critical_over_unequal_sides_matches_one_process(
         assert alone[0] == 0 and alone[2:4] == ("", [])
         assert alone[1].splitlines()[1:3] == [
             "1    -0.25        4    0", "2    0.380834     2    5.04667"]
+
+
+def _plan_walks(monkeypatch, walks):
+    """Make `critical.run_scans` return `walks[req]` for each request, and
+    record each batch it is given."""
+    batches = []
+
+    def run(problem, requests):
+        batches.append(list(requests))
+        return [walks[req] for req in requests]
+
+    monkeypatch.setattr(critical, "run_scans", run)
+    return batches
+
+
+def _request(k, side=-1):
+    g_range = (-0.3, 0.0) if side < 0 else (0.0, 0.3)
+    return critical.ScanRequest(k, g_range, rs.OccupationMap((0, 0)), 10)
+
+
+def _reported(found):
+    """(warning texts, error text or None) of one `report` call."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            found.report()
+            error = None
+        except ConsistencyError as err:
+            error = str(err)
+    assert all(w.filename == __file__ for w in seen)
+    return [str(w.message) for w in seen], error
+
+
+def test_a_walk_that_plans_share_warns_once_from_the_first_reader(
+        monkeypatch):
+    a, b = _request(0), _request(1)
+    batches = _plan_walks(monkeypatch, {
+        a: critical.ScanResult(["a1"], ["a stall"]),
+        b: critical.ScanResult(["b1", "b2"], ["b stall"])})
+    first, second, third = critical.run_plans(None, [[a, b], [b], [b, a]])
+    assert batches == [[a, b]]
+    assert (list(first), list(second), list(third)) == (
+        ["a1", "b1", "b2"], ["b1", "b2"], ["b1", "b2", "a1"])
+    assert _reported(first) == (["a stall", "b stall"], None)
+    assert _reported(second) == _reported(third) == ([], None)
+    assert second.issues == third.issues == []
+
+
+def test_a_walk_after_an_error_warns_from_the_next_plan_that_reads_it(
+        monkeypatch):
+    bad, late = _request(0), _request(1, side=1)
+    batches = _plan_walks(monkeypatch, {
+        bad: critical.ScanResult(
+            [], ["bad stall"], ConsistencyError("test failure")),
+        late: critical.ScanResult(["late1"], ["late stall"])})
+    stopped, other, again = critical.run_plans(
+        None, [[bad, late], [late], [late, bad]])
+    assert batches == [[bad, late]]
+    assert list(stopped) == [] and list(other) == ["late1"]
+    assert _reported(stopped) == (["bad stall"], "test failure")
+    assert _reported(other) == (["late stall"], None)
+    # read by an earlier plan, each walk warns nothing more; the error
+    # still stops the plan, and the points met before it are dropped
+    assert list(again) == []
+    assert _reported(again) == ([], "test failure")
+
+
+def test_equal_requests_across_plans_reach_run_scans_once(monkeypatch):
+    problem = rs.PairingProblem((rs.Level(0.0, 6), rs.Level(1.0, 2)), 4)
+    plans = [critical.scan_requests(problem, k, (-0.3, 0.6))
+             for k in (0, 1, 0, 1, 0)]
+    real = critical.run_scans
+    batches = []
+
+    def counted(problem, requests):
+        batches.append(list(requests))
+        return real(problem, requests)
+
+    monkeypatch.setattr(critical, "run_scans", counted)
+    merged = critical.run_plans(problem, plans)
+    assert batches == [plans[0] + plans[1]]
+    # level 0 at g_c = -0.25, level 1 at 0.380834
+    assert [[p.k for p in found] for found in merged] == [[0], [1]] * 2 + [[0]]
+    for i, found in enumerate(merged[2:], start=2):
+        assert [_fields(p) for p in found] == \
+            [_fields(p) for p in merged[i % 2]]

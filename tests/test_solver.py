@@ -417,6 +417,25 @@ def test_walker_halves_on_failure_and_clamps(monkeypatch):
     assert abs(walker.e[0] - 2.6) < 1e-12
 
 
+def test_walker_halves_an_infinite_step_from_the_distance(monkeypatch):
+    # inf halves to inf: halved as given, a failed try at g_to would
+    # repeat forever
+    tried = []
+
+    def fails_beyond_0_3(e0, g, eta2, d, **kw):
+        tried.append(g)
+        out = newton_core(e0, g, eta2, d, **kw)
+        return (out[0], False) + out[2:] if g > 0.3 else out
+
+    monkeypatch.setattr(solver, "newton_core", fails_beyond_0_3)
+    walker = _one_pair_walker(min_step=1e-3)
+    step, _, _ = walker.step_toward(1.0, math.inf)
+    assert tried == [1.0, 0.5625, 0.34375, 0.234375]
+    assert step == 0.109375 and walker.g == 0.234375
+    # a first try that converges keeps the step it was given
+    assert walker.step_toward(0.3, math.inf)[0] == math.inf
+
+
 def test_walker_gives_up_below_min_step_unchanged(monkeypatch):
     tried = []
 
@@ -434,6 +453,16 @@ def test_walker_gives_up_below_min_step_unchanged(monkeypatch):
     # step 0.0625 is below min_step
     assert tried == [0.75, 0.75, 0.5, 0.5, 0.375, 0.375]
     assert walker.g == g and walker.e is e and walker.prev is prev
+
+
+def test_walker_gives_up_on_a_nan_step_unchanged():
+    # NaN halves to NaN and compares False with min_step; a step that can
+    # never fall below it still ends the walk, on the first failure
+    walker = _one_pair_walker(min_step=1e-6)
+    g, e = walker.g, walker.e
+    with pytest.raises(ContinuationError, match="one pair stalled near"):
+        walker.step_toward(1.0, math.nan)
+    assert walker.g == g and walker.e is e and walker.prev is None
 
 
 def test_walker_on_the_empty_system(monkeypatch):
