@@ -12,7 +12,8 @@ residual pass.  Callers outside Newton take `jacobian_at`.
 (..., M): each row runs the same elementwise operations and the same
 contiguous last-axis reductions as a 1-D call, so it gives the same bits
 (but for which NaN an add of two NaNs keeps, which numpy's loops choose by
-array length), and Newton tests a whole damping ladder in one pass.
+array length), and so does `jacobian` on a stack; Newton solves a stack of
+rows, and tests their damping ladders, in one pass per kernel.
 
 Pole checking is done by the callers.  At an exact level pole or pair
 coincidence the residuals come out non-finite (with numpy's divide
@@ -47,23 +48,27 @@ def residuals(e, g, eta2, d):
     Returns (residuals, diff_lvl, inv): diff_lvl = eta2 - e[..., None] and
     inv the zero-diagonal 1/(e_a - e_b), the inputs of `jacobian` at e.
     Leading axes of e are batch axes: row i of each output is the 1-D
-    call at e[i].
+    call at e[i], and at g[i] when g has one value per row (shape (..., 1)).
     """
     diff_lvl = eta2 - e[..., None]
     inv = _inv_offdiag(e)
     lvl = np.add.reduce(d / diff_lvl, axis=-1)
     pair = np.add.reduce(inv, axis=-1)
-    return 1.0 - 4.0 * g * lvl + 4.0 * g * pair, diff_lvl, inv
+    g4 = 4.0 * g
+    return 1.0 - g4 * lvl + g4 * pair, diff_lvl, inv
 
 
 def jacobian(g, d, diff_lvl, inv):
     """Analytic Jacobian of the residuals with respect to the pair energies,
-    from the diff_lvl and inv that `residuals` returned at the same e."""
+    from the diff_lvl and inv that `residuals` returned at the same e;
+    leading axes are batch axes, with g as `residuals` takes it."""
+    n = inv.shape[-1]
+    g4 = 4.0 * g
     inv2 = inv ** 2
-    jac = 4.0 * g * inv2
-    diag = -4.0 * g * np.add.reduce(d / (diff_lvl * diff_lvl), axis=1) \
-        - 4.0 * g * np.add.reduce(inv2, axis=1)
-    jac.ravel()[::inv.shape[0] + 1] = diag
+    jac = (g4 if np.isscalar(g4) else g4[..., None]) * inv2
+    diag = -g4 * np.add.reduce(d / (diff_lvl * diff_lvl), axis=-1) \
+        - g4 * np.add.reduce(inv2, axis=-1)
+    jac.reshape(jac.shape[:-2] + (n * n,))[..., ::n + 1] = diag
     return jac
 
 

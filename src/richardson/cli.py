@@ -499,6 +499,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
     count = _number(int, lambda n: n >= 1, "an integer >= 1")
     length = _number(float, lambda x: x > 0, "a number > 0")
+    radius = _number(float, lambda x: 0 < x < math.inf, "a finite number > 0")
     coupling = _number(float, math.isfinite, "a finite number")
 
     p = sub.add_parser("lattice", help="generate the square-lattice model")
@@ -535,7 +536,7 @@ def build_parser():
                    help="1-based level for the S_p table")
     p.add_argument("--step", type=length,
                    default=continuation.SweepOptions.step_init)
-    p.add_argument("--crossing-radius", type=length,
+    p.add_argument("--crossing-radius", type=radius,
                    default=continuation.SweepOptions.crossing_radius)
     p.add_argument("--stride", type=count, default=1,
                    help="keep every n-th sample in the CSV")

@@ -106,21 +106,22 @@ def restart_solve(tangent: TangentData, problem: PairingProblem,
 
     Tries the guess directly, with the restart step cap.  If that solve
     does not land on the branch, walks outward from delta_g / 8 (then
-    delta_g / 32, ...), where the guess is asymptotically exact, tripling
-    the distance from g_c at every step and never halving one.  Every
-    solve must pass the same on-branch test: converged, with its energy
-    within max(1e-3, slope |delta| / 4) of the tangent prediction (nearby
+    delta_g / 32), where the guess is asymptotically exact, tripling the
+    distance from g_c at every step and never halving one.  Every solve
+    must pass the same on-branch test: converged, with its energy within
+    max(1e-3, slope |delta| / 4) of the tangent prediction (nearby
     eigenstates are dense around a collapse, so convergence alone does not
     identify the branch).
 
-    An uncapped retry of the direct solve landed none of the 74 restarts
-    of the test suite nor any restart of the benchmark's workloads:
+    Neither an uncapped retry of the direct solve nor walk-outs from
+    delta_g / 128 and / 512 landed any restart of the test suite or of the
+    benchmark's workloads that the rungs below did not land:
 
-    | where | direct | walk-out at delta/8 | at delta/32 | uncapped |
-    | --- | --- | --- | --- | --- |
-    | tests (74 restarts) | 67 | 6 | 1 | 0 |
-    | cli-lat6, per pass | 4 | 3 | 0 | 0 |
-    | verify-oracle, per pass | 2 | 0 | 0 | 0 |
+    | where | direct | walk-out at delta/8 | at delta/32 |
+    | --- | --- | --- | --- |
+    | tests (127 restarts) | 100 | 26 | 1 |
+    | cli-lat6, per pass | 4 | 3 | 0 |
+    | verify-oracle, per pass | 2 | 0 | 0 |
     """
     if delta_g == 0.0:
         raise ContinuationError(
@@ -136,8 +137,7 @@ def restart_solve(tangent: TangentData, problem: PairingProblem,
     # (fraction of delta_g solved first, Newton iteration budget): the
     # direct attempt, then walk-outs whose guess error vanishes as the
     # fraction shrinks
-    for div, max_iter in ((1.0, 40), (8.0, 60), (32.0, 60), (128.0, 60),
-                          (512.0, 60)):
+    for div, max_iter in ((1.0, 40), (8.0, 60), (32.0, 60)):
         frac = delta_g / div
         guess = linear_guess(tangent, frac)
         vals, ok, _, rn = newton_core(guess.values, point.g_c + frac, eta2,
@@ -223,16 +223,19 @@ def sweep(problem: PairingProblem, branch, g_target: float,
     the given `critical_points` of g_target's sign in their given order,
     then those the auto-scan over `auto_scan_range` found that are not
     within 1e-9 of a given one at the same level.  A zero or non-finite
-    g_target, or a NaN or non-positive step_init or crossing_radius,
-    raises ValueError before any scan or walk.
+    g_target, a NaN or non-positive step_init, or a crossing_radius that
+    is not a finite number > 0 raises ValueError before any scan or walk.
     """
     if g_target == 0.0 or not math.isfinite(g_target):
         raise ValueError(f"g_target must be finite and nonzero, "
                          f"got {g_target!r}")
     opts = options or SweepOptions()
-    for name in ("step_init", "crossing_radius"):
-        if not getattr(opts, name) > 0:
-            raise ValueError(f"{name} must be a number > 0, "
+    for name, rule, ok in (
+            ("step_init", "a number > 0", opts.step_init > 0),
+            ("crossing_radius", "a finite number > 0",
+             0 < opts.crossing_radius < math.inf)):
+        if not ok:
+            raise ValueError(f"{name} must be {rule}, "
                              f"got {getattr(opts, name)!r}")
     occ = as_occupation(branch).validate_for(problem)
     direction = 1 if g_target > 0 else -1

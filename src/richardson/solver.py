@@ -1,10 +1,11 @@
 """The damped Newton solver of the Richardson equations and its walker.
 
-Every solve runs through two array-level entries: `newton_core`, one
-damped Newton solve at fixed g, and `Walker`, the continuation of one
-solution in g.  Both take the energies, g, 2 eta and d as arrays; the
-residuals and Jacobians they evaluate are `_kernels.residuals` and
-`_kernels.jacobian`.  `_weak_seed_arrays` gives the weak-coupling start.
+Every solve runs through `newton_rows`, one damped Newton over a stack of
+rows, each with its own start and g; `newton_core`, one solve at fixed g,
+is its one-row case.  `Walker` is the continuation of one solution in g.
+All take the energies, g, 2 eta and d as arrays; the residuals and
+Jacobians they evaluate are `_kernels.residuals` and `_kernels.jacobian`,
+stacked.  `_weak_seed_arrays` gives the weak-coupling start.
 
 The nonlinear system solved here is, for each of the M pair energies e_a,
 
@@ -15,11 +16,12 @@ the solver re-imposes that structure after every Newton step, which both
 prevents drift and keeps the iteration on the physical branch.
 
 Newton is damped: a trial step is halved until the residual norm drops.
-The full step costs one residual pass.  When it fails, a complex trial
-pays one pass per halving; a real one tests all its halvings in one
-batched pass.  A solve gives up, unconverged, when the halvings run out
-or when 12 iterations in a row each needed more than 8 halvings (a crawl,
-in which the residual barely moves).
+The full steps of all the rows cost one stacked residual pass.  Where one
+fails, a complex trial pays one pass per halving; the real ones test all
+their halvings in one batched pass.  A solve gives up, unconverged, when
+the halvings run out or when 12 iterations in a row each needed more than
+8 halvings (a crawl, in which the residual barely moves).  A walker step
+whose first try fails solves all its halvings in one stack.
 """
 
 from __future__ import annotations
@@ -98,11 +100,12 @@ def symmetrize_conjugate(values):
     its conjugate, self-matches by their real part.  Python complex abs is
     numpy's scalar hypot, except that it raises OverflowError where numpy
     gives inf (overflow) or NaN (a NaN part while errno holds a stale
-    ERANGE); a self-distance cannot overflow.  All-real input skips the
-    greedy: every self-distance is 0 or NaN, which no distance beats.
+    ERANGE); a self-distance cannot overflow.  A real value matches itself
+    without a search: its self-distance is 0 or NaN, which no distance
+    beats; so all-real input skips the greedy.
     """
     arr = np.asarray(values, dtype=np.complex128)
-    if not arr.imag.any():
+    if not np.count_nonzero(arr.imag):
         return arr.real.astype(np.complex128)
     vals = arr.tolist()
     conj = [v.conjugate() for v in vals]
@@ -110,6 +113,9 @@ def symmetrize_conjugate(values):
     while todo:
         i = todo.pop(0)
         vi = vals[i]
+        if not vi.imag:
+            vals[i] = vi.real
+            continue
         best_j = i
         try:
             best = abs(vi - conj[i])
@@ -132,100 +138,210 @@ def symmetrize_conjugate(values):
     return np.array(vals, dtype=np.complex128)
 
 
-def newton_core(e0, g, eta2, d, *, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
+def _symmetrize_rows(t):
+    """`symmetrize_conjugate` of each row of t: real rows in one pass."""
+    if len(t) == 1:
+        return symmetrize_conjugate(t[0])[None]
+    if not np.count_nonzero(t.imag):
+        return t.real.astype(np.complex128)
+    return np.array([symmetrize_conjugate(row) for row in t])
+
+
+def newton_rows(e0, g, eta2, d, *, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
                 step_cap=None):
-    """Damped Newton on the array-level system; returns (values, converged,
-    iterations, residual_norm).  Never raises on non-convergence.
+    """Damped Newton on a stack of rows, tried in order: row i solves from
+    e0[i] (shape (R, M)) at g[i].  Returns the rows up to the first that
+    converges (all, if none does) as an array, with lists of their
+    convergence, iterations and residual norms; row i has the bits of
+    `newton_core(e0[i], g[i], eta2, d, ...)`.  A row after a converged row
+    is dropped once that row converges.
 
-    The accepted trial's residual pass (`_kernels.residuals`) also yields
-    the arrays its Jacobian is built from.  The damping ladder costs one
-    pass for the full step, then one per halving of a complex trial, or
-    one batched pass for all the halvings of a real one; both accept the
-    same trial (`_damped_trial`).  Exact poles in the starting point
-    raise SingularEvaluationError; an exact pole always makes the residual
-    non-finite, so the start is scanned for poles (`find_poles`) only when
-    its residual is not finite.  A damped trial that lands on a pole has a
-    non-finite residual and is rejected like any other.  A non-finite
-    Newton step (an escaped iterate overflowing the Jacobian) ends the
-    iteration.  So does a crawl: NEWTON_MAX_CRAWL iterations in a row whose
-    accepted trial needed more than NEWTON_CRAWL_HALVINGS halvings.  The
-    halvings are counted, not the damping factor, so a small step_cap
-    alone does not make an iteration crawl.
+    Each iteration makes one stacked pass of Jacobian, solve and rung 0
+    (the full, or step_cap-damped, step) over the rows still iterating; a
+    row that fails rung 0 halves its trial (`_ladders`).  A row ends
+    converged, out of iterations, at a singular Jacobian or a non-finite
+    step (an escaped iterate), when no rung passes, or after a crawl:
+    NEWTON_MAX_CRAWL iterations in a row that each needed more than
+    NEWTON_CRAWL_HALVINGS halvings (halvings, not the damping factor, so a
+    small step_cap is no crawl).  step_cap bounds the infinity norm of a
+    step, for restarts near critical points, where an early
+    ill-conditioned Jacobian can throw the iterate out of every basin.
 
-    step_cap bounds the infinity norm of a single Newton step; useful for
-    restarts near critical points, where an early ill-conditioned Jacobian
-    can throw the iterate out of every basin.
+    Only a start whose residual is not finite is scanned for exact poles.
+    A row that has one raises SingularEvaluationError if no row before it
+    converges, as one-row solves, in turn, would raise it.
     """
-    e = symmetrize_conjugate(e0)
-    if e.shape[0] == 0:
-        return e, True, 0, 0.0
-    iters = 0
+    e0 = np.asarray(e0, dtype=np.complex128)
+    g = np.asarray(g, dtype=np.float64)
+    n_rows, m = e0.shape
+    e = _symmetrize_rows(e0)
+    if m == 0:
+        end = min(n_rows, 1)
+        return e[:end], [True] * end, [0] * end, [0.0] * end
+    # each row's g, as a column; a lone row's as a float, whose arithmetic
+    # costs less than that of an array (the bits are the same)
+    gcol = g[:, None] if n_rows > 1 else float(g[0])
     # poles and escaped iterates overflow the residuals and the Jacobian,
     # wild trials the residuals
     with np.errstate(all="ignore"):
-        r, diff_lvl, inv = kern.residuals(e, g, eta2, d)
-        rn = float(np.maximum.reduce(np.abs(r)))
-        if not math.isfinite(rn):
-            _raise_on_pole(e, eta2)
-        crawl = 0
-        while rn > tol and iters < max_iter:
-            jac = kern.jacobian(g, d, diff_lvl, inv)
+        r, diff_lvl, inv = kern.residuals(e, gcol, eta2, d)
+        rn = np.maximum.reduce(np.abs(r), axis=1)
+        rn_l = rn.tolist()
+        # an exact pole makes the residual non-finite; such a row stops at
+        # once, and raises if the one-row solves, in turn, would reach it
+        poles = [i for i, x in enumerate(rn_l)
+                 if not math.isfinite(x) and find_poles(e[i], eta2)]
+        # e, r, rn, ... hold the rows still iterating, idx their places and
+        # n_it their iterations (less lag, 1 where a solve raised); Python
+        # lists steer the loop, cheaper for one row than array reductions
+        out_e, out_rn, iters = e, rn_l, [0] * n_rows
+        idx = list(range(n_rows))
+        lag = [0] * n_rows
+        crawl = [0] * n_rows
+        stop = [not x > tol or i in poles for i, x in enumerate(rn_l)]
+        n_it = 0
+        end = n_rows
+        while True:
+            if n_it == max_iter:
+                stop = [True] * len(idx)
+            if any(stop):
+                ends = [i for i, s, x in zip(idx, stop, rn_l)
+                        if s and (x <= tol or i in poles)]
+                if ends and ends[0] < end:
+                    end = ends[0] + 1
+                    stop = [s or i >= end for i, s in zip(idx, stop)]
+                if all(stop) and len(idx) == n_rows:
+                    out_e, out_rn = e, rn_l
+                    iters = [n_it - k for k in lag]
+                    break
+                for k, i in enumerate(idx):
+                    if stop[k]:
+                        out_e[i], out_rn[i] = e[k], rn_l[k]
+                        iters[i] = n_it - lag[k]
+                go = [k for k, s in enumerate(stop) if not s]
+                if not go:
+                    break
+                idx, lag, crawl, rn_l = ([x[k] for k in go]
+                                         for x in (idx, lag, crawl, rn_l))
+                e, r, rn, diff_lvl, inv, g = (
+                    x[go] for x in (e, r, rn, diff_lvl, inv, g))
+                gcol = g[:, None]
+            jac = kern.jacobian(gcol, d, diff_lvl, inv)
+            n_it += 1
             try:
-                step = np.linalg.solve(jac, -r)
+                step = np.linalg.solve(jac, -r[..., None])[..., 0]
             except np.linalg.LinAlgError:
-                break
-            iters += 1
-            if not np.isfinite(step).all():
-                break
+                step = np.empty_like(r)
+                for k in range(len(idx)):
+                    try:
+                        step[k] = np.linalg.solve(jac[k], -r[k])
+                    except np.linalg.LinAlgError:
+                        step[k], lag[k] = np.nan, 1
+            ok = None
+            if np.count_nonzero(np.isfinite(step)) < step.size:
+                ok = np.isfinite(step).all(axis=1).tolist()
+                step[[not x for x in ok]] = 0.0
             lam = 1.0
             if step_cap is not None:
-                sn = float(np.maximum.reduce(np.abs(step)))
-                if sn > step_cap:
-                    lam = step_cap / sn
-            accepted = _damped_trial(e, step, lam, rn, tol, g, eta2, d)
-            if accepted is None:
-                break
-            halvings, e, r, rn, diff_lvl, inv = accepted
-            crawl = crawl + 1 if halvings > NEWTON_CRAWL_HALVINGS else 0
-            if crawl == NEWTON_MAX_CRAWL:
-                break
-    return e, rn <= tol, iters, rn
-
-
-def _damped_trial(e, step, lam, rn, tol, g, eta2, d):
-    """The first trial e + lam 2^-h step, h = 0..NEWTON_MAX_HALVINGS, whose
-    residual norm passes the damping test, as (h, trial, residuals, norm,
-    diff_lvl, inv); None when no rung passes.
-
-    Rung 0, and each later rung of a complex trial, costs one residual
-    pass.  When e and step are real, every trial is real and
-    `symmetrize_conjugate` would only keep its real part, so rungs 1..
-    NEWTON_MAX_HALVINGS are tested in one batched pass.  Their damping
-    factors come from repeated halving, as the per-rung loop makes them,
-    and each row of the batch has the bits of its own pass.
-    """
-    for h in range(NEWTON_MAX_HALVINGS + 1):
-        if h == 1 and not (e.imag.any() or step.imag.any()):
-            lams = np.full(NEWTON_MAX_HALVINGS, 0.5)
-            lams[0] = lam
-            np.multiply.accumulate(lams, out=lams)
-            trials = (e + lams[:, None] * step).real.astype(np.complex128)
-            rt, diff_t, inv_t = kern.residuals(trials, g, eta2, d)
+                sn = np.maximum.reduce(np.abs(step), axis=1)
+                lam = np.where(sn > step_cap, step_cap / sn, 1.0)[:, None]
+            trial = _symmetrize_rows(e + lam * step)
+            rt, diff_t, inv_t = kern.residuals(trial, gcol, eta2, d)
             rtn = np.maximum.reduce(np.abs(rt), axis=1)
-            passed = np.flatnonzero(np.isfinite(rtn)
-                                    & ((rtn < rn) | (rtn <= tol)))
-            if passed.size == 0:
-                return None
-            i = int(passed[0])
-            return (i + 1, trials[i], rt[i], float(rtn[i]), diff_t[i],
-                    inv_t[i])
-        trial = symmetrize_conjugate(e + lam * step)
-        rt, diff_t, inv_t = kern.residuals(trial, g, eta2, d)
-        rtn = float(np.maximum.reduce(np.abs(rt)))
-        if math.isfinite(rtn) and (rtn < rn or rtn <= tol):
-            return h, trial, rt, rtn, diff_t, inv_t
-        lam *= 0.5
-    return None
+            rtn_l = rtn.tolist()
+            # a norm that is inf or NaN passes neither test
+            passed = [x < y or x <= tol for x, y in zip(rtn_l, rn_l)]
+            if ok is None and all(passed):
+                if any(crawl):
+                    crawl = [0] * len(idx)
+                stop = [x <= tol for x in rtn_l]
+            else:
+                ok = ok or [True] * len(idx)
+                halvings = [0 if p and o else -1 for p, o in zip(passed, ok)]
+                _ladders([k for k, h in enumerate(halvings) if h and ok[k]],
+                         halvings, e, step,
+                         np.broadcast_to(lam, (len(idx), 1))[:, 0].tolist(),
+                         rn_l, tol, g, eta2, d,
+                         (trial, rt, rtn, diff_t, inv_t))
+                lost = [k for k, h in enumerate(halvings) if h < 0]
+                if lost:
+                    for new, old in zip((trial, rt, rtn, diff_t, inv_t),
+                                        (e, r, rn, diff_lvl, inv)):
+                        new[lost] = old[lost]
+                rtn_l = rtn.tolist()
+                crawl = [c + 1 if h > NEWTON_CRAWL_HALVINGS else 0
+                         for c, h in zip(crawl, halvings)]
+                stop = [h < 0 or c == NEWTON_MAX_CRAWL or x <= tol
+                        for h, c, x in zip(halvings, crawl, rtn_l)]
+            e, r, rn, diff_lvl, inv, rn_l = trial, rt, rtn, diff_t, inv_t, \
+                rtn_l
+    if poles and poles[0] < end:
+        _raise_on_pole(out_e[poles[0]], eta2)
+    return (out_e[:end], [x <= tol for x in out_rn[:end]], iters[:end],
+            out_rn[:end])
+
+
+def _ladders(rows, halvings, e, step, lam, rn, tol, g, eta2, d, trials):
+    """Halve the trials e + lam step of the listed rows, which failed rung
+    0, until the residual norm passes the damping test against rn (lam and
+    rn: lists over the rows).  A row's first passing rung h >= 1 goes into
+    halvings and its trial, residuals, norm, diff_lvl and inv into that
+    row of the arrays in trials.  The rungs of all real rows, whose trials
+    stay real, are tested in one batched pass; a complex row tests its
+    rungs one pass at a time.  The damping factors come from repeated
+    halving, as a per-rung loop makes them.
+    """
+    n_h = NEWTON_MAX_HALVINGS
+    if not rows or not n_h:
+        return
+    if not (np.count_nonzero(e.imag) or np.count_nonzero(step.imag)):
+        ladder, single = rows, []
+    else:
+        cplx = [k for k in rows if np.count_nonzero(e[k].imag)
+                or np.count_nonzero(step[k].imag)]
+        ladder, single = [k for k in rows if k not in cplx], cplx
+    if ladder:
+        lams = np.full((len(ladder), n_h), 0.5)
+        lams[:, 0] = [0.5 * lam[k] for k in ladder]
+        np.multiply.accumulate(lams, axis=1, out=lams)
+        t = (e[ladder, None] + lams[..., None]
+             * step[ladder, None]).real.astype(np.complex128)
+        out = kern.residuals(t, g[ladder, None, None], eta2, d)
+        tn = np.maximum.reduce(np.abs(out[0]), axis=2)
+        rn_col = np.array([rn[k] for k in ladder])[:, None]
+        passed = (tn < rn_col) | (tn <= tol)
+        for j, k in enumerate(ladder):
+            hit = np.flatnonzero(passed[j])
+            if hit.size:
+                h = int(hit[0])
+                halvings[k] = h + 1
+                for dst, src in zip(trials, (t, out[0], tn) + out[1:]):
+                    dst[k] = src[j, h]
+    for k in single:
+        e_k, step_k, g_k, lam_k = e[k], step[k], float(g[k]), lam[k]
+        for h in range(1, n_h + 1):
+            lam_k *= 0.5
+            t = symmetrize_conjugate(e_k + lam_k * step_k)
+            out = kern.residuals(t, g_k, eta2, d)
+            tn = float(np.maximum.reduce(np.abs(out[0])))
+            if tn < rn[k] or tn <= tol:
+                halvings[k] = h
+                for dst, src in zip(trials, (t, out[0], tn) + out[1:]):
+                    dst[k] = src
+                break
+
+
+def newton_core(e0, g, eta2, d, *, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
+                step_cap=None):
+    """Damped Newton on the array-level system from the energies e0 at g;
+    returns (values, converged, iterations, residual_norm).  Never raises
+    on non-convergence.  The one-row case of `newton_rows`, which has the
+    damping, the exits and the pole check.
+    """
+    e, ok, iters, rn = newton_rows(
+        np.asarray(e0, dtype=np.complex128)[None], [g], eta2, d, tol=tol,
+        max_iter=max_iter, step_cap=step_cap)
+    return e[0], ok[0], iters[0], rn[0]
 
 
 class Walker:
@@ -261,17 +377,21 @@ class Walker:
                 f"g={g0:.3g} (residual {rn:.2e})")
         return cls(eta2, d, g0, e, min_step=min_step, name=name), origin, rn
 
-    def _solve(self, g_next):
-        """Newton at g_next seeded from the secant through prev and (g, e)
-        when that history exists, then from e itself; the newton_core
-        result of the first converged attempt, or else of the last one."""
-        if self.e.size == 0:
-            return self.e, True, 0, 0.0
+    def _seeds(self, g_next):
+        """Newton's seeds at g_next, in the order they are tried: the secant
+        through prev and (g, e) when that history exists, then e itself."""
         seeds = [self.e]
         if self.prev is not None and self.prev[0] != self.g:
             slope = (self.e - self.prev[1]) / (self.g - self.prev[0])
             seeds.insert(0, self.e + slope * (g_next - self.g))
-        for seed in seeds:
+        return seeds
+
+    def _solve(self, g_next):
+        """The newton_core result at g_next of the first seed that
+        converges, or else of the last one."""
+        if self.e.size == 0:
+            return self.e, True, 0, 0.0
+        for seed in self._seeds(g_next):
             out = newton_core(seed, g_next, self.eta2, self.d, max_iter=60)
             if out[1]:
                 break
@@ -285,17 +405,36 @@ class Walker:
         g_to, and halves the step while Newton fails (an infinite one from
         the distance tried).  Once the step falls below min_step, or is NaN,
         it raises ContinuationError and leaves the state as it was.
+
+        When the first try fails, all the halvings down to min_step, each
+        with `_solve`'s seeds in order, are solved in one `newton_rows`
+        stack, which stops at its first converged row: the step, seed and
+        bits that trying them one by one accepts.
         """
         step = g_to - self.g if step is None else step
-        while True:
-            g_next = self.g + step
-            if (g_next - g_to) * step >= 0:
-                g_next = g_to
-            e, ok, iters, rn = self._solve(g_next)
-            if ok:
-                break
-            step = 0.5 * (g_next - self.g if math.isinf(step) else step)
-            if not abs(step) >= self.min_step:      # NaN stops too
+        g_next = self.g + step
+        if (g_next - g_to) * step >= 0:
+            g_next = g_to
+        e, ok, iters, rn = self._solve(g_next)
+        if not ok:
+            tries = []
+            while True:
+                step = 0.5 * (g_next - self.g if math.isinf(step) else step)
+                if not abs(step) >= self.min_step:      # NaN stops too
+                    break
+                g_next = self.g + step
+                if (g_next - g_to) * step >= 0:
+                    g_next = g_to
+                tries.append((step, g_next))
+            if tries:
+                seeds = [self._seeds(g_n) for _, g_n in tries]
+                es, oks, its, rns = newton_rows(
+                    [s for row in seeds for s in row],
+                    [g_n for (_, g_n), row in zip(tries, seeds) for _ in row],
+                    self.eta2, self.d, max_iter=60)
+                step, g_next = tries[(len(oks) - 1) // len(seeds[0])]
+                e, ok, iters, rn = es[-1], oks[-1], its[-1], rns[-1]
+            if not ok:
                 raise ContinuationError(
                     f"{self.name} stalled near g={self.g:.8g} "
                     f"(residual {rn:.2e})")

@@ -563,6 +563,8 @@ def test_output_location_is_checked_before_any_work(tmp_path, capsys,
     (["sweep", "--g-target", "-0.1", "--step", "-0.001"], None, "--step"),
     (["sweep", "--g-target", "-0.1", "--crossing-radius", "-0.005"], None,
      "--crossing-radius"),
+    (["sweep", "--g-target", "-0.1", "--crossing-radius", "inf"], None,
+     "--crossing-radius"),
     (["sweep", "--g-target", "-0.1", "--stride", "0"], None, "--stride"),
     (["sweep", "--g-target", "-0.1"], {"stride": 0}, "--stride"),
     (["sweep", "--g-target", "-0.1"], {"step": 0}, "--step"),
@@ -577,7 +579,8 @@ def test_output_location_is_checked_before_any_work(tmp_path, capsys,
     (["verify", "--g-max", "inf"], None, "--g-max"),
     (["critical", "--g-max", "0"], {"g-min": "nan"}, "--g-min"),
     (["sweep"], {"g-target": "inf"}, "--g-target"),
-], ids=["points", "grid", "step", "crossing-radius", "stride",
+], ids=["points", "grid", "step", "crossing-radius", "crossing-radius-inf",
+        "stride",
         "config-stride", "config-step", "config-points", "config-float-count",
         "excitations", "config-excitations", "critical-g-max-inf",
         "critical-g-min-nan", "sweep-g-target-nan", "sweep-g-target-1e400",
@@ -601,6 +604,18 @@ def test_non_positive_option_is_rejected_before_any_work(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: ") and name in err[0]
+
+
+def test_an_infinite_step_is_read_and_an_infinite_radius_refused():
+    # an infinite step halves from the distance it tried; an infinite
+    # crossing radius has no meaning, and its type says so
+    parse = cli.build_parser().parse_args
+    base = ["sweep", "--problem", "p.json", "--g-target", "-0.1"]
+    assert parse(base + ["--step", "inf"]).step == float("inf")
+    with pytest.raises(rs.errors.ProblemFormatError,
+                       match=r"--crossing-radius: must be a finite "
+                             r"number > 0, got 'inf'"):
+        parse(base + ["--crossing-radius", "inf"])
 
 
 @pytest.mark.parametrize("options, config", [

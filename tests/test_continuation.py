@@ -45,18 +45,22 @@ def test_sweep_requires_nonzero_target(lattice6, ground6, monkeypatch,
 @pytest.mark.parametrize("option, value", [
     ("step_init", np.nan), ("step_init", 0.0), ("step_init", -1e-3),
     ("crossing_radius", np.nan), ("crossing_radius", 0.0),
-    ("crossing_radius", -5e-3),
+    ("crossing_radius", -5e-3), ("crossing_radius", np.inf),
 ])
 def test_sweep_refuses_a_step_or_radius_the_cli_refuses(monkeypatch, option,
                                                         value):
-    # the CLI's "a number > 0" rule, checked before any scan or walk
+    # the CLI's rules, "a number > 0" for the step and "a finite number
+    # > 0" for the radius, checked before any scan or walk
+    rule = {"step_init": "a number > 0",
+            "crossing_radius": "a finite number > 0"}[option]
+
     def no_work(*args, **kwargs):
         raise AssertionError(f"ran before {option} was checked")
 
     monkeypatch.setattr(continuation, "auto_scan_points", no_work)
     monkeypatch.setattr(continuation.Walker, "weak_start", no_work)
     p = rs.build_lattice_model(4, 4)
-    with pytest.raises(ValueError, match=f"^{option} must be a number > 0"):
+    with pytest.raises(ValueError, match=f"^{option} must be {rule}"):
         continuation.sweep(p, rs.ground_occupation(p), -0.3,
                            SweepOptions(**{option: value}))
 

@@ -1,3 +1,4 @@
+import copy
 import math
 import warnings
 
@@ -393,15 +394,31 @@ def _one_pair_walker(min_step):
                   min_step=min_step, name="one pair")
 
 
-def test_walker_halves_on_failure_and_clamps(monkeypatch):
+def _failing_rows(monkeypatch, fails):
+    """Patch `solver.newton_rows`, which every Newton solve runs through,
+    so that a row solved at a g where fails(g) holds does not converge.
+    Returns the list of the g of every row it hands back, in order: the
+    rows up to the first converged one, as the one-by-one halvings would
+    try them."""
     tried = []
+    rows = solver.newton_rows
 
-    def fails_beyond_0_3(e0, g, eta2, d, **kw):
-        tried.append(g)
-        out = newton_core(e0, g, eta2, d, **kw)
-        return (out[0], False) + out[2:] if g > 0.3 else out
+    def patched(e0, g, eta2, d, **kw):
+        e0, g = np.asarray(e0, dtype=np.complex128), np.asarray(g, float)
+        outs = [rows(e0[i:i + 1], g[i:i + 1], eta2, d, **kw)
+                for i in range(len(g))]
+        ok = [o[1][0] and not fails(x) for o, x in zip(outs, g.tolist())]
+        end = ok.index(True) + 1 if True in ok else len(ok)
+        tried.extend(g.tolist()[:end])
+        return (np.concatenate([o[0] for o in outs[:end]]), ok[:end],
+                [o[2][0] for o in outs[:end]], [o[3][0] for o in outs[:end]])
 
-    monkeypatch.setattr(solver, "newton_core", fails_beyond_0_3)
+    monkeypatch.setattr(solver, "newton_rows", patched)
+    return tried
+
+
+def test_walker_halves_on_failure_and_clamps(monkeypatch):
+    tried = _failing_rows(monkeypatch, lambda g: g > 0.3)
     walker = _one_pair_walker(min_step=1e-3)
     e_start = walker.e
     step, iters, rn = walker.step_toward(1.0, 0.5)
@@ -420,14 +437,7 @@ def test_walker_halves_on_failure_and_clamps(monkeypatch):
 def test_walker_halves_an_infinite_step_from_the_distance(monkeypatch):
     # inf halves to inf: halved as given, a failed try at g_to would
     # repeat forever
-    tried = []
-
-    def fails_beyond_0_3(e0, g, eta2, d, **kw):
-        tried.append(g)
-        out = newton_core(e0, g, eta2, d, **kw)
-        return (out[0], False) + out[2:] if g > 0.3 else out
-
-    monkeypatch.setattr(solver, "newton_core", fails_beyond_0_3)
+    tried = _failing_rows(monkeypatch, lambda g: g > 0.3)
     walker = _one_pair_walker(min_step=1e-3)
     step, _, _ = walker.step_toward(1.0, math.inf)
     assert tried == [1.0, 0.5625, 0.34375, 0.234375]
@@ -437,15 +447,9 @@ def test_walker_halves_an_infinite_step_from_the_distance(monkeypatch):
 
 
 def test_walker_gives_up_below_min_step_unchanged(monkeypatch):
-    tried = []
-
-    def never_converges(e0, g, eta2, d, **kw):
-        tried.append(g)
-        return np.asarray(e0), False, 60, 1.0
-
     walker = _one_pair_walker(min_step=0.1)
     walker.step_toward(0.25)
-    monkeypatch.setattr(solver, "newton_core", never_converges)
+    tried = _failing_rows(monkeypatch, lambda g: True)
     g, e, prev = walker.g, walker.e, walker.prev
     with pytest.raises(ContinuationError, match="one pair stalled near"):
         walker.step_toward(1.0, 0.5)
@@ -472,6 +476,7 @@ def test_walker_on_the_empty_system(monkeypatch):
     assert origin == () and rn == 0.0
     # nothing to solve: the walk moves g without calling Newton
     monkeypatch.setattr(solver, "newton_core", None)
+    monkeypatch.setattr(solver, "newton_rows", None)
     for g_to in (0.4, -0.2):
         assert walker.advance_to(g_to).shape == (0,)
         assert walker.g == g_to
@@ -528,8 +533,9 @@ def _same_bits(got, want):
 
 
 def _with_halvings(monkeypatch, core, *args, **kwargs):
-    """core(*args, **kwargs) and the halvings each of its Newton iterations
-    made before a trial was accepted (or the halvings ran out).
+    """core(*args, **kwargs), a one-row solve, and the halvings each of its
+    Newton iterations made before a trial was accepted (or the halvings
+    ran out).
 
     Each Jacobian starts an iteration.  Its trials are the rows of the
     residual passes it makes, one per pass or a batch of them at once, in
@@ -543,11 +549,11 @@ def _with_halvings(monkeypatch, core, *args, **kwargs):
 
     def counting_residuals(*a):
         out = residuals(*a)
-        rtn = np.maximum.reduce(np.abs(out[0]), axis=-1)
+        rtn = np.ravel(np.maximum.reduce(np.abs(out[0]), axis=-1)).tolist()
         if norms:           # the start's pass belongs to no iteration
-            norms[-1].extend(np.atleast_1d(rtn).tolist())
+            norms[-1].extend(rtn)
         else:
-            norms.append(float(rtn))
+            norms.append(rtn[0])
         return out
 
     def counting_jacobian(*a):
@@ -583,22 +589,35 @@ class _Found(Exception):
     pass
 
 
+_ROW_DEFAULTS = {"tol": solver.NEWTON_TOL, "max_iter": solver.NEWTON_MAX_ITER,
+                 "step_cap": None}
+
+
 def _first_solve(monkeypatch, run, pick):
     """The arguments (e0, g, eta2, d, kwargs) of the first Newton solve of
-    run() that pick(arguments, result) accepts; run stops there."""
+    run() that pick(arguments, result) accepts; run stops there.  A solve
+    is a row of a `newton_rows` call, which every solve runs through, in
+    the order of its rows; kwargs are the call's keywords that differ from
+    the defaults, so that `newton_core(e0, g, eta2, d, **kwargs)` is the
+    row's solve."""
     found = []
+    rows = solver.newton_rows
 
     def recording(e0, g, eta2, d, **kwargs):
-        out = newton_core(e0, g, eta2, d, **kwargs)
-        args = (np.array(e0), g, eta2, d, kwargs)
-        if pick(args, out):
-            found.append(args)
-            raise _Found
+        out = rows(e0, g, eta2, d, **kwargs)
+        kw = {k: v for k, v in kwargs.items() if v != _ROW_DEFAULTS[k]}
+        e0 = np.asarray(e0, dtype=np.complex128)
+        g = np.asarray(g, dtype=float).tolist()
+        for i in range(len(out[1])):
+            args = (e0[i], g[i], eta2, d, kw)
+            if pick(args, (out[0][i], bool(out[1][i]), int(out[2][i]),
+                           float(out[3][i]))):
+                found.append(args)
+                raise _Found
         return out
 
     with monkeypatch.context() as m:
-        m.setattr(solver, "newton_core", recording)
-        m.setattr(continuation, "newton_core", recording)
+        m.setattr(solver, "newton_rows", recording)
         with pytest.raises(_Found):
             run()
     return found[0]
@@ -662,16 +681,19 @@ def test_crawling_solve_stops_after_12_crawling_iterations(monkeypatch):
 def test_the_lat4_stall_costs_a_fixed_number_of_residual_passes(
         monkeypatch):
     # the scan that the benchmark's 4x4 verify job runs for this branch:
-    # its real crawling iterations test their damping ladders in batches
-    # (49 999 passes with one pass per rung)
+    # a failed step solves all its halvings in one stack, and the real
+    # crawling iterations test their damping ladders in batches (15 897
+    # passes of 219 883 rows with the halvings solved one after another,
+    # 49 999 passes with one pass per rung as well)
     lat4 = rs.build_lattice_model(4, 4)
     g_range = continuation.auto_scan_range(
         -0.198, continuation.SweepOptions().crossing_radius)
-    passes = []
+    passes, rows = [], []
     residuals = kern.residuals
 
     def counting_residuals(*a):
         passes.append(a[0].ndim)
+        rows.append(int(np.prod(a[0].shape[:-1])))
         return residuals(*a)
 
     monkeypatch.setattr(kern, "residuals", counting_residuals)
@@ -680,7 +702,7 @@ def test_the_lat4_stall_costs_a_fixed_number_of_residual_passes(
                             r"\(residual 1\.44e-09\)"):
         rs.scan_critical(lat4, 4, g_range, deflated_occ=(1, 1, 0, 0, 0))
     assert g_range == (-0.20800000000000002, 0.0)
-    assert len(passes) == 15_897 and 2 in passes
+    assert len(passes) == 5_103 and sum(rows) == 228_846 and 3 in passes
 
 
 def test_a_small_step_cap_alone_is_no_crawl():
@@ -807,3 +829,248 @@ def test_newton_matches_the_reference_wherever_it_converges(args):
         if want[1]:
             assert _same_bits(newton_core(seed, g_next, eta2, d,
                                           max_iter=60), want)
+
+
+# ---------------------------------------------------------------------------
+# the stacked Newton and the halvings it solves
+# ---------------------------------------------------------------------------
+
+def _row(out, i):
+    """Row i of a `newton_rows` result as a `newton_core` result."""
+    return out[0][i], bool(out[1][i]), int(out[2][i]), float(out[3][i])
+
+
+@st.composite
+def _row_stacks(draw):
+    """(e0, g, eta2, d): 1-5 rows of M = 0..16 energies on 1-3 levels,
+    real or complex row by row, each at its own g (0 among them, a zero
+    Jacobian); a row may hold an escaped energy (a non-finite step)."""
+    eta2 = draw(_ETA2)
+    d = np.array(draw(st.lists(st.sampled_from([-0.5, -1.0, -1.5]),
+                               min_size=len(eta2), max_size=len(eta2))))
+    m = draw(st.integers(0, 16))
+    n = draw(st.integers(1, 5))
+    e0 = np.zeros((n, m), dtype=np.complex128)
+    for row in e0:
+        start = draw(st.sampled_from([_START, _REAL_START]))
+        row[:] = draw(st.lists(start, min_size=m, max_size=m))
+        if m and draw(st.integers(0, 5)) == 0:
+            row[draw(st.integers(0, m - 1))] = 1e160
+    g = np.array(draw(st.lists(st.just(0.0) | st.floats(-0.6, 0.6),
+                               min_size=n, max_size=n)))
+    return e0, g, eta2, d
+
+
+def _check_rows(e0, g, eta2, d, **kw):
+    """newton_rows on the stack against the one-row solves of its rows: the
+    rows up to the first converged one, with the same bits row by row, or
+    SingularEvaluationError where the one-row solves, in turn, raise it.
+    Returns the one-row solves of all the rows (None where one raised)."""
+    want = []
+    for e_i, g_i in zip(e0, g):
+        try:
+            want.append(newton_core(e_i, g_i, eta2, d, **kw))
+        except SingularEvaluationError:
+            want.append(None)
+    end = next((i + 1 for i, w in enumerate(want) if w is None or w[1]),
+               len(want))
+    if want[end - 1] is None:
+        with pytest.raises(SingularEvaluationError):
+            solver.newton_rows(e0, g, eta2, d, **kw)
+    else:
+        got = solver.newton_rows(e0, g, eta2, d, **kw)
+        assert len(got[1]) == end
+        for i in range(end):
+            assert _same_bits(_row(got, i), want[i])
+    return want
+
+
+@settings(max_examples=150, deadline=None)
+@given(_row_stacks(), st.sampled_from([3, 20, 60]),
+       st.sampled_from([None, 1e-3, 0.05]),
+       st.sampled_from([0, 1, 2, solver.NEWTON_MAX_HALVINGS]))
+def test_each_row_of_a_stack_is_its_one_row_solve(stack, max_iter, step_cap,
+                                                  max_halvings):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "NEWTON_MAX_HALVINGS", max_halvings)
+        _check_rows(*stack, max_iter=max_iter, step_cap=step_cap)
+
+
+def test_a_stack_raises_at_a_pole_only_where_the_rows_would():
+    # row 1 starts on the level pole 2 eta = 2.  At g = -0.1 row 0
+    # converges and the stack stops before the pole; at g = 0 row 0 does
+    # not converge (a zero Jacobian) and the stack raises at the pole
+    one = (np.array([2.0]), np.array([-0.5]))
+    e0 = np.array([[1.7], [2.0], [1.7]])
+    for g in ([-0.1, -0.1, -0.1], [0.0, -0.1, -0.1]):
+        want = _check_rows(e0, np.array(g), *one)
+        assert want[1] is None
+    # a NaN start has no exact pole: it stops unconverged, and the stack
+    # goes on to the next row
+    e0 = np.array([[1.7], [np.nan], [1.75]])
+    want = _check_rows(e0, np.array([0.0, -0.1, -0.1]), *one)
+    assert [w[1] for w in want] == [False, False, True]
+
+
+def _stall_stack(monkeypatch):
+    """The first stack of halvings of the lat4 verify job's stall walk
+    (4x4 M=4, level 4, deflated occupation (1,1,0,0,0)), as (e0, g, eta2,
+    d, keywords)."""
+    lat4 = rs.build_lattice_model(4, 4)
+    found = []
+    rows = solver.newton_rows
+
+    def recording(e0, g, eta2, d, **kwargs):
+        if len(g) > 1:
+            found.append((np.array(e0), np.array(g), eta2, d, kwargs))
+            raise _Found
+        return rows(e0, g, eta2, d, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "newton_rows", recording)
+        with pytest.raises(_Found):
+            rs.scan_critical(lat4, 4, (-0.208, 0.0),
+                             deflated_occ=(1, 1, 0, 0, 0))
+    return found[0]
+
+
+def test_a_stack_of_crawling_rows_is_its_one_row_solves(monkeypatch):
+    e0, g, eta2, d, kwargs = _stall_stack(monkeypatch)
+    assert kwargs == {"max_iter": 60}
+    assert not e0.imag.any() and len(g) > 10
+    want = _check_rows(e0, g, eta2, d, max_iter=60)
+    want = want[:[w[1] for w in want].index(True) + 1]
+    # the rows the stack returns end every way a real row can: by a crawl,
+    # with no rung passing, and the last converged
+    crawls = [_longest_crawl(_with_halvings(
+        monkeypatch, newton_core, e_i, g_i, eta2, d, max_iter=60)[1])
+        for e_i, g_i in zip(e0, g[:len(want)])]
+    assert any(not w[1] and c == solver.NEWTON_MAX_CRAWL
+               for w, c in zip(want, crawls))
+    assert any(not w[1] and w[2] < 60 and c < solver.NEWTON_MAX_CRAWL
+               for w, c in zip(want, crawls))
+
+
+def _step_toward_reference(walker, g_to, step=None):
+    """Walker.step_toward with its halvings tried one by one, as it was
+    before they were stacked: verbatim, with _solve inlined."""
+    def solve(g_next):
+        if walker.e.size == 0:
+            return walker.e, True, 0, 0.0
+        seeds = [walker.e]
+        if walker.prev is not None and walker.prev[0] != walker.g:
+            slope = (walker.e - walker.prev[1]) / (walker.g - walker.prev[0])
+            seeds.insert(0, walker.e + slope * (g_next - walker.g))
+        for seed in seeds:
+            out = newton_core(seed, g_next, walker.eta2, walker.d,
+                              max_iter=60)
+            if out[1]:
+                break
+        return out
+
+    step = g_to - walker.g if step is None else step
+    while True:
+        g_next = walker.g + step
+        if (g_next - g_to) * step >= 0:
+            g_next = g_to
+        e, ok, iters, rn = solve(g_next)
+        if ok:
+            break
+        step = 0.5 * (g_next - walker.g if math.isinf(step) else step)
+        if not abs(step) >= walker.min_step:      # NaN stops too
+            raise ContinuationError(
+                f"{walker.name} stalled near g={walker.g:.8g} "
+                f"(residual {rn:.2e})")
+    walker.prev = (walker.g, walker.e)
+    walker.g, walker.e = g_next, e
+    return step, iters, rn
+
+
+def _bits(x):
+    return np.atleast_1d(np.asarray(x, dtype=np.complex128)).view(
+        np.uint64).tolist()
+
+
+def _step_outcome(step_toward, walker, g_to, step):
+    """What step_toward(walker, g_to, step) returns or raises, and the
+    walker's state after it, bit for bit."""
+    walker = copy.copy(walker)
+    try:
+        out = ("step", _bits([out_i for out_i in step_toward(
+            walker, g_to, step)]))
+    except ContinuationError as err:
+        out = ("error", str(err))
+    prev = None if walker.prev is None \
+        else (_bits(walker.prev[0]), _bits(walker.prev[1]))
+    return out, _bits(walker.g), _bits(walker.e), prev
+
+
+def _halving_steps(monkeypatch, run, limit=6):
+    """(walker, g_to, step) before each of the first `limit` step_toward
+    calls of run() whose first try failed: they returned another step than
+    they were given, or raised."""
+    found = []
+    step_toward = Walker.step_toward
+
+    def recording(self, g_to, step=None):
+        before = copy.copy(self)
+        tried = g_to - self.g if step is None else step
+        try:
+            out = step_toward(self, g_to, step)
+        except ContinuationError:
+            found.append((before, g_to, step))
+            raise
+        if _bits(out[0]) != _bits(tried) and len(found) < limit:
+            found.append((before, g_to, step))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(Walker, "step_toward", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", rs.critical.TruncatedScanWarning)
+            run()
+    return found
+
+
+def test_step_toward_accepts_what_the_one_by_one_halvings_accept(
+        monkeypatch, toy_3lvl):
+    lat4 = rs.build_lattice_model(4, 4)
+    three = rs.PairingProblem((rs.Level(0.0, 2), rs.Level(1.0, 2),
+                               rs.Level(2.5, 2)), 2)
+    runs = [
+        # the toy3 hop, the lat4 stall (which ends the walk) and the sweep
+        # with the longest converged crawl of the suite, all real
+        lambda: rs.scan_critical(toy_3lvl, 0, (-0.6, 0.0)),
+        lambda: rs.scan_critical(lat4, 4, (-0.208, 0.0),
+                                 deflated_occ=(1, 1, 0, 0, 0)),
+        lambda: continuation.sweep(three, rs.ground_occupation(three),
+                                   -0.45),
+        # an excited 4x4 branch whose complex energies halve their steps
+        lambda: continuation.sweep(lat4, (0, 2, 1, 0, 1), -0.5),
+    ]
+    cases = [case for run in runs
+             for case in _halving_steps(monkeypatch, run)]
+    assert any(w.e.imag.any() for w, _, _ in cases)
+    assert any(not w.e.imag.any() for w, _, _ in cases)
+    stuck = 0
+    for walker, g_to, step in cases:
+        # as called; from the distance (an infinite step) and a NaN step;
+        # and with min_step = inf, as the restart walk-out walks
+        restart = copy.copy(walker)
+        restart.min_step = math.inf
+        for w, s in ((walker, step), (walker, math.inf), (walker, math.nan),
+                     (restart, step)):
+            got = _step_outcome(Walker.step_toward, w, g_to, s)
+            assert got == _step_outcome(_step_toward_reference, w, g_to, s)
+            stuck += got[0][0] == "error"
+    assert stuck > len(cases)
+
+
+def test_step_toward_on_the_empty_system():
+    walker = Walker(np.array([0.0, 2.0]), np.array([-1.0, -1.0]), 1e-3,
+                    np.zeros(0), min_step=1e-7, name="empty")
+    for g_to, step in ((0.4, None), (0.4, math.inf), (-0.2, 0.01)):
+        got = _step_outcome(Walker.step_toward, walker, g_to, step)
+        assert got == _step_outcome(_step_toward_reference, walker, g_to,
+                                    step)
+        assert got[0][0] == "step"
